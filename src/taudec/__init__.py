@@ -20,8 +20,6 @@ from .glue import (
     GluedHasse,
     HasseNode,
     glued_hasse,
-    gluing_arrows,
-    hasse_nodes,
     sign_slice_path_quiver,
 )
 from .matrices import (

@@ -20,7 +20,14 @@ from .brauer import (
     verify_identities,
 )
 from .glue import GLUING, GluedHasse, glued_hasse
-from .quiver import QuiverError, ValuedQuiver, parse_quiver, quiver_file_text, two_term_tilting
+from .quiver import (
+    QuiverError,
+    ValuedQuiver,
+    format_signs,
+    parse_quiver,
+    quiver_file_text,
+    two_term_tilting,
+)
 from .repa import UnsupportedComponentError
 from .signdec import (
     Infinite,
@@ -30,10 +37,6 @@ from .signdec import (
     finiteness_witness,
     sign_slice_components,
 )
-
-
-def format_signs(signs: Sequence[int]) -> str:
-    return "".join("+" if s == 1 else "-" for s in signs)
 
 
 def _load_quiver(path: str) -> ValuedQuiver:
@@ -150,6 +153,13 @@ def cmd_identities(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="taudec",
@@ -189,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_brauer)
 
     p = sub.add_parser("identities", help="verify the combinatorial identities")
-    p.add_argument("--max-n", type=int, default=12, dest="max_n")
+    p.add_argument("--max-n", type=_positive_int, default=12, dest="max_n")
     p.set_defaults(func=cmd_identities)
 
     return parser
@@ -199,7 +209,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (QuiverError, OSError) as exc:
+    except (QuiverError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnsupportedComponentError as exc:

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .matrices import IntVector, g_from_dim_vector
-from .quiver import SignVector, ValuedQuiver, opposite, sign_subquiver
+from .quiver import SignVector, ValuedQuiver, format_signs, opposite, sign_subquiver
 from .repa import (
     PathQuiver,
+    RigidityTables,
     TiltingModule,
     UnsupportedComponentError,
     bongartz_complete,
@@ -52,10 +53,6 @@ class GluedHasse:
         return tuple((a, b) for a, b, k in self.arrows if k == kind)
 
 
-def _format_signs(signs: Sequence[int]) -> str:
-    return "".join("+" if s == 1 else "-" for s in signs)
-
-
 def sign_slice_path_quiver(quiver: ValuedQuiver, signs: Sequence[int]) -> PathQuiver:
     """The opposite of the sign subquiver as a PathQuiver.
 
@@ -67,7 +64,7 @@ def sign_slice_path_quiver(quiver: ValuedQuiver, signs: Sequence[int]) -> PathQu
         return path_quiver(opposite(sign_subquiver(quiver, signs)))
     except UnsupportedComponentError as exc:
         raise UnsupportedComponentError(
-            f"sign vector {_format_signs(signs)}: {exc}",
+            f"sign vector {format_signs(signs)}: {exc}",
             component=exc.component,
             signs=tuple(signs),
         ) from exc
@@ -90,30 +87,26 @@ def _slice_nodes(
     return nodes
 
 
-def hasse_nodes(quiver: ValuedQuiver) -> tuple[HasseNode, ...]:
-    """All nodes, ordered by sign vector then by the tilting enumerator."""
-    out: list[HasseNode] = []
-    for signs in enumerate_signs(quiver.n):
-        slice_quiver = sign_slice_path_quiver(quiver, signs)
-        out.extend(_slice_nodes(signs, slice_quiver, tilting_modules(slice_quiver)))
-    return tuple(out)
-
-
 def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
-    """Nodes, internal mutation arrows, and cross-sign gluing arrows."""
+    """Nodes, internal mutation arrows, and cross-sign gluing arrows.
+
+    Every slice and vertex-deleted slice shares one rigidity table per
+    distinct path component; the tables live for this call only.
+    """
     n = quiver.n
+    tables: RigidityTables = {}
     nodes: list[HasseNode] = []
     slices: dict[SignVector, tuple[PathQuiver, tuple[TiltingModule, ...], int]] = {}
     for signs in enumerate_signs(n):
         slice_quiver = sign_slice_path_quiver(quiver, signs)
-        modules = tilting_modules(slice_quiver)
+        modules = tilting_modules(slice_quiver, tables)
         slices[signs] = (slice_quiver, modules, len(nodes))
         nodes.extend(_slice_nodes(signs, slice_quiver, modules))
 
     arrows: list[tuple[int, int, str]] = []
     for signs in enumerate_signs(n):
         slice_quiver, modules, offset = slices[signs]
-        for i, j in tilting_hasse(slice_quiver, modules):
+        for i, j in tilting_hasse(slice_quiver, modules, tables):
             arrows.append((offset + i, offset + j, INTERNAL))
 
     index = {(node.signs, node.tilt): k for k, node in enumerate(nodes)}
@@ -131,9 +124,9 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
                     f"vertex-deleted slices at {upper} and {lower} disagree: "
                     "internal bug"
                 )
-            for shared in tilting_modules(deleted):
-                top = bongartz_complete(upper_quiver, shared.summands, vertex)
-                bottom = bongartz_complete(lower_quiver, shared.summands, vertex)
+            for shared in tilting_modules(deleted, tables):
+                top = bongartz_complete(upper_quiver, shared.summands, vertex, tables)
+                bottom = bongartz_complete(lower_quiver, shared.summands, vertex, tables)
                 arrows.append(
                     (index[(upper, top)], index[(lower, bottom)], GLUING)
                 )
@@ -147,13 +140,3 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
     if any(d != n for d in degree):
         raise ArithmeticError("some node is not n-regular: internal bug")
     return GluedHasse(tuple(nodes), tuple(arrows))
-
-
-def gluing_arrows(
-    quiver: ValuedQuiver,
-) -> tuple[tuple[HasseNode, HasseNode], ...]:
-    """The cross-sign arrows only, as node pairs."""
-    hasse = glued_hasse(quiver)
-    return tuple(
-        (hasse.nodes[a], hasse.nodes[b]) for a, b in hasse.arrows_of_kind(GLUING)
-    )

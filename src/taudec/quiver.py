@@ -35,6 +35,11 @@ def check_signs(signs: Sequence[int], n: int) -> SignVector:
     return out
 
 
+def format_signs(signs: Sequence[int]) -> str:
+    """A sign vector as a string of '+' and '-'."""
+    return "".join("+" if s == 1 else "-" for s in signs)
+
+
 @dataclass(frozen=True, order=True)
 class Valuation:
     """Arrow valuation (d', d'').

@@ -10,13 +10,24 @@ dim Hom - dim Ext^1 is the Euler form of the dimension vectors, which
 makes Ext computable from Hom, and tilting modules are exactly the rigid
 sets with one summand per vertex.  Everything here is exact integer
 arithmetic on supports.
+
+Each path component gets one rigidity table, built with ext_dim on every
+ordered pair of its intervals: an Ext^1 bitmask and a pairwise-rigid
+bitmask per interval.  Enumeration backtracks over the rigid masks,
+Fac T is the complement of the Ext^1 masks of T's summands, and the
+complements of an almost complete set are the AND of its rigid masks
+minus the set itself.  Mutation replaces a summand by the other
+complement of the rest, so the Hasse quiver comes from lookups rather
+than a scan over all pairs of modules.  Callers pass one `tables` dict
+to share tables across quivers with common components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .matrices import IntVector
 from .quiver import UNIT, ValuedQuiver
@@ -239,99 +250,212 @@ class TiltingModule:
         return tuple(tuple(sorted(m.support)) for m in self.summands)
 
 
-def _rigid(quiver: PathQuiver, m: IntervalModule, n: IntervalModule) -> bool:
-    return ext_dim(quiver, m, n) == 0 and ext_dim(quiver, n, m) == 0
+class RigidityTable:
+    """Ext^1 among all intervals of one path component, as bitmasks.
+
+    `intervals` is the component's interval list in `_interval_key` order,
+    and a mask names intervals by their positions there.  Bit j of
+    `ext_out[i]` is set when Ext^1(intervals[i], intervals[j]) != 0, and
+    bit j of `rigid[i]` when there is no Ext^1 either way (bit i always
+    is).  Every entry comes from ext_dim over the component alone, which
+    gives the same answer as over any quiver containing it: intervals of
+    different components have neither Hom nor Ext^1 between them.
+    """
+
+    def __init__(self, component: PathQuiver) -> None:
+        self.size = len(component.vertices)
+        self.intervals = intervals(component)
+        self.index = {m: i for i, m in enumerate(self.intervals)}
+        self.full = (1 << len(self.intervals)) - 1
+        self.ext_out = tuple(
+            sum(1 << j for j, n in enumerate(self.intervals) if ext_dim(component, m, n))
+            for m in self.intervals
+        )
+        ext_in = [0] * len(self.intervals)
+        for i, out in enumerate(self.ext_out):
+            for j in _bits(out):
+                ext_in[j] |= 1 << i
+        self.rigid = tuple(
+            self.full & ~(out | into) for out, into in zip(self.ext_out, ext_in)
+        )
+
+    def ext_from(self, mask: int) -> int:
+        """Intervals X with Ext^1(M, X) != 0 for some M in `mask`."""
+        out = 0
+        for i in _bits(mask):
+            out |= self.ext_out[i]
+        return out
+
+    def complements(self, base: int) -> int:
+        """Intervals outside `base` that are rigid with every member of it."""
+        allowed = self.full
+        for i in _bits(base):
+            allowed &= self.rigid[i]
+        return allowed & ~base
+
+    @cached_property
+    def tilting(self) -> tuple[int, ...]:
+        """Masks of the rigid sets with one summand per vertex.
+
+        Found by backtracking over the rigid masks, in lexicographic order
+        of their sorted positions.
+        """
+        found: list[int] = []
+        count = len(self.intervals)
+
+        def extend(start: int, chosen: int, size: int, allowed: int) -> None:
+            if size == self.size:
+                found.append(chosen)
+                return
+            if (allowed >> start).bit_count() < self.size - size:
+                return
+            for k in range(start, count):
+                if (allowed >> k) & 1:
+                    extend(k + 1, chosen | 1 << k, size + 1, allowed & self.rigid[k])
+
+        extend(0, 0, 0, self.full)
+        return tuple(found)
 
 
-def tilting_modules(quiver: PathQuiver) -> tuple[TiltingModule, ...]:
-    """Enumerate all tilting modules by backtracking, per component.
+# Tables shared between calls, keyed by a component's path and its arrows.
+RigidityTables = dict[
+    tuple[tuple[int, ...], tuple[tuple[int, int], ...]], RigidityTable
+]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _tables(
+    quiver: PathQuiver, tables: RigidityTables | None
+) -> tuple[RigidityTable, ...]:
+    """The table of each path component, in path order, built on first use."""
+    if tables is None:
+        tables = {}
+    out = []
+    for path in quiver.paths:
+        on_path = set(path)
+        arrows = tuple(a for a in quiver.arrows if a[0] in on_path)
+        table = tables.get((path, arrows))
+        if table is None:
+            table = tables[path, arrows] = RigidityTable(PathQuiver(path, arrows))
+        out.append(table)
+    return tuple(out)
+
+
+def _masks(
+    tabs: Sequence[RigidityTable], modules: Iterable[IntervalModule]
+) -> tuple[int, ...]:
+    """Per-component position masks of a set of interval modules."""
+    masks = [0] * len(tabs)
+    for m in modules:
+        for c, table in enumerate(tabs):
+            i = table.index.get(m)
+            if i is not None:
+                masks[c] |= 1 << i
+                break
+        else:
+            raise ValueError(f"{m!r} is not a module over this quiver")
+    return tuple(masks)
+
+
+def tilting_modules(
+    quiver: PathQuiver, tables: RigidityTables | None = None
+) -> tuple[TiltingModule, ...]:
+    """Enumerate all tilting modules, per component.
 
     Within each path component the rigid sets with one summand per vertex
-    are found over the pairwise Ext-compatibility graph; components are
-    then combined as products.  Order is deterministic.
+    are backtracked over its rigidity table; components are then combined
+    as products.  Order is deterministic.  `tables` shares rigidity tables
+    with other calls.
     """
-    per_component: list[list[tuple[IntervalModule, ...]]] = []
-    for path in quiver.paths:
-        path_set = set(path)
-        ivs = [m for m in intervals(quiver) if m.support <= path_set]
-        need = len(path)
-        # compatibility graph as bitmasks: bit j of mask[i] says i, j are rigid
-        masks = [0] * len(ivs)
-        for i in range(len(ivs)):
-            for j in range(i + 1, len(ivs)):
-                if _rigid(quiver, ivs[i], ivs[j]):
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-        found: list[tuple[IntervalModule, ...]] = []
-
-        def extend(start: int, chosen: list[int], allowed: int) -> None:
-            if len(chosen) == need:
-                found.append(tuple(ivs[i] for i in chosen))
-                return
-            if (allowed >> start).bit_count() < need - len(chosen):
-                return
-            for k in range(start, len(ivs)):
-                if (allowed >> k) & 1:
-                    chosen.append(k)
-                    extend(k + 1, chosen, allowed & masks[k])
-                    chosen.pop()
-
-        extend(0, [], (1 << len(ivs)) - 1)
-        per_component.append(found)
+    per_component = [
+        [tuple(table.intervals[i] for i in _bits(mask)) for mask in table.tilting]
+        for table in _tables(quiver, tables)
+    ]
     return tuple(
         TiltingModule(tuple(m for part in combo for m in part))
         for combo in product(*per_component)
     )
 
 
-def fac_contains(quiver: PathQuiver, tilt: TiltingModule, x: IntervalModule) -> bool:
+def fac_contains(
+    quiver: PathQuiver,
+    tilt: TiltingModule,
+    x: IntervalModule,
+    tables: RigidityTables | None = None,
+) -> bool:
     """Whether x lies in the torsion class generated by a tilting module.
 
     For tilting T over a hereditary algebra, Fac T = {X : Ext^1(T, X) = 0}.
     """
-    return all(ext_dim(quiver, t, x) == 0 for t in tilt.summands)
+    tabs = _tables(quiver, tables)
+    masks = zip(tabs, _masks(tabs, tilt.summands), _masks(tabs, (x,)))
+    return not any(table.ext_from(mask) & target for table, mask, target in masks)
 
 
 def tilting_hasse(
-    quiver: PathQuiver, modules: Sequence[TiltingModule] | None = None
+    quiver: PathQuiver,
+    modules: Sequence[TiltingModule] | None = None,
+    tables: RigidityTables | None = None,
 ) -> tuple[tuple[int, int], ...]:
     """Mutation arrows between tilting modules, as index pairs.
 
     Two tilting modules are adjacent when they share all but one summand;
     the arrow points towards the smaller torsion class.  Indices refer to
-    the order of tilting_modules(quiver).
+    the order of `modules`, by default tilting_modules(quiver).  Each
+    module is mutated at each summand: the other complements of the rest
+    come from the rigidity table, and the modules holding them are looked
+    up by their summand positions.  Arrows are ordered by their index pair.
     """
+    if tables is None:
+        tables = {}
     if modules is None:
-        modules = tilting_modules(quiver)
-    edges: list[tuple[int, int]] = []
-    summand_sets = [set(t.summands) for t in modules]
-    for i in range(len(modules)):
-        for j in range(i + 1, len(modules)):
-            diff = summand_sets[i] ^ summand_sets[j]
-            if len(diff) != 2:
-                continue
-            (xi,) = diff & summand_sets[i]
-            (xj,) = diff & summand_sets[j]
-            forward = fac_contains(quiver, modules[i], xj)
-            backward = fac_contains(quiver, modules[j], xi)
-            if forward == backward:
-                raise ArithmeticError(
-                    f"adjacent tilting modules {modules[i]} and {modules[j]} "
-                    "have incomparable torsion classes: internal bug"
-                )
-            edges.append((i, j) if forward else (j, i))
-    return tuple(edges)
+        modules = tilting_modules(quiver, tables)
+    tabs = _tables(quiver, tables)
+    keys = [_masks(tabs, t.summands) for t in modules]
+    position = {key: k for k, key in enumerate(keys)}
+    pairs: list[tuple[int, int, bool]] = []
+    for i, key in enumerate(keys):
+        for c, (table, mask) in enumerate(zip(tabs, key)):
+            not_fac = table.ext_from(mask)
+            for x in _bits(mask):
+                rest = mask & ~(1 << x)
+                for y in _bits(table.complements(rest) & ~mask):
+                    other = rest | 1 << y
+                    j = position.get(key[:c] + (other,) + key[c + 1:])
+                    if j is None or j < i:
+                        continue
+                    forward = not (not_fac >> y) & 1
+                    backward = not (table.ext_from(other) >> x) & 1
+                    if forward == backward:
+                        raise ArithmeticError(
+                            f"adjacent tilting modules {modules[i]} and {modules[j]} "
+                            "have incomparable torsion classes: internal bug"
+                        )
+                    pairs.append((i, j, forward))
+    pairs.sort()
+    return tuple((i, j) if forward else (j, i) for i, j, forward in pairs)
 
 
 def bongartz_complete(
-    quiver: PathQuiver, summands: Iterable[IntervalModule], missing: int
+    quiver: PathQuiver,
+    summands: Iterable[IntervalModule],
+    missing: int,
+    tables: RigidityTables | None = None,
 ) -> TiltingModule:
     """Unique completion of an almost-complete rigid module avoiding one vertex.
 
     `summands` must be tilting over the quiver with `missing` deleted;
     being non-sincere it has exactly one complement, which is returned
     together with the input.  Zero or several complements signal a bug or
-    a violated precondition.
+    a violated precondition.  `tables` shares rigidity tables with other
+    calls.
     """
     base = tuple(sorted(set(summands), key=_interval_key))
     if missing not in quiver.vertices:
@@ -341,17 +465,20 @@ def bongartz_complete(
             f"expected {len(quiver.vertices) - 1} summands, got {len(base)}"
         )
     for m in base:
-        _check_over(quiver, m)
         if missing in m.support:
             raise ValueError(f"{m!r} meets the deleted vertex {missing}")
-    for i, m in enumerate(base):
-        for n in base[i + 1:]:
-            if not _rigid(quiver, m, n):
+    tabs = _tables(quiver, tables)
+    masks = _masks(tabs, base)
+    for table, mask in zip(tabs, masks):
+        for i in _bits(mask):
+            clash = mask & ~table.rigid[i]
+            if clash:
+                m, n = table.intervals[i], table.intervals[next(_bits(clash))]
                 raise ValueError(f"{m!r} and {n!r} are not rigid: bad input")
     complements = [
-        x
-        for x in intervals(quiver)
-        if x not in base and all(_rigid(quiver, x, m) for m in base)
+        table.intervals[i]
+        for table, mask in zip(tabs, masks)
+        for i in _bits(table.complements(mask))
     ]
     if len(complements) != 1:
         raise ValueError(

@@ -3,7 +3,10 @@
 These deliberately avoid the production code paths they check: the Hom
 dimension is computed by exact Gaussian elimination on the commutation
 system, maximal rigid sets by Bron-Kerbosch, and finiteness through the
-separated quiver's maximal single subquivers.
+separated quiver's maximal single subquivers.  The tilting enumerator,
+the mutation quiver, Fac membership and the Bongartz completion are also
+kept in their direct forms, which call ext_dim on every pair they need,
+as references for the rigidity-table versions in `taudec.repa`.
 """
 
 from __future__ import annotations
@@ -11,8 +14,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from typing import Iterable, Sequence
 
 from taudec.dynkin import classify
+from taudec.glue import GLUING, HasseNode, glued_hasse, sign_slice_path_quiver
+from taudec.matrices import g_from_dim_vector
 from taudec.quiver import (
     Arrow,
     Valuation,
@@ -21,7 +27,16 @@ from taudec.quiver import (
     graph_components,
     separated_quiver,
 )
-from taudec.repa import IntervalModule, PathQuiver, ext_dim, intervals
+from taudec.repa import (
+    IntervalModule,
+    PathQuiver,
+    TiltingModule,
+    ext_dim,
+    intervals,
+    tilting_modules,
+    total_dim_vector,
+)
+from taudec.signdec import enumerate_signs
 
 
 def rank_of(rows: list[list[int]]) -> int:
@@ -155,3 +170,100 @@ def finite_by_separated_quiver(quiver: ValuedQuiver) -> bool:
         if any(not classify(c).is_dynkin for c in graph_components(graph)):
             return False
     return True
+
+
+def rigid(quiver: PathQuiver, m: IntervalModule, n: IntervalModule) -> bool:
+    return ext_dim(quiver, m, n) == 0 and ext_dim(quiver, n, m) == 0
+
+
+def tilting_modules_scan(quiver: PathQuiver) -> tuple[TiltingModule, ...]:
+    """Tilting modules by backtracking over a compatibility graph built inline."""
+    per_component: list[list[tuple[IntervalModule, ...]]] = []
+    for path in quiver.paths:
+        path_set = set(path)
+        ivs = [m for m in intervals(quiver) if m.support <= path_set]
+        need = len(path)
+        masks = [0] * len(ivs)
+        for i in range(len(ivs)):
+            for j in range(i + 1, len(ivs)):
+                if rigid(quiver, ivs[i], ivs[j]):
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+        found: list[tuple[IntervalModule, ...]] = []
+
+        def extend(start: int, chosen: list[int], allowed: int) -> None:
+            if len(chosen) == need:
+                found.append(tuple(ivs[i] for i in chosen))
+                return
+            if (allowed >> start).bit_count() < need - len(chosen):
+                return
+            for k in range(start, len(ivs)):
+                if (allowed >> k) & 1:
+                    chosen.append(k)
+                    extend(k + 1, chosen, allowed & masks[k])
+                    chosen.pop()
+
+        extend(0, [], (1 << len(ivs)) - 1)
+        per_component.append(found)
+    return tuple(
+        TiltingModule(tuple(m for part in combo for m in part))
+        for combo in product(*per_component)
+    )
+
+
+def fac_contains_scan(quiver: PathQuiver, tilt: TiltingModule, x: IntervalModule) -> bool:
+    """Fac T = {X : Ext^1(T, X) = 0}, one ext_dim per summand."""
+    return all(ext_dim(quiver, t, x) == 0 for t in tilt.summands)
+
+
+def tilting_hasse_pairs(
+    quiver: PathQuiver, modules: Sequence[TiltingModule]
+) -> tuple[tuple[int, int], ...]:
+    """Mutation arrows by scanning all pairs for sets differing in one summand."""
+    edges: list[tuple[int, int]] = []
+    summand_sets = [set(t.summands) for t in modules]
+    for i in range(len(modules)):
+        for j in range(i + 1, len(modules)):
+            diff = summand_sets[i] ^ summand_sets[j]
+            if len(diff) != 2:
+                continue
+            (xi,) = diff & summand_sets[i]
+            (xj,) = diff & summand_sets[j]
+            forward = fac_contains_scan(quiver, modules[i], xj)
+            backward = fac_contains_scan(quiver, modules[j], xi)
+            assert forward != backward, "incomparable torsion classes"
+            edges.append((i, j) if forward else (j, i))
+    return tuple(edges)
+
+
+def bongartz_complete_scan(
+    quiver: PathQuiver, summands: Iterable[IntervalModule], missing: int
+) -> TiltingModule:
+    """The unique complement found by scanning every interval of the quiver."""
+    base = tuple(set(summands))
+    complements = [
+        x
+        for x in intervals(quiver)
+        if x not in base and all(rigid(quiver, x, m) for m in base)
+    ]
+    assert len(complements) == 1, f"{len(complements)} complements"
+    return TiltingModule(base + (complements[0],))
+
+
+def hasse_nodes(quiver: ValuedQuiver) -> tuple[HasseNode, ...]:
+    """All nodes, ordered by sign vector then by the tilting enumerator."""
+    out: list[HasseNode] = []
+    for signs in enumerate_signs(quiver.n):
+        slice_quiver = sign_slice_path_quiver(quiver, signs)
+        for tilt in tilting_modules(slice_quiver):
+            g = g_from_dim_vector(signs, total_dim_vector(slice_quiver, tilt))
+            out.append(HasseNode(signs, tilt, g))
+    return tuple(out)
+
+
+def gluing_arrows(quiver: ValuedQuiver) -> tuple[tuple[HasseNode, HasseNode], ...]:
+    """The cross-sign arrows of the glued Hasse quiver only, as node pairs."""
+    hasse = glued_hasse(quiver)
+    return tuple(
+        (hasse.nodes[a], hasse.nodes[b]) for a, b in hasse.arrows_of_kind(GLUING)
+    )

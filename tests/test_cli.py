@@ -54,6 +54,13 @@ class TestFinite:
         code, _, err = run(capsys, "finite", str(tmp_path / "nope.txt"))
         assert code == 2
 
+    def test_non_utf8_file_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"n 2\n# caf\xe9\n")
+        code, out, err = run(capsys, "finite", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
 
 class TestCount:
     def test_three_cycle(self, quiver_file, capsys):
@@ -179,3 +186,10 @@ class TestIdentities:
         code, out, _ = run(capsys, "identities", "--max-n", "1")
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_non_positive_max_n_is_input_error(self, capsys, max_n):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["identities", "--max-n", max_n])
+        assert exit_info.value.code == 2
+        assert "error: argument --max-n" in capsys.readouterr().err

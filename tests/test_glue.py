@@ -2,15 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import gluing_arrows, hasse_nodes
 from taudec.brauer import brauer_line_quiver
-from taudec.glue import (
-    GLUING,
-    INTERNAL,
-    glued_hasse,
-    gluing_arrows,
-    hasse_nodes,
-    sign_slice_path_quiver,
-)
+from taudec.glue import GLUING, INTERNAL, glued_hasse, sign_slice_path_quiver
 from taudec.quiver import Arrow, ValuedQuiver
 from taudec.repa import UnsupportedComponentError
 from taudec.signdec import count_support_tilting
@@ -166,9 +160,12 @@ class TestNodes:
         assert nodes[0].signs == (1, 1, 1)
         assert nodes[-1].signs == (-1, -1, -1)
         assert len(nodes) == 14
+        assert glued_hasse(THREE_CYCLE).nodes == nodes
 
     def test_brauer_line_node_count(self):
-        assert len(hasse_nodes(brauer_line_quiver(2))) == 6
+        nodes = hasse_nodes(brauer_line_quiver(2))
+        assert len(nodes) == 6
+        assert glued_hasse(brauer_line_quiver(2)).nodes == nodes
 
 
 class TestUnsupported:

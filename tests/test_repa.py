@@ -1,8 +1,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import all_orientations, brute_maximal_rigid, hom_dim_linear, path_with_orientation
+from oracles import (
+    all_orientations,
+    bongartz_complete_scan,
+    brute_maximal_rigid,
+    fac_contains_scan,
+    hom_dim_linear,
+    path_with_orientation,
+    tilting_hasse_pairs,
+    tilting_modules_scan,
+)
 from taudec.dynkin import catalan
 from taudec.quiver import Arrow, Valuation, ValuedQuiver
 from taudec.repa import (
@@ -289,6 +300,54 @@ class TestBongartzComplete:
         quiver = PathQuiver((1, 2, 3), ((3, 2),))
         with pytest.raises(ValueError):
             bongartz_complete(quiver, (iv(3), iv(2)), 1)
+
+
+@st.composite
+def path_quivers(draw, max_vertices=7):
+    """Disjoint unions of 1-3 type-A paths, randomly labelled and oriented."""
+    total = draw(st.integers(1, max_vertices))
+    parts = draw(st.integers(1, min(3, total)))
+    cuts = sorted(draw(st.sets(
+        st.integers(1, max(1, total - 1)), min_size=parts - 1, max_size=parts - 1
+    )))
+    labels = draw(st.permutations(range(1, 3 * max_vertices + 1)))[:total]
+    flips = draw(st.lists(st.booleans(), min_size=total, max_size=total))
+    arrows = []
+    for start, stop in zip([0] + cuts, cuts + [total]):
+        for k in range(start, stop - 1):
+            u, v = labels[k], labels[k + 1]
+            arrows.append((v, u) if flips[k] else (u, v))
+    return PathQuiver(tuple(labels), tuple(arrows))
+
+
+class TestAgainstDirectScans:
+    """The rigidity-table fast paths against their direct ext_dim forms."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(path_quivers())
+    def test_tilting_modules_and_hasse(self, quiver):
+        mods = tilting_modules(quiver)
+        assert mods == tilting_modules_scan(quiver)
+        assert tilting_hasse(quiver) == tilting_hasse_pairs(quiver, mods)
+        assert tilting_hasse(quiver, mods[::-1]) == tilting_hasse_pairs(quiver, mods[::-1])
+
+    @settings(max_examples=25, deadline=None)
+    @given(path_quivers())
+    def test_fac_contains(self, quiver):
+        tables = {}
+        for tilt in tilting_modules(quiver, tables):
+            for x in intervals(quiver):
+                got = fac_contains(quiver, tilt, x, tables)
+                assert got == fac_contains_scan(quiver, tilt, x)
+
+    @settings(max_examples=25, deadline=None)
+    @given(path_quivers())
+    def test_bongartz_complete(self, quiver):
+        tables = {}
+        for v in quiver.vertices:
+            for shared in tilting_modules(delete_vertex(quiver, v), tables):
+                got = bongartz_complete(quiver, shared.summands, v, tables)
+                assert got == bongartz_complete_scan(quiver, shared.summands, v)
 
 
 def test_total_dim_vector():
