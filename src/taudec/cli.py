@@ -1,7 +1,8 @@
 """Command line: finiteness, counts, sign tables, Hasse output, Brauer checks.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3
-unsupported structure.  All output is byte-deterministic for fixed input.
+unsupported structure, 4 internal error (a self-check found an
+inconsistency).  All output is byte-deterministic for fixed input.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from .quiver import (
 from .repa import UnsupportedComponentError
 from .signdec import (
     Infinite,
-    count_for_signs,
     count_support_tilting,
     enumerate_signs,
     finiteness_witness,
     sign_slice_components,
+    slice_count,
 )
 
 
@@ -67,14 +68,15 @@ def cmd_signdec(args: argparse.Namespace) -> int:
     quiver = _load_quiver(args.path)
     print("# signs  components  count  two_term_tilting")
     for signs in enumerate_signs(quiver.n):
-        parts = []
-        for component, dynkin in sign_slice_components(quiver, signs):
+        parts = sign_slice_components(quiver, signs)
+        cells = []
+        for component, dynkin in parts:
             verts = ",".join(str(v) for v in component.vertices)
-            parts.append(f"{dynkin}{{{verts}}}")
-        count = count_for_signs(quiver, signs)
+            cells.append(f"{dynkin}{{{verts}}}")
+        count = slice_count(parts)
         count_text = "infinite" if isinstance(count, Infinite) else str(count)
         flag = "true" if two_term_tilting(quiver, signs) else "false"
-        print(f"{format_signs(signs)}  {','.join(parts)}  {count_text}  {flag}")
+        print(f"{format_signs(signs)}  {','.join(cells)}  {count_text}  {flag}")
     return 0
 
 
@@ -215,6 +217,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UnsupportedComponentError as exc:
         print(f"error: unsupported component type: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

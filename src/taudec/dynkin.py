@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quiver import ValuedGraph
+from .quiver import ValuedGraph, components
 
 _FAMILIES = ("A", "BC", "D", "E", "F", "G", "non-Dynkin")
 
@@ -60,14 +60,7 @@ def classify(graph: ValuedGraph) -> DynkinType:
     for u, v, _ in graph.edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    reached = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    if len(reached) != n:
+    if len(components(adjacency)) != 1:
         raise ValueError("graph is disconnected")
     if len(graph.edges) != n - 1:
         return NON_DYNKIN  # a connected graph with >= n edges contains a cycle

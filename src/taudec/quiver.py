@@ -5,6 +5,10 @@ Vertices are numbered 1..n.  Every arrow carries a valuation, a pair
 parallel arrows into a single arrow valued (m, m).  After normalization a
 quiver holds at most one arrow per ordered vertex pair; loops are allowed.
 
+`components` is the one connected-components traversal: it takes
+neighbour lists, and `graph_components`, `dynkin.classify` and the path
+splitting in `repa` all pass it theirs.
+
 All values are immutable and every operation is a pure function, so shared
 instances are safe to use concurrently.
 """
@@ -12,7 +16,7 @@ instances are safe to use concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 SignVector = tuple[int, ...]
 
@@ -213,24 +217,29 @@ def opposite(quiver: ValuedQuiver) -> ValuedQuiver:
     )
 
 
-def components(quiver: ValuedQuiver) -> tuple[tuple[int, ...], ...]:
-    """Vertex sets of the weakly connected components, sorted by minimal vertex."""
-    parent = {v: v for v in quiver.vertices}
+def components(neighbours: Mapping[int, Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """Connected components of an undirected graph given by neighbour lists.
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a in quiver.arrows:
-        ra, rb = find(a.src), find(a.tgt)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for v in quiver.vertices:
-        groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+    Every vertex is a key of `neighbours` and every edge is listed at both
+    ends.  Returns sorted vertex tuples, ordered by minimal vertex.
+    """
+    seen: set[int] = set()
+    out = []
+    for start in sorted(neighbours):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        stack = [start]
+        while stack:
+            for w in neighbours[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    stack.append(w)
+        comp.sort()
+        out.append(tuple(comp))
+    return tuple(out)
 
 
 Edge = tuple[int, int, tuple[int, int]]  # (u, v, (lo, hi)) with u < v
@@ -258,67 +267,32 @@ class ValuedGraph:
             seen.add((u, v))
 
 
-def underlying_graph(quiver: ValuedQuiver) -> ValuedGraph:
-    """Forget orientation; valuations become unordered pairs.
+def graph_components(quiver: ValuedQuiver) -> tuple[ValuedGraph, ...]:
+    """Underlying valued graph, one induced subgraph per connected component.
 
-    Only defined for loop-free quivers without 2-cycles, i.e. the output
-    of sign_subquiver.
+    Orientation is forgotten and valuations become unordered pairs;
+    components are sorted by minimal vertex.  Only defined for loop-free
+    quivers without 2-cycles, i.e. the output of sign_subquiver.
     """
+    neighbours: dict[int, list[int]] = {v: [] for v in quiver.vertices}
     edges: list[Edge] = []
-    pairs: set[tuple[int, int]] = set()
     for a in quiver.arrows:
-        if a.src == a.tgt:
-            raise QuiverError(f"loop at vertex {a.src} has no underlying edge")
-        key = (min(a.src, a.tgt), max(a.src, a.tgt))
-        if key in pairs:
-            raise QuiverError(f"arrows both ways between {key[0]} and {key[1]}")
-        pairs.add(key)
-        edges.append((key[0], key[1], a.val.unordered()))
-    return ValuedGraph(tuple(quiver.vertices), tuple(edges))
-
-
-def graph_components(graph: ValuedGraph) -> tuple[ValuedGraph, ...]:
-    """Connected components as induced subgraphs, sorted by minimal vertex."""
-    parent = {v: v for v in graph.vertices}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v, _ in graph.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    groups: dict[int, list[int]] = {}
-    for v in graph.vertices:
-        groups.setdefault(find(v), []).append(v)
-    out = []
-    for _, verts in sorted(groups.items()):
-        vset = set(verts)
-        out.append(
-            ValuedGraph(
-                tuple(verts), tuple(e for e in graph.edges if e[0] in vset)
-            )
-        )
-    return tuple(out)
-
-
-def source_sink_signs(quiver: ValuedQuiver) -> SignVector | None:
-    """Sign vector +1 on sources, -1 on sinks, when the quiver is bipartite.
-
-    Returns None as soon as some vertex has both incoming and outgoing
-    arrows (a loop counts as both).  Isolated vertices get +1.
-    """
-    has_out = {a.src for a in quiver.arrows}
-    has_in = {a.tgt for a in quiver.arrows}
-    signs = []
-    for v in quiver.vertices:
-        if v in has_out and v in has_in:
-            return None
-        signs.append(-1 if v in has_in else 1)
-    return tuple(signs)
+        u, v = a.src, a.tgt
+        if u == v:
+            raise QuiverError(f"loop at vertex {u} has no underlying edge")
+        if u > v:
+            u, v = v, u
+        if v in neighbours[u]:
+            raise QuiverError(f"arrows both ways between {u} and {v}")
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+        edges.append((u, v, a.val.unordered()))
+    comps = components(neighbours)
+    index = {v: k for k, comp in enumerate(comps) for v in comp}
+    comp_edges: list[list[Edge]] = [[] for _ in comps]
+    for e in edges:
+        comp_edges[index[e[0]]].append(e)
+    return tuple(ValuedGraph(c, tuple(es)) for c, es in zip(comps, comp_edges))
 
 
 def two_term_tilting(quiver: ValuedQuiver, signs: Sequence[int]) -> bool:
@@ -330,12 +304,4 @@ def two_term_tilting(quiver: ValuedQuiver, signs: Sequence[int]) -> bool:
     signs = check_signs(signs, quiver.n)
     return not any(
         signs[a.src - 1] == -1 and signs[a.tgt - 1] == 1 for a in quiver.arrows
-    )
-
-
-def separated_quiver(quiver: ValuedQuiver) -> ValuedQuiver:
-    """Separated quiver on 2n vertices: arrow i->j becomes i -> n+j."""
-    n = quiver.n
-    return ValuedQuiver(
-        2 * n, tuple(Arrow(a.src, n + a.tgt, a.val) for a in quiver.arrows)
     )

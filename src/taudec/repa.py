@@ -30,7 +30,7 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .matrices import IntVector
-from .quiver import UNIT, ValuedQuiver
+from .quiver import UNIT, ValuedQuiver, components
 
 
 class UnsupportedComponentError(ValueError):
@@ -62,23 +62,11 @@ def _paths_of(
                 f"multiple arrows between {u} and {v}", component=(u, v)
             )
     paths = []
-    seen: set[int] = set()
-    for start in vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for w in neighbours[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        edge_count = sum(1 for (u, v) in pair_multiplicity if u in comp)
-        if edge_count != len(comp) - 1 or any(len(neighbours[w]) > 2 for w in comp):
+    for comp in components(neighbours):
+        degrees = [len(neighbours[w]) for w in comp]
+        if sum(degrees) != 2 * (len(comp) - 1) or max(degrees) > 2:
             raise UnsupportedComponentError(
-                f"component {sorted(comp)} is not a path",
-                component=tuple(sorted(comp)),
+                f"component {list(comp)} is not a path", component=comp
             )
         first = min(w for w in comp if len(neighbours[w]) <= 1)
         order = [first]

@@ -9,17 +9,10 @@ connected component of the slice's underlying graph is Dynkin.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dynkin import DynkinType, classify, tilting_count
-from .quiver import (
-    SignVector,
-    ValuedGraph,
-    ValuedQuiver,
-    graph_components,
-    sign_subquiver,
-    underlying_graph,
-)
+from .quiver import SignVector, ValuedGraph, ValuedQuiver, graph_components, sign_subquiver
 
 
 class Infinite:
@@ -50,21 +43,24 @@ def sign_slice_components(
     quiver: ValuedQuiver, signs: Sequence[int]
 ) -> tuple[tuple[ValuedGraph, DynkinType], ...]:
     """Connected components of the sign slice's underlying graph, classified."""
-    graph = underlying_graph(sign_subquiver(quiver, signs))
-    return tuple((comp, classify(comp)) for comp in graph_components(graph))
+    return tuple(
+        (comp, classify(comp)) for comp in graph_components(sign_subquiver(quiver, signs))
+    )
 
 
-def count_for_signs(quiver: ValuedQuiver, signs: Sequence[int]) -> int | Infinite:
-    """Number of support tilting modules in one sign class (or INFINITE).
-
-    Product over the slice's components of the per-type tilting count.
-    """
+def slice_count(parts: Iterable[tuple[ValuedGraph, DynkinType]]) -> int | Infinite:
+    """Product of the per-type tilting counts of classified slice components."""
     total = 1
-    for _, dynkin in sign_slice_components(quiver, signs):
+    for _, dynkin in parts:
         if not dynkin.is_dynkin:
             return INFINITE
         total *= tilting_count(dynkin)
     return total
+
+
+def count_for_signs(quiver: ValuedQuiver, signs: Sequence[int]) -> int | Infinite:
+    """Number of support tilting modules in one sign class (or INFINITE)."""
+    return slice_count(sign_slice_components(quiver, signs))
 
 
 def count_support_tilting(quiver: ValuedQuiver) -> int | Infinite:

@@ -2,11 +2,12 @@
 
 These deliberately avoid the production code paths they check: the Hom
 dimension is computed by exact Gaussian elimination on the commutation
-system, maximal rigid sets by Bron-Kerbosch, and finiteness through the
-separated quiver's maximal single subquivers.  The tilting enumerator,
-the mutation quiver, Fac membership and the Bongartz completion are also
-kept in their direct forms, which call ext_dim on every pair they need,
-as references for the rigidity-table versions in `taudec.repa`.
+system, maximal rigid sets by Bron-Kerbosch, slice components by
+union-find, and finiteness through the separated quiver's maximal single
+subquivers.  The tilting enumerator, the mutation quiver, Fac membership
+and the Bongartz completion are also kept in their direct forms, which
+call ext_dim on every pair they need, as references for the
+rigidity-table versions in `taudec.repa`.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from taudec.glue import GLUING, HasseNode, glued_hasse, sign_slice_path_quiver
 from taudec.matrices import g_from_dim_vector
 from taudec.quiver import (
     Arrow,
+    QuiverError,
+    SignVector,
     Valuation,
     ValuedGraph,
     ValuedQuiver,
-    graph_components,
-    separated_quiver,
 )
 from taudec.repa import (
     IntervalModule,
@@ -155,20 +156,96 @@ def random_quiver(rng: random.Random, max_n: int = 5, max_val: int = 2) -> Value
     return ValuedQuiver(n, tuple(arrows))
 
 
+def separated_quiver(quiver: ValuedQuiver) -> ValuedQuiver:
+    """Separated quiver on 2n vertices: arrow i->j becomes i -> n+j."""
+    n = quiver.n
+    return ValuedQuiver(
+        2 * n, tuple(Arrow(a.src, n + a.tgt, a.val) for a in quiver.arrows)
+    )
+
+
+def source_sink_signs(quiver: ValuedQuiver) -> SignVector | None:
+    """Sign vector +1 on sources, -1 on sinks, when the quiver is bipartite.
+
+    Returns None as soon as some vertex has both incoming and outgoing
+    arrows (a loop counts as both).  Isolated vertices get +1.
+    """
+    has_out = {a.src for a in quiver.arrows}
+    has_in = {a.tgt for a in quiver.arrows}
+    signs = []
+    for v in quiver.vertices:
+        if v in has_out and v in has_in:
+            return None
+        signs.append(-1 if v in has_in else 1)
+    return tuple(signs)
+
+
+def union_find_groups(
+    vertices: Iterable[int], pairs: Iterable[tuple[int, int]]
+) -> list[list[int]]:
+    """Vertex groups joined by the pairs, by union-find; sorted by minimal vertex."""
+    parent = {v: v for v in vertices}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    groups: dict[int, list[int]] = {}
+    for v in sorted(parent):
+        groups.setdefault(find(v), []).append(v)
+    return [g for _, g in sorted(groups.items())]
+
+
+def underlying_graph(quiver: ValuedQuiver) -> ValuedGraph:
+    """The whole slice's valued graph, built arrow by arrow.
+
+    Only defined for loop-free quivers without 2-cycles.
+    """
+    edges: list[tuple[int, int, tuple[int, int]]] = []
+    pairs: set[tuple[int, int]] = set()
+    for a in quiver.arrows:
+        if a.src == a.tgt:
+            raise QuiverError(f"loop at vertex {a.src} has no underlying edge")
+        key = (min(a.src, a.tgt), max(a.src, a.tgt))
+        if key in pairs:
+            raise QuiverError(f"arrows both ways between {key[0]} and {key[1]}")
+        pairs.add(key)
+        edges.append((key[0], key[1], a.val.unordered()))
+    return ValuedGraph(tuple(quiver.vertices), tuple(edges))
+
+
+def graph_components_union_find(quiver: ValuedQuiver) -> tuple[ValuedGraph, ...]:
+    """Components of underlying_graph as induced subgraphs, via union-find."""
+    graph = underlying_graph(quiver)
+    out = []
+    for verts in union_find_groups(graph.vertices, ((u, v) for u, v, _ in graph.edges)):
+        vset = set(verts)
+        out.append(ValuedGraph(tuple(verts), tuple(e for e in graph.edges if e[0] in vset)))
+    return tuple(out)
+
+
 def finite_by_separated_quiver(quiver: ValuedQuiver) -> bool:
     """Finiteness via maximal single subquivers of the separated quiver."""
     sep = separated_quiver(quiver)
     n = quiver.n
     for signs in product((1, -1), repeat=n):
         chosen = {i if signs[i - 1] == 1 else n + i for i in range(1, n + 1)}
-        edges = tuple(
+        edges = [
             (a.src, a.tgt, a.val.unordered())
             for a in sep.arrows
             if a.src in chosen and a.tgt in chosen
-        )
-        graph = ValuedGraph(tuple(sorted(chosen)), edges)
-        if any(not classify(c).is_dynkin for c in graph_components(graph)):
-            return False
+        ]
+        for verts in union_find_groups(chosen, ((u, v) for u, v, _ in edges)):
+            vset = set(verts)
+            comp = ValuedGraph(tuple(verts), tuple(e for e in edges if e[0] in vset))
+            if not classify(comp).is_dynkin:
+                return False
     return True
 
 

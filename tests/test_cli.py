@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from taudec import cli
+from taudec import cli, glue
 from taudec.brauer import IdentityCheck
 
 THREE_CYCLE_FILE = "n 3\na 1 2\na 2 3\na 3 1\n"
@@ -143,6 +143,15 @@ class TestHasse:
         code, _, err = run(capsys, "hasse", quiver_file(STAR_D4_FILE))
         assert code == 3
         assert "+++-" in err
+
+    def test_failed_self_check_exits_four(self, quiver_file, capsys, monkeypatch):
+        # an all-zero g-vector breaks the sign law that glued_hasse checks
+        monkeypatch.setattr(glue, "g_from_dim_vector", lambda signs, dim: (0,) * len(signs))
+        code, out, err = run(capsys, "hasse", quiver_file(THREE_CYCLE_FILE))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: internal: ")
+        assert "internal bug" in err
 
 
 class TestBrauer:

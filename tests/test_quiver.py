@@ -1,9 +1,18 @@
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import (
+    graph_components_union_find,
+    random_quiver,
+    separated_quiver,
+    source_sink_signs,
+)
 from taudec.quiver import (
     Arrow,
     QuiverError,
@@ -16,11 +25,8 @@ from taudec.quiver import (
     opposite,
     parse_quiver,
     quiver_file_text,
-    separated_quiver,
     sign_subquiver,
-    source_sink_signs,
     two_term_tilting,
-    underlying_graph,
 )
 
 THREE_CYCLE = ValuedQuiver(3, (Arrow(1, 2), Arrow(2, 3), Arrow(3, 1)))
@@ -133,7 +139,7 @@ class TestSignSubquiver:
         assert all(a.src != a.tgt for a in sliced.arrows)
         pairs = {(a.src, a.tgt) for a in sliced.arrows}
         assert not any((t, s) in pairs for s, t in pairs if s != t)
-        underlying_graph(sliced)  # never raises on a sign slice
+        graph_components(sliced)  # never raises on a sign slice
 
 
 class TestOpposite:
@@ -149,46 +155,78 @@ class TestOpposite:
             assert opposite(opposite(q)) == q
 
 
+def neighbour_lists(quiver: ValuedQuiver) -> dict[int, list[int]]:
+    """Arrows forgotten to undirected neighbour lists; loops are kept."""
+    neighbours: dict[int, list[int]] = {v: [] for v in quiver.vertices}
+    for a in quiver.arrows:
+        neighbours[a.src].append(a.tgt)
+        neighbours[a.tgt].append(a.src)
+    return neighbours
+
+
 class TestComponents:
     def test_examples(self):
-        assert components(ValuedQuiver(3, (Arrow(1, 2),))) == ((1, 2), (3,))
-        assert components(ValuedQuiver(3)) == ((1,), (2,), (3,))
-        assert components(THREE_CYCLE) == ((1, 2, 3),)
+        assert components({1: [2], 2: [1], 3: []}) == ((1, 2), (3,))
+        assert components({1: [], 2: [], 3: []}) == ((1,), (2,), (3,))
+        assert components(neighbour_lists(THREE_CYCLE)) == ((1, 2, 3),)
+        assert components({9: [], 5: [2], 2: [5], 4: [4]}) == ((2, 5), (4,), (9,))
+        assert components({}) == ()
 
     @given(quiver_and_signs())
     def test_partition(self, data):
         quiver, _ = data
-        comps = components(quiver)
+        comps = components(neighbour_lists(quiver))
         flat = sorted(v for c in comps for v in c)
         assert flat == list(quiver.vertices)
+        assert all(list(c) == sorted(c) for c in comps)
+        assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+
+    @given(quiver_and_signs())
+    def test_connected_and_separated(self, data):
+        quiver, _ = data
+        neighbours = neighbour_lists(quiver)
+        comps = components(neighbours)
+        owner = {v: k for k, c in enumerate(comps) for v in c}
+        for a in quiver.arrows:
+            assert owner[a.src] == owner[a.tgt]  # no edge joins two components
+        for comp in comps:
+            reached = {comp[0]}
+            frontier = [comp[0]]
+            while frontier:
+                new = {w for v in frontier for w in neighbours[v]} - reached
+                reached |= new
+                frontier = list(new)
+            assert reached == set(comp)
 
 
 class TestUnderlyingGraph:
     def test_examples(self):
-        g = underlying_graph(ValuedQuiver(2, (Arrow(1, 2),)))
+        (g,) = graph_components(ValuedQuiver(2, (Arrow(1, 2),)))
         assert g.edges == ((1, 2, (1, 1)),)
-        g = underlying_graph(ValuedQuiver(2, (Arrow(1, 2, Valuation(1, 2)),)))
+        (g,) = graph_components(ValuedQuiver(2, (Arrow(1, 2, Valuation(1, 2)),)))
         assert g.edges == ((1, 2, (1, 2)),)
+        (g,) = graph_components(ValuedQuiver(2, (Arrow(2, 1, Valuation(3, 1)),)))
+        assert g.edges == ((1, 2, (1, 3)),)
 
     def test_loop_rejected(self):
-        with pytest.raises(QuiverError):
-            underlying_graph(ValuedQuiver(1, (Arrow(1, 1),)))
+        with pytest.raises(QuiverError, match="loop"):
+            graph_components(ValuedQuiver(1, (Arrow(1, 1),)))
 
     def test_two_cycle_rejected(self):
-        with pytest.raises(QuiverError):
-            underlying_graph(ValuedQuiver(2, (Arrow(1, 2), Arrow(2, 1))))
+        with pytest.raises(QuiverError, match="both ways"):
+            graph_components(ValuedQuiver(2, (Arrow(1, 2), Arrow(2, 1))))
 
     def test_graph_components(self):
-        g = underlying_graph(ValuedQuiver(4, (Arrow(1, 2),)))
-        comps = graph_components(g)
+        comps = graph_components(ValuedQuiver(4, (Arrow(1, 2),)))
         assert [c.vertices for c in comps] == [(1, 2), (3,), (4,)]
         assert comps[0].edges == ((1, 2, (1, 1)),)
+        comps = graph_components(ValuedQuiver(5, (Arrow(4, 1), Arrow(2, 5), Arrow(5, 3))))
+        assert [c.vertices for c in comps] == [(1, 4), (2, 3, 5)]
+        assert comps[1].edges == ((2, 5, (1, 1)), (3, 5, (1, 1)))
 
     def test_symmetric_quiver_sign_flip_gives_same_graph(self):
         # arrows come in opposite pairs here, so flipping all signs
         # reverses the slice and keeps its underlying graph
-        from itertools import product
-
         cycle3 = ValuedQuiver(
             3,
             (Arrow(1, 2), Arrow(2, 1), Arrow(2, 3), Arrow(3, 2), Arrow(3, 1), Arrow(1, 3)),
@@ -196,9 +234,16 @@ class TestUnderlyingGraph:
         for quiver in (LINE2, cycle3):
             for signs in product((1, -1), repeat=quiver.n):
                 flipped = tuple(-s for s in signs)
-                assert underlying_graph(
+                assert graph_components(
                     sign_subquiver(quiver, signs)
-                ) == underlying_graph(sign_subquiver(quiver, flipped))
+                ) == graph_components(sign_subquiver(quiver, flipped))
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_agrees_with_union_find_oracle(self, seed):
+        quiver = random_quiver(random.Random(seed), max_n=6, max_val=3)
+        for signs in product((1, -1), repeat=quiver.n):
+            sliced = sign_subquiver(quiver, signs)
+            assert graph_components(sliced) == graph_components_union_find(sliced)
 
 
 class TestSourceSinkSigns:
