@@ -32,10 +32,9 @@ from .quiver import (
 from .repa import UnsupportedComponentError
 from .signdec import (
     Infinite,
+    SliceEngine,
     count_support_tilting,
-    enumerate_signs,
     finiteness_witness,
-    sign_slice_components,
     slice_count,
 )
 
@@ -67,8 +66,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_signdec(args: argparse.Namespace) -> int:
     quiver = _load_quiver(args.path)
     print("# signs  components  count  two_term_tilting")
-    for signs in enumerate_signs(quiver.n):
-        parts = sign_slice_components(quiver, signs)
+    for signs, parts in SliceEngine(quiver, quiver.vertices).walk():
         cells = []
         for component, dynkin in parts:
             verts = ",".join(str(v) for v in component.vertices)

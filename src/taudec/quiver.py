@@ -6,8 +6,8 @@ parallel arrows into a single arrow valued (m, m).  After normalization a
 quiver holds at most one arrow per ordered vertex pair; loops are allowed.
 
 `components` is the one connected-components traversal: it takes
-neighbour lists, and `graph_components`, `dynkin.classify` and the path
-splitting in `repa` all pass it theirs.
+neighbour lists, and the slice engine and quiver splitting in `signdec`,
+`dynkin.classify` and the path splitting in `repa` all pass it theirs.
 
 All values are immutable and every operation is a pure function, so shared
 instances are safe to use concurrently.
@@ -265,34 +265,6 @@ class ValuedGraph:
             if (u, v) in seen:
                 raise QuiverError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-
-
-def graph_components(quiver: ValuedQuiver) -> tuple[ValuedGraph, ...]:
-    """Underlying valued graph, one induced subgraph per connected component.
-
-    Orientation is forgotten and valuations become unordered pairs;
-    components are sorted by minimal vertex.  Only defined for loop-free
-    quivers without 2-cycles, i.e. the output of sign_subquiver.
-    """
-    neighbours: dict[int, list[int]] = {v: [] for v in quiver.vertices}
-    edges: list[Edge] = []
-    for a in quiver.arrows:
-        u, v = a.src, a.tgt
-        if u == v:
-            raise QuiverError(f"loop at vertex {u} has no underlying edge")
-        if u > v:
-            u, v = v, u
-        if v in neighbours[u]:
-            raise QuiverError(f"arrows both ways between {u} and {v}")
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-        edges.append((u, v, a.val.unordered()))
-    comps = components(neighbours)
-    index = {v: k for k, comp in enumerate(comps) for v in comp}
-    comp_edges: list[list[Edge]] = [[] for _ in comps]
-    for e in edges:
-        comp_edges[index[e[0]]].append(e)
-    return tuple(ValuedGraph(c, tuple(es)) for c, es in zip(comps, comp_edges))
 
 
 def two_term_tilting(quiver: ValuedQuiver, signs: Sequence[int]) -> bool:

@@ -4,10 +4,13 @@ These deliberately avoid the production code paths they check: the Hom
 dimension is computed by exact Gaussian elimination on the commutation
 system, maximal rigid sets by Bron-Kerbosch, slice components by
 union-find, and finiteness through the separated quiver's maximal single
-subquivers.  The tilting enumerator, the mutation quiver, Fac membership
-and the Bongartz completion are also kept in their direct forms, which
-call ext_dim on every pair they need, as references for the
-rigidity-table versions in `taudec.repa`.
+subquivers.  Counts, witnesses and slice rows are also kept as the plain
+scan over all 2^n sign vectors, each slice built as a quiver and
+classified afresh, as the reference for the factored slice engine in
+`taudec.signdec`.  The tilting enumerator, the mutation quiver, Fac
+membership and the Bongartz completion are also kept in their direct
+forms, which call ext_dim on every pair they need, as references for
+the rigidity-table versions in `taudec.repa`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
-from taudec.dynkin import classify
+from taudec.dynkin import DynkinType, classify
 from taudec.glue import GLUING, HasseNode, glued_hasse, sign_slice_path_quiver
 from taudec.matrices import g_from_dim_vector
 from taudec.quiver import (
@@ -27,6 +30,8 @@ from taudec.quiver import (
     Valuation,
     ValuedGraph,
     ValuedQuiver,
+    components,
+    sign_subquiver,
 )
 from taudec.repa import (
     IntervalModule,
@@ -37,7 +42,7 @@ from taudec.repa import (
     tilting_modules,
     total_dim_vector,
 )
-from taudec.signdec import enumerate_signs
+from taudec.signdec import INFINITE, Infinite, enumerate_signs, slice_count
 
 
 def rank_of(rows: list[list[int]]) -> int:
@@ -228,6 +233,79 @@ def graph_components_union_find(quiver: ValuedQuiver) -> tuple[ValuedGraph, ...]
         vset = set(verts)
         out.append(ValuedGraph(tuple(verts), tuple(e for e in graph.edges if e[0] in vset)))
     return tuple(out)
+
+
+def graph_components(quiver: ValuedQuiver) -> tuple[ValuedGraph, ...]:
+    """Underlying valued graph, one induced subgraph per connected component.
+
+    Orientation is forgotten and valuations become unordered pairs;
+    components are sorted by minimal vertex.  Only defined for loop-free
+    quivers without 2-cycles, i.e. the output of sign_subquiver.
+    """
+    neighbours: dict[int, list[int]] = {v: [] for v in quiver.vertices}
+    edges: list[tuple[int, int, tuple[int, int]]] = []
+    for a in quiver.arrows:
+        u, v = a.src, a.tgt
+        if u == v:
+            raise QuiverError(f"loop at vertex {u} has no underlying edge")
+        if u > v:
+            u, v = v, u
+        if v in neighbours[u]:
+            raise QuiverError(f"arrows both ways between {u} and {v}")
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+        edges.append((u, v, a.val.unordered()))
+    comps = components(neighbours)
+    index = {v: k for k, comp in enumerate(comps) for v in comp}
+    comp_edges: list[list] = [[] for _ in comps]
+    for e in edges:
+        comp_edges[index[e[0]]].append(e)
+    return tuple(ValuedGraph(c, tuple(es)) for c, es in zip(comps, comp_edges))
+
+
+def sign_slice_components_scan(
+    quiver: ValuedQuiver, signs: Sequence[int]
+) -> tuple[tuple[ValuedGraph, DynkinType], ...]:
+    """One slice built as a quiver, split into graphs and classified afresh."""
+    return tuple(
+        (comp, classify(comp)) for comp in graph_components(sign_subquiver(quiver, signs))
+    )
+
+
+def count_support_tilting_scan(quiver: ValuedQuiver) -> int | Infinite:
+    """The count summed over all 2^n sign vectors of the whole quiver."""
+    total = 0
+    for signs in enumerate_signs(quiver.n):
+        part = slice_count(sign_slice_components_scan(quiver, signs))
+        if isinstance(part, Infinite):
+            return INFINITE
+        total += part
+    return total
+
+
+def finiteness_witness_scan(
+    quiver: ValuedQuiver,
+) -> tuple[SignVector, ValuedGraph] | None:
+    """The first non-Dynkin slice component over all 2^n sign vectors."""
+    for signs in enumerate_signs(quiver.n):
+        for comp, dynkin in sign_slice_components_scan(quiver, signs):
+            if not dynkin.is_dynkin:
+                return signs, comp
+    return None
+
+
+def disjoint_union(first: ValuedQuiver, second: ValuedQuiver) -> ValuedQuiver:
+    """Both quivers side by side; the second's vertices follow the first's."""
+    shifted = tuple(Arrow(a.src + first.n, a.tgt + first.n, a.val) for a in second.arrows)
+    return ValuedQuiver(first.n + second.n, first.arrows + shifted)
+
+
+def relabelled(quiver: ValuedQuiver, images: Sequence[int]) -> ValuedQuiver:
+    """Vertex v renamed images[v - 1]; images is a permutation of 1..n."""
+    return ValuedQuiver(
+        quiver.n,
+        tuple(Arrow(images[a.src - 1], images[a.tgt - 1], a.val) for a in quiver.arrows),
+    )
 
 
 def finite_by_separated_quiver(quiver: ValuedQuiver) -> bool:

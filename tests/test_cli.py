@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
+from oracles import disjoint_union
 from taudec import cli, glue
-from taudec.brauer import IdentityCheck
+from taudec.brauer import IdentityCheck, brauer_line_quiver
+from taudec.quiver import quiver_file_text
 
 THREE_CYCLE_FILE = "n 3\na 1 2\na 2 3\na 3 1\n"
 STAR_D4_FILE = "n 4\na 1 4\na 2 4\na 3 4\n"
@@ -54,6 +57,10 @@ class TestFinite:
         code, _, err = run(capsys, "finite", str(tmp_path / "nope.txt"))
         assert code == 2
 
+    def test_edgeless_forty(self, quiver_file, capsys):
+        code, out, _ = run(capsys, "finite", quiver_file("n 40\n"))
+        assert (code, out) == (0, "finite\n")
+
     def test_non_utf8_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"n 2\n# caf\xe9\n")
@@ -74,6 +81,15 @@ class TestCount:
     def test_infinite(self, quiver_file, capsys):
         code, out, _ = run(capsys, "count", quiver_file("n 2\na 1 2 2 2\n"))
         assert (code, out) == (0, "infinite\n")
+
+    def test_edgeless_forty(self, quiver_file, capsys):
+        code, out, _ = run(capsys, "count", quiver_file("n 40\n"))
+        assert (code, out) == (0, "1099511627776\n")
+
+    def test_union_of_brauer_lines(self, quiver_file, capsys):
+        union = disjoint_union(brauer_line_quiver(5), brauer_line_quiver(6))
+        code, out, _ = run(capsys, "count", quiver_file(quiver_file_text(union)))
+        assert (code, out) == (0, f"{math.comb(10, 5) * math.comb(12, 6)}\n")
 
 
 class TestSigndec:

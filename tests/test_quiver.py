@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    graph_components,
     graph_components_union_find,
     random_quiver,
     separated_quiver,
@@ -20,7 +21,6 @@ from taudec.quiver import (
     ValuedQuiver,
     check_signs,
     components,
-    graph_components,
     normalize,
     opposite,
     parse_quiver,

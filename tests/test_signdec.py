@@ -3,20 +3,31 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import finite_by_separated_quiver, random_quiver
+from oracles import (
+    count_support_tilting_scan,
+    disjoint_union,
+    finite_by_separated_quiver,
+    finiteness_witness_scan,
+    graph_components,
+    random_quiver,
+    relabelled,
+    sign_slice_components_scan,
+)
 from taudec.dynkin import catalan
 from taudec.brauer import brauer_cycle_quiver, brauer_line_quiver
 from taudec.quiver import (
     Arrow,
     Valuation,
     ValuedQuiver,
-    graph_components,
     sign_subquiver,
 )
 from taudec.signdec import (
     INFINITE,
     Infinite,
+    SliceEngine,
     count_for_signs,
     count_support_tilting,
     enumerate_signs,
@@ -183,3 +194,72 @@ def test_odd_cycle_slices_have_odd_component_count():
         q = brauer_cycle_quiver(n)
         for signs in enumerate_signs(n):
             assert len(graph_components(sign_subquiver(q, signs))) % 2 == 1
+
+
+def shuffled(rng: random.Random, quiver: ValuedQuiver) -> ValuedQuiver:
+    images = list(quiver.vertices)
+    rng.shuffle(images)
+    return relabelled(quiver, images)
+
+
+def sample_quiver(family: str, seed: int) -> ValuedQuiver:
+    """A random quiver: plain, a shuffled union of two, or with isolated vertices."""
+    rng = random.Random(seed)
+    if family == "plain":
+        return random_quiver(rng, max_n=5, max_val=3)
+    if family == "union":
+        first, second = random_quiver(rng, max_n=4), random_quiver(rng, max_n=4)
+        return shuffled(rng, disjoint_union(first, second))
+    base = random_quiver(rng, max_n=4, max_val=3)
+    return shuffled(rng, ValuedQuiver(base.n + rng.randint(1, 3), base.arrows))
+
+
+FAMILIES = st.sampled_from(("plain", "union", "isolated"))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestAgainstScan:
+    """The slice engine against the plain scan over all 2^n sign vectors."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(FAMILIES, SEEDS)
+    def test_count(self, family, seed):
+        quiver = sample_quiver(family, seed)
+        assert count_support_tilting(quiver) == count_support_tilting_scan(quiver)
+
+    @settings(max_examples=40, deadline=None)
+    @given(FAMILIES, SEEDS)
+    def test_witness(self, family, seed):
+        quiver = sample_quiver(family, seed)
+        assert finiteness_witness(quiver) == finiteness_witness_scan(quiver)
+
+    @settings(max_examples=25, deadline=None)
+    @given(FAMILIES, SEEDS)
+    def test_slice_rows(self, family, seed):
+        quiver = sample_quiver(family, seed)
+        rows = list(SliceEngine(quiver, quiver.vertices).walk())
+        assert [signs for signs, _ in rows] == list(enumerate_signs(quiver.n))
+        for signs, parts in rows:
+            want = sign_slice_components_scan(quiver, signs)
+            assert parts == want
+            assert sign_slice_components(quiver, signs) == want
+
+
+class TestFactoringProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(SEEDS)
+    def test_disjoint_union_count_is_product(self, seed):
+        rng = random.Random(seed)
+        first, second = random_quiver(rng, max_n=6), random_quiver(rng, max_n=6)
+        counts = count_support_tilting(first), count_support_tilting(second)
+        want = INFINITE if INFINITE in counts else counts[0] * counts[1]
+        assert count_support_tilting(disjoint_union(first, second)) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(FAMILIES, SEEDS)
+    def test_relabelling_keeps_count_and_finiteness(self, family, seed):
+        quiver = sample_quiver(family, seed)
+        moved = shuffled(random.Random(seed), quiver)
+        assert count_support_tilting(moved) == count_support_tilting(quiver)
+        assert is_tau_tilting_finite(moved) == is_tau_tilting_finite(quiver)
+        assert (finiteness_witness(moved) is None) == (finiteness_witness(quiver) is None)
