@@ -212,6 +212,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (QuiverError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:  # an ArithmeticError, but from the input's size
+        print(f"error: quiver too large: {exc}", file=sys.stderr)
+        return 2
     except UnsupportedComponentError as exc:
         print(f"error: unsupported component type: {exc}", file=sys.stderr)
         return 3

@@ -2,10 +2,14 @@
 
 Each sign vector contributes the tilting poset of its hereditary slice
 (taken over the opposite of the sign subquiver, where the relevant
-endomorphism algebra lives); flipping one sign coordinate from +1 to -1
-contributes one gluing arrow per tilting module of the vertex-deleted
-slice, joining its two unique completions.  Node g-vectors are the sign
-diagonal applied to the dimension vectors.
+endomorphism algebra lives).  One mutation pass per slice gives its
+internal arrows and its open ends: summands whose rest has no other
+complement in the slice.  Such a rest misses exactly one vertex v, so it
+is a tilting module of the slice without v, which is the same for both
+signs at v and has one completion on each side.  The open ends of the
+two slices that differ only at v therefore pair up by their rest, and
+each pair is one gluing arrow from the +1 side to the -1 side.  Node
+g-vectors are the sign diagonal applied to the dimension vectors.
 """
 
 from __future__ import annotations
@@ -16,12 +20,12 @@ from typing import Sequence
 from .matrices import IntVector, g_from_dim_vector
 from .quiver import SignVector, ValuedQuiver, format_signs, opposite, sign_subquiver
 from .repa import (
+    IntervalModule,
     PathQuiver,
     RigidityTables,
     TiltingModule,
     UnsupportedComponentError,
-    bongartz_complete,
-    delete_vertex,
+    _interval_key,
     path_quiver,
     tilting_hasse,
     tilting_modules,
@@ -87,49 +91,68 @@ def _slice_nodes(
     return nodes
 
 
+def _rest_order(
+    slice_quiver: PathQuiver, v: int, rest: Sequence[IntervalModule]
+) -> tuple:
+    """Sort key of `rest` among the tilting modules of the slice without v.
+
+    Those come in the product order over the slice's paths with v cut out,
+    taken by minimal vertex, each part compared by the sorted interval
+    keys of its summands.  Keying each summand by its part's minimal
+    vertex first makes one tuple comparison do both.
+    """
+    part_of: dict[int, int] = {}
+    for path in slice_quiver.paths:
+        cut = path.index(v) if v in path else len(path)
+        for part in (path[:cut], path[cut + 1:]):
+            for w in part:
+                part_of[w] = min(part)
+    return tuple(sorted((part_of[min(m.support)], _interval_key(m)) for m in rest))
+
+
 def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
     """Nodes, internal mutation arrows, and cross-sign gluing arrows.
 
-    Every slice and vertex-deleted slice shares one rigidity table per
-    distinct path component; the tables live for this call only.
+    Open ends are paired by (signs without v, v, rest).  Gluing arrows
+    follow the upper sign vector in enumeration order, then v, then the
+    rest in the tilting order of the slice without v.  Every slice shares
+    one rigidity table per distinct path component; the tables live for
+    this call only.
     """
     n = quiver.n
     tables: RigidityTables = {}
     nodes: list[HasseNode] = []
-    slices: dict[SignVector, tuple[PathQuiver, tuple[TiltingModule, ...], int]] = {}
-    for signs in enumerate_signs(n):
+    arrows: list[tuple[int, int, str]] = []
+    ends: dict[tuple, list[tuple[int, tuple, int]]] = {}
+    for rank, signs in enumerate(enumerate_signs(n)):
         slice_quiver = sign_slice_path_quiver(quiver, signs)
         modules = tilting_modules(slice_quiver, tables)
-        slices[signs] = (slice_quiver, modules, len(nodes))
+        offset = len(nodes)
         nodes.extend(_slice_nodes(signs, slice_quiver, modules))
+        internal, open_ends = tilting_hasse(slice_quiver, modules, tables)
+        arrows.extend((offset + i, offset + j, INTERNAL) for i, j in internal)
+        for i, summand in open_ends:
+            rest = tuple(m for m in modules[i].summands if m != summand)
+            # exactly one vertex; none or several would fail the pairing or degree check
+            for v in summand.support.difference(*(m.support for m in rest)):
+                side = signs[v - 1]
+                order = (rank, v, _rest_order(slice_quiver, v, rest)) if side == 1 else ()
+                key = (signs[:v - 1] + signs[v:], v, rest)
+                ends.setdefault(key, []).append((side, order, offset + i))
 
-    arrows: list[tuple[int, int, str]] = []
-    for signs in enumerate_signs(n):
-        slice_quiver, modules, offset = slices[signs]
-        for i, j in tilting_hasse(slice_quiver, modules, tables):
-            arrows.append((offset + i, offset + j, INTERNAL))
-
-    index = {(node.signs, node.tilt): k for k, node in enumerate(nodes)}
-    for upper in enumerate_signs(n):
-        upper_quiver = slices[upper][0]
-        for coord in range(n):
-            if upper[coord] != 1:
-                continue
-            lower = upper[:coord] + (-1,) + upper[coord + 1:]
-            lower_quiver = slices[lower][0]
-            vertex = coord + 1
-            deleted = delete_vertex(upper_quiver, vertex)
-            if deleted != delete_vertex(lower_quiver, vertex):
-                raise ArithmeticError(
-                    f"vertex-deleted slices at {upper} and {lower} disagree: "
-                    "internal bug"
-                )
-            for shared in tilting_modules(deleted, tables):
-                top = bongartz_complete(upper_quiver, shared.summands, vertex, tables)
-                bottom = bongartz_complete(lower_quiver, shared.summands, vertex, tables)
-                arrows.append(
-                    (index[(upper, top)], index[(lower, bottom)], GLUING)
-                )
+    gluing = []
+    for (others, v, _), pair in ends.items():
+        pair.sort(reverse=True)
+        if [side for side, _, _ in pair] != [1, -1]:
+            upper = format_signs(others[:v - 1] + (1,) + others[v - 1:])
+            raise ArithmeticError(
+                f"open mutation ends below {upper} at vertex {v} do not pair up: "
+                "internal bug"
+            )
+        (_, order, top), (_, _, bottom) = pair
+        gluing.append((order, top, bottom))
+    gluing.sort()
+    arrows.extend((top, bottom, GLUING) for _, top, bottom in gluing)
 
     if len({node.g for node in nodes}) != len(nodes):
         raise ArithmeticError("node g-vectors collide: internal bug")

@@ -18,8 +18,11 @@ Fac T is the complement of the Ext^1 masks of T's summands, and the
 complements of an almost complete set are the AND of its rigid masks
 minus the set itself.  Mutation replaces a summand by the other
 complement of the rest, so the Hasse quiver comes from lookups rather
-than a scan over all pairs of modules.  Callers pass one `tables` dict
-to share tables across quivers with common components.
+than a scan over all pairs of modules.  A rest with no other complement
+is not sincere: the same pass reports it as an open end, which the
+glued Hasse quiver pairs with the open end of the neighbouring sign
+class.  Callers pass one `tables` dict to share tables across quivers
+with common components.
 """
 
 from __future__ import annotations
@@ -115,15 +118,6 @@ def path_quiver(quiver: ValuedQuiver) -> PathQuiver:
             )
     return PathQuiver(
         tuple(quiver.vertices), tuple((a.src, a.tgt) for a in quiver.arrows)
-    )
-
-
-def delete_vertex(quiver: PathQuiver, v: int) -> PathQuiver:
-    if v not in quiver.vertices:
-        raise ValueError(f"vertex {v} not in the quiver")
-    return PathQuiver(
-        tuple(w for w in quiver.vertices if w != v),
-        tuple(a for a in quiver.arrows if v not in a),
     )
 
 
@@ -391,8 +385,8 @@ def tilting_hasse(
     quiver: PathQuiver,
     modules: Sequence[TiltingModule] | None = None,
     tables: RigidityTables | None = None,
-) -> tuple[tuple[int, int], ...]:
-    """Mutation arrows between tilting modules, as index pairs.
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, IntervalModule], ...]]:
+    """Mutation arrows between tilting modules, and the open ends.
 
     Two tilting modules are adjacent when they share all but one summand;
     the arrow points towards the smaller torsion class.  Indices refer to
@@ -400,6 +394,9 @@ def tilting_hasse(
     module is mutated at each summand: the other complements of the rest
     come from the rigidity table, and the modules holding them are looked
     up by their summand positions.  Arrows are ordered by their index pair.
+    An open end is a (module index, summand) pair whose rest has no other
+    complement; such a rest misses one vertex, and its second completion
+    lies across that vertex's sign.  Open ends are listed by module index.
     """
     if tables is None:
         tables = {}
@@ -409,12 +406,16 @@ def tilting_hasse(
     keys = [_masks(tabs, t.summands) for t in modules]
     position = {key: k for k, key in enumerate(keys)}
     pairs: list[tuple[int, int, bool]] = []
+    open_ends: list[tuple[int, IntervalModule]] = []
     for i, key in enumerate(keys):
         for c, (table, mask) in enumerate(zip(tabs, key)):
             not_fac = table.ext_from(mask)
             for x in _bits(mask):
                 rest = mask & ~(1 << x)
-                for y in _bits(table.complements(rest) & ~mask):
+                others = table.complements(rest) & ~mask
+                if not others:
+                    open_ends.append((i, table.intervals[x]))
+                for y in _bits(others):
                     other = rest | 1 << y
                     j = position.get(key[:c] + (other,) + key[c + 1:])
                     if j is None or j < i:
@@ -428,51 +429,8 @@ def tilting_hasse(
                         )
                     pairs.append((i, j, forward))
     pairs.sort()
-    return tuple((i, j) if forward else (j, i) for i, j, forward in pairs)
-
-
-def bongartz_complete(
-    quiver: PathQuiver,
-    summands: Iterable[IntervalModule],
-    missing: int,
-    tables: RigidityTables | None = None,
-) -> TiltingModule:
-    """Unique completion of an almost-complete rigid module avoiding one vertex.
-
-    `summands` must be tilting over the quiver with `missing` deleted;
-    being non-sincere it has exactly one complement, which is returned
-    together with the input.  Zero or several complements signal a bug or
-    a violated precondition.  `tables` shares rigidity tables with other
-    calls.
-    """
-    base = tuple(sorted(set(summands), key=_interval_key))
-    if missing not in quiver.vertices:
-        raise ValueError(f"vertex {missing} not in the quiver")
-    if len(base) != len(quiver.vertices) - 1:
-        raise ValueError(
-            f"expected {len(quiver.vertices) - 1} summands, got {len(base)}"
-        )
-    for m in base:
-        if missing in m.support:
-            raise ValueError(f"{m!r} meets the deleted vertex {missing}")
-    tabs = _tables(quiver, tables)
-    masks = _masks(tabs, base)
-    for table, mask in zip(tabs, masks):
-        for i in _bits(mask):
-            clash = mask & ~table.rigid[i]
-            if clash:
-                m, n = table.intervals[i], table.intervals[next(_bits(clash))]
-                raise ValueError(f"{m!r} and {n!r} are not rigid: bad input")
-    complements = [
-        table.intervals[i]
-        for table, mask in zip(tabs, masks)
-        for i in _bits(table.complements(mask))
-    ]
-    if len(complements) != 1:
-        raise ValueError(
-            f"expected exactly one complement, found {len(complements)}"
-        )
-    return TiltingModule(base + (complements[0],))
+    arrows = tuple((i, j) if forward else (j, i) for i, j, forward in pairs)
+    return arrows, tuple(open_ends)
 
 
 def total_dim_vector(quiver: PathQuiver, tilt: TiltingModule) -> IntVector:

@@ -178,5 +178,8 @@ def finiteness_witness(
 
 
 def is_tau_tilting_finite(quiver: ValuedQuiver) -> bool:
-    """Whether the presented algebra has finitely many support tilting modules."""
-    return finiteness_witness(quiver) is None
+    """Whether the presented algebra has finitely many support tilting modules.
+
+    The count stops at the first non-Dynkin slice, which decides the answer.
+    """
+    return count_support_tilting(quiver) is not INFINITE

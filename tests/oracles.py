@@ -7,10 +7,13 @@ union-find, and finiteness through the separated quiver's maximal single
 subquivers.  Counts, witnesses and slice rows are also kept as the plain
 scan over all 2^n sign vectors, each slice built as a quiver and
 classified afresh, as the reference for the factored slice engine in
-`taudec.signdec`.  The tilting enumerator, the mutation quiver, Fac
-membership and the Bongartz completion are also kept in their direct
-forms, which call ext_dim on every pair they need, as references for
-the rigidity-table versions in `taudec.repa`.
+`taudec.signdec`.  The tilting enumerator, the mutation quiver and Fac
+membership are also kept in their direct forms, which call ext_dim on
+every pair they need, as references for the rigidity-table versions in
+`taudec.repa`.  The gluing arrows of the glued Hasse quiver are rebuilt
+by completing each tilting module of a vertex-deleted slice on both
+sides of the deleted vertex with a scanning Bongartz completion, as the
+reference for pairing the open ends of one mutation pass.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from taudec.dynkin import DynkinType, classify
-from taudec.glue import GLUING, HasseNode, glued_hasse, sign_slice_path_quiver
+from taudec.glue import HasseNode, sign_slice_path_quiver
 from taudec.matrices import g_from_dim_vector
 from taudec.quiver import (
     Arrow,
@@ -416,9 +419,43 @@ def hasse_nodes(quiver: ValuedQuiver) -> tuple[HasseNode, ...]:
     return tuple(out)
 
 
-def gluing_arrows(quiver: ValuedQuiver) -> tuple[tuple[HasseNode, HasseNode], ...]:
-    """The cross-sign arrows of the glued Hasse quiver only, as node pairs."""
-    hasse = glued_hasse(quiver)
-    return tuple(
-        (hasse.nodes[a], hasse.nodes[b]) for a, b in hasse.arrows_of_kind(GLUING)
+def delete_vertex(quiver: PathQuiver, v: int) -> PathQuiver:
+    """The path quiver without vertex v and its arrows."""
+    if v not in quiver.vertices:
+        raise ValueError(f"vertex {v} not in the quiver")
+    return PathQuiver(
+        tuple(w for w in quiver.vertices if w != v),
+        tuple(a for a in quiver.arrows if v not in a),
     )
+
+
+def gluing_arrows(quiver: ValuedQuiver) -> tuple[tuple[HasseNode, HasseNode], ...]:
+    """The cross-sign arrows of the glued Hasse quiver, as node pairs.
+
+    For every sign vector and every +1 coordinate v, each tilting module
+    of the slice without v is completed by a scan in the slice above and
+    in the slice below, where v is -1; the two completions are joined.
+    Arrows come by upper sign vector, then v, then the enumeration order
+    of the slice without v.
+    """
+    n = quiver.n
+    slices = {signs: sign_slice_path_quiver(quiver, signs) for signs in enumerate_signs(n)}
+
+    def node(signs: SignVector, tilt: TiltingModule) -> HasseNode:
+        g = g_from_dim_vector(signs, total_dim_vector(slices[signs], tilt))
+        return HasseNode(signs, tilt, g)
+
+    out = []
+    for upper in enumerate_signs(n):
+        for coord in range(n):
+            if upper[coord] != 1:
+                continue
+            lower = upper[:coord] + (-1,) + upper[coord + 1:]
+            vertex = coord + 1
+            deleted = delete_vertex(slices[upper], vertex)
+            assert deleted == delete_vertex(slices[lower], vertex), "slices disagree"
+            for shared in tilting_modules_scan(deleted):
+                top = bongartz_complete_scan(slices[upper], shared.summands, vertex)
+                bottom = bongartz_complete_scan(slices[lower], shared.summands, vertex)
+                out.append((node(upper, top), node(lower, bottom)))
+    return tuple(out)

@@ -12,6 +12,8 @@ from taudec.quiver import quiver_file_text
 
 THREE_CYCLE_FILE = "n 3\na 1 2\na 2 3\na 3 1\n"
 STAR_D4_FILE = "n 4\na 1 4\na 2 4\na 3 4\n"
+# too many vertices to index their sign vectors
+OVERFLOW_FILE = "n 99999999999999999999\n"
 
 
 @pytest.fixture
@@ -115,6 +117,11 @@ class TestSigndec:
         assert code == 0
         assert "+-  non-Dynkin{1,2}  infinite  true" in out.splitlines()
 
+    def test_overflowing_vertex_count_is_input_error(self, quiver_file, capsys):
+        code, _, err = run(capsys, "signdec", quiver_file(OVERFLOW_FILE))
+        assert code == 2
+        assert err.startswith("error: quiver too large: ")
+
 
 class TestHasse:
     def test_json_three_cycle(self, quiver_file, capsys):
@@ -159,6 +166,12 @@ class TestHasse:
         code, _, err = run(capsys, "hasse", quiver_file(STAR_D4_FILE))
         assert code == 3
         assert "+++-" in err
+
+    def test_overflowing_vertex_count_is_input_error(self, quiver_file, capsys):
+        code, out, err = run(capsys, "hasse", quiver_file(OVERFLOW_FILE))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: quiver too large: ")
 
     def test_failed_self_check_exits_four(self, quiver_file, capsys, monkeypatch):
         # an all-zero g-vector breaks the sign law that glued_hasse checks

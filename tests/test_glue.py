@@ -1,17 +1,25 @@
 from __future__ import annotations
 
-import pytest
+from collections import Counter
 
-from oracles import gluing_arrows, hasse_nodes
-from taudec.brauer import brauer_line_quiver
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import gluing_arrows, hasse_nodes, relabelled, tilting_hasse_pairs
+from taudec import glue
+from taudec.brauer import brauer_cycle_quiver, brauer_line_quiver
 from taudec.glue import GLUING, INTERNAL, glued_hasse, sign_slice_path_quiver
 from taudec.quiver import Arrow, ValuedQuiver
-from taudec.repa import UnsupportedComponentError
-from taudec.signdec import count_support_tilting
+from taudec.repa import UnsupportedComponentError, tilting_hasse
+from taudec.signdec import INFINITE, count_support_tilting, enumerate_signs
 
 THREE_CYCLE = ValuedQuiver(3, (Arrow(1, 2), Arrow(2, 3), Arrow(3, 1)))
 ORIENTED_SQUARE = ValuedQuiver(4, (Arrow(1, 2), Arrow(2, 3), Arrow(3, 4), Arrow(4, 1)))
 STAR_D4 = ValuedQuiver(4, (Arrow(1, 4), Arrow(2, 4), Arrow(3, 4)))
+# Components 1-4-6-3, 2-7 and 5 interleave their labels, so the product order
+# of a vertex-deleted slice's tilting modules is not one sort of all summands.
+INTERLEAVED = ValuedQuiver(7, (Arrow(3, 6), Arrow(4, 1), Arrow(4, 6), Arrow(7, 2)))
 
 
 def node_by_supports(hasse, signs, supports):
@@ -77,6 +85,64 @@ class TestSmallCases:
         assert hasse.nodes[sinks[0]].signs == (-1, -1)
 
 
+@st.composite
+def type_a_quivers(draw, max_vertices=6):
+    """A path or cycle whose edges point either or both ways, with loops, relabelled.
+
+    Every sign slice keeps at most one arrow per edge and no loop, so it is
+    a union of type-A paths, unless it is a whole even cycle.
+    """
+    n = draw(st.integers(1, max_vertices))
+    cycle = n >= 3 and draw(st.booleans())
+    arrows = []
+    for u in range(1, n if not cycle else n + 1):
+        v = u % n + 1
+        way = draw(st.sampled_from(("->", "<-", "<->")))
+        if way != "<-":
+            arrows.append(Arrow(u, v))
+        if way != "->":
+            arrows.append(Arrow(v, u))
+    arrows += [Arrow(v, v) for v in sorted(draw(st.sets(st.integers(1, n))))]
+    images = draw(st.permutations(range(1, n + 1)))
+    return relabelled(ValuedQuiver(n, tuple(arrows)), images)
+
+
+def reference_arrows(quiver):
+    """Internal arrows by the pair scan per slice, then the reference gluing arrows."""
+    nodes = hasse_nodes(quiver)
+    index = {node: k for k, node in enumerate(nodes)}
+    arrows = []
+    for signs in enumerate_signs(quiver.n):
+        ids = [k for k, node in enumerate(nodes) if node.signs == signs]
+        pairs = tilting_hasse_pairs(
+            sign_slice_path_quiver(quiver, signs), [nodes[k].tilt for k in ids]
+        )
+        arrows += [(ids[i], ids[j], INTERNAL) for i, j in pairs]
+    arrows += [(index[a], index[b], GLUING) for a, b in gluing_arrows(quiver)]
+    return tuple(arrows)
+
+
+class TestAgainstBongartzGluing:
+    """Paired open ends against completing every vertex-deleted slice's modules."""
+
+    @pytest.mark.parametrize(
+        "quiver",
+        [brauer_line_quiver(k) for k in range(1, 6)]
+        + [brauer_cycle_quiver(k) for k in (1, 3, 5)]
+        + [THREE_CYCLE, INTERLEAVED],
+        ids=["line1", "line2", "line3", "line4", "line5",
+             "cycle1", "cycle3", "cycle5", "three-cycle", "interleaved"],
+    )
+    def test_fixed_quivers(self, quiver):
+        assert glued_hasse(quiver).arrows == reference_arrows(quiver)
+
+    @settings(max_examples=12, deadline=None)
+    @given(type_a_quivers())
+    def test_random_type_a_quivers(self, quiver):
+        assume(count_support_tilting(quiver) is not INFINITE)
+        assert glued_hasse(quiver).arrows == reference_arrows(quiver)
+
+
 def check_invariants(quiver):
     hasse = glued_hasse(quiver)
     n = quiver.n
@@ -134,6 +200,36 @@ def test_structural_invariants(quiver):
     check_invariants(quiver)
 
 
+@settings(max_examples=30, deadline=None)
+@given(type_a_quivers())
+def test_structural_invariants_on_random_type_a_quivers(quiver):
+    assume(count_support_tilting(quiver) is not INFINITE)
+    check_invariants(quiver)
+
+
+@settings(max_examples=20, deadline=None)
+@given(type_a_quivers(), st.randoms(use_true_random=False))
+def test_relabelling_moves_nodes_and_arrows(quiver, rng):
+    assume(count_support_tilting(quiver) is not INFINITE)
+    images = list(range(1, quiver.n + 1))
+    rng.shuffle(images)
+    moved = glued_hasse(relabelled(quiver, images))
+
+    def place(values):
+        out = [0] * quiver.n
+        for v, x in enumerate(values):
+            out[images[v] - 1] = x
+        return tuple(out)
+
+    hasse = glued_hasse(quiver)
+    labels = [(place(node.signs), place(node.g)) for node in hasse.nodes]
+    moved_labels = [(node.signs, node.g) for node in moved.nodes]
+    assert Counter(labels) == Counter(moved_labels)
+    assert {(labels[a], labels[b], kind) for a, b, kind in hasse.arrows} == {
+        (moved_labels[a], moved_labels[b], kind) for a, b, kind in moved.arrows
+    }
+
+
 @pytest.mark.parametrize(
     "quiver",
     [
@@ -166,6 +262,17 @@ class TestNodes:
         nodes = hasse_nodes(brauer_line_quiver(2))
         assert len(nodes) == 6
         assert glued_hasse(brauer_line_quiver(2)).nodes == nodes
+
+
+class TestPairingCheck:
+    def test_unpaired_open_end_is_an_internal_bug(self, monkeypatch):
+        def drop_last_end(*args):
+            arrows, ends = tilting_hasse(*args)
+            return arrows, ends[:-1]
+
+        monkeypatch.setattr(glue, "tilting_hasse", drop_last_end)
+        with pytest.raises(ArithmeticError, match="do not pair up: internal bug"):
+            glued_hasse(THREE_CYCLE)
 
 
 class TestUnsupported:

@@ -8,6 +8,7 @@ from oracles import (
     all_orientations,
     bongartz_complete_scan,
     brute_maximal_rigid,
+    delete_vertex,
     fac_contains_scan,
     hom_dim_linear,
     path_with_orientation,
@@ -21,8 +22,6 @@ from taudec.repa import (
     PathQuiver,
     TiltingModule,
     UnsupportedComponentError,
-    bongartz_complete,
-    delete_vertex,
     euler_form,
     ext_dim,
     fac_contains,
@@ -231,20 +230,25 @@ class TestFacContains:
 class TestTiltingHasse:
     def test_a2_direction(self):
         mods = tilting_modules(A2_DOWN)
-        edges = tilting_hasse(A2_DOWN, mods)
+        edges, _ = tilting_hasse(A2_DOWN, mods)
         assert len(edges) == 1
         src, dst = edges[0]
         assert mods[src].supports() == ((1,), (1, 2))
         assert mods[dst].supports() == ((1, 2), (2,))
 
     def test_a1_has_no_arrows(self):
-        assert tilting_hasse(PathQuiver((1,), ())) == ()
+        assert tilting_hasse(PathQuiver((1,), ())) == ((), ((0, iv(1)),))
+
+    def test_open_ends_of_a2(self):
+        # dropping {1,2} leaves {1} or {2}, which misses a vertex; dropping {1} or {2} mutates
+        mods = tilting_modules(A2_DOWN)
+        assert tilting_hasse(A2_DOWN, mods)[1] == ((0, iv(1, 2)), (1, iv(1, 2)))
 
     def test_unique_source_is_the_projective_module(self):
         for m in range(1, 6):
             for quiver in all_orientations(m):
                 mods = tilting_modules(quiver)
-                edges = tilting_hasse(quiver, mods)
+                edges, _ = tilting_hasse(quiver, mods)
                 with_incoming = {dst for _, dst in edges}
                 sources = [k for k in range(len(mods)) if k not in with_incoming]
                 assert len(sources) == 1
@@ -255,7 +259,7 @@ class TestTiltingHasse:
     def test_linear_orientation_is_connected_with_catalan_nodes(self):
         quiver = path_with_orientation(5, 0)
         mods = tilting_modules(quiver)
-        edges = tilting_hasse(quiver, mods)
+        edges, _ = tilting_hasse(quiver, mods)
         assert len(mods) == catalan(5)
         parent = list(range(len(mods)))
 
@@ -271,35 +275,22 @@ class TestTiltingHasse:
 
 
 class TestBongartzComplete:
+    """Worked completions by the scanning oracle, the gluing reference's building block."""
+
     def test_paper_shape_first_slice(self):
         quiver = PathQuiver((1, 2, 3), ((2, 1),))
-        done = bongartz_complete(quiver, (iv(2), iv(3)), 1)
+        done = bongartz_complete_scan(quiver, (iv(2), iv(3)), 1)
         assert done.supports() == ((1, 2), (2,), (3,))
 
     def test_paper_shape_second_slice(self):
         quiver = PathQuiver((1, 2, 3), ((1, 3),))
-        done = bongartz_complete(quiver, (iv(2), iv(3)), 1)
+        done = bongartz_complete_scan(quiver, (iv(2), iv(3)), 1)
         assert done.supports() == ((1, 3), (2,), (3,))
 
     def test_edgeless(self):
         quiver = PathQuiver((1, 2), ())
-        done = bongartz_complete(quiver, (iv(2),), 1)
+        done = bongartz_complete_scan(quiver, (iv(2),), 1)
         assert done.supports() == ((1,), (2,))
-
-    def test_validates_size(self):
-        quiver = PathQuiver((1, 2, 3), ((2, 1),))
-        with pytest.raises(ValueError):
-            bongartz_complete(quiver, (iv(2),), 1)
-
-    def test_validates_missing_vertex(self):
-        quiver = PathQuiver((1, 2, 3), ((2, 1),))
-        with pytest.raises(ValueError):
-            bongartz_complete(quiver, (iv(1, 2), iv(3)), 1)
-
-    def test_validates_rigidity(self):
-        quiver = PathQuiver((1, 2, 3), ((3, 2),))
-        with pytest.raises(ValueError):
-            bongartz_complete(quiver, (iv(3), iv(2)), 1)
 
 
 @st.composite
@@ -328,8 +319,17 @@ class TestAgainstDirectScans:
     def test_tilting_modules_and_hasse(self, quiver):
         mods = tilting_modules(quiver)
         assert mods == tilting_modules_scan(quiver)
-        assert tilting_hasse(quiver) == tilting_hasse_pairs(quiver, mods)
-        assert tilting_hasse(quiver, mods[::-1]) == tilting_hasse_pairs(quiver, mods[::-1])
+        for order in (mods, mods[::-1]):
+            arrows, ends = tilting_hasse(quiver, order)
+            assert arrows == tilting_hasse_pairs(quiver, order)
+            # Happel-Unger: a rest has one complement exactly when it is not sincere
+            assert set(ends) == {
+                (i, x)
+                for i, tilt in enumerate(order)
+                for x in tilt.summands
+                if set().union(*(m.support for m in tilt.summands if m != x))
+                != set(quiver.vertices)
+            }
 
     @settings(max_examples=25, deadline=None)
     @given(path_quivers())
@@ -339,15 +339,6 @@ class TestAgainstDirectScans:
             for x in intervals(quiver):
                 got = fac_contains(quiver, tilt, x, tables)
                 assert got == fac_contains_scan(quiver, tilt, x)
-
-    @settings(max_examples=25, deadline=None)
-    @given(path_quivers())
-    def test_bongartz_complete(self, quiver):
-        tables = {}
-        for v in quiver.vertices:
-            for shared in tilting_modules(delete_vertex(quiver, v), tables):
-                got = bongartz_complete(quiver, shared.summands, v, tables)
-                assert got == bongartz_complete_scan(quiver, shared.summands, v)
 
 
 def test_total_dim_vector():

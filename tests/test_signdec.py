@@ -119,6 +119,19 @@ class TestFiniteness:
                 not isinstance(count_support_tilting(q), Infinite)
             )
 
+    def test_stops_at_the_first_non_dynkin_slice(self, monkeypatch):
+        calls = []
+        original = SliceEngine.slice
+
+        def counted(engine, mask):
+            calls.append(mask)
+            return original(engine, mask)
+
+        monkeypatch.setattr(SliceEngine, "slice", counted)
+        # the doubled arrow on 1-2 gives a witness at its second mask; the line is finite
+        assert not is_tau_tilting_finite(disjoint_union(doubled_arrow(), brauer_line_quiver(12)))
+        assert len(calls) <= 2
+
     def test_agrees_with_separated_quiver_oracle(self):
         catalog = [
             THREE_CYCLE,
