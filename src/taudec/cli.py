@@ -44,6 +44,18 @@ def _load_quiver(path: str) -> ValuedQuiver:
         return parse_quiver(handle.read())
 
 
+def _count_text(count: int | Infinite) -> str:
+    """'infinite', or the exact decimal count past the interpreter's digit limit."""
+    if isinstance(count, Infinite):
+        return "infinite"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(count)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_finite(args: argparse.Namespace) -> int:
     quiver = _load_quiver(args.path)
     witness = finiteness_witness(quiver)
@@ -58,8 +70,7 @@ def cmd_finite(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    count = count_support_tilting(_load_quiver(args.path))
-    print("infinite" if isinstance(count, Infinite) else str(count))
+    print(_count_text(count_support_tilting(_load_quiver(args.path))))
     return 0
 
 
@@ -126,7 +137,7 @@ def cmd_brauer(args: argparse.Namespace) -> int:
         if isinstance(got, Infinite):
             print("infinite (expected: not tau-tilting-finite)")
             return 0
-        print(f"MISMATCH {got} infinite")
+        print(f"MISMATCH {_count_text(got)} infinite")
         return 1
     want = (
         brauer_line_count(args.edges)
@@ -134,10 +145,9 @@ def cmd_brauer(args: argparse.Namespace) -> int:
         else brauer_cycle_count(args.edges)
     )
     if got == want:
-        print(f"OK {got}")
+        print(f"OK {_count_text(got)}")
         return 0
-    got_text = "infinite" if isinstance(got, Infinite) else str(got)
-    print(f"MISMATCH {got_text} {want}")
+    print(f"MISMATCH {_count_text(got)} {_count_text(want)}")
     return 1
 
 

@@ -13,16 +13,16 @@ arithmetic on supports.
 
 Each path component gets one rigidity table, built with ext_dim on every
 ordered pair of its intervals: an Ext^1 bitmask and a pairwise-rigid
-bitmask per interval.  Enumeration backtracks over the rigid masks,
-Fac T is the complement of the Ext^1 masks of T's summands, and the
-complements of an almost complete set are the AND of its rigid masks
+bitmask per interval.  Enumeration backtracks over the rigid masks, and
+the complements of an almost complete set are the AND of its rigid masks
 minus the set itself.  Mutation replaces a summand by the other
 complement of the rest, so the Hasse quiver comes from lookups rather
-than a scan over all pairs of modules.  A rest with no other complement
-is not sincere: the same pass reports it as an open end, which the
-glued Hasse quiver pairs with the open end of the neighbouring sign
-class.  Callers pass one `tables` dict to share tables across quivers
-with common components.
+than a scan over all pairs of modules; its arrow points towards the
+smaller Fac T, the complement of the Ext^1 masks of T's summands.  A
+rest with no other complement is not sincere: the same pass reports it
+as an open end, which the glued Hasse quiver pairs with the open end of
+the neighbouring sign class.  Callers pass one `tables` dict to share
+tables across quivers with common components.
 """
 
 from __future__ import annotations
@@ -137,19 +137,6 @@ class IntervalModule:
 
 def _interval_key(m: IntervalModule) -> tuple[int, int, tuple[int, ...]]:
     return min(m.support), len(m.support), tuple(sorted(m.support))
-
-
-def interval(quiver: PathQuiver, support: Iterable[int]) -> IntervalModule:
-    """Build an interval module, checking contiguity within one path component."""
-    sup = frozenset(support)
-    for path in quiver.paths:
-        positions = [i for i, w in enumerate(path) if w in sup]
-        if not positions:
-            continue
-        if len(positions) != len(sup) or positions[-1] - positions[0] + 1 != len(sup):
-            raise ValueError(f"support {sorted(sup)} is not contiguous")
-        return IntervalModule(sup)
-    raise ValueError(f"support {sorted(sup)} not inside the quiver")
 
 
 def intervals(quiver: PathQuiver) -> tuple[IntervalModule, ...]:
@@ -364,21 +351,6 @@ def tilting_modules(
         TiltingModule(tuple(m for part in combo for m in part))
         for combo in product(*per_component)
     )
-
-
-def fac_contains(
-    quiver: PathQuiver,
-    tilt: TiltingModule,
-    x: IntervalModule,
-    tables: RigidityTables | None = None,
-) -> bool:
-    """Whether x lies in the torsion class generated by a tilting module.
-
-    For tilting T over a hereditary algebra, Fac T = {X : Ext^1(T, X) = 0}.
-    """
-    tabs = _tables(quiver, tables)
-    masks = zip(tabs, _masks(tabs, tilt.summands), _masks(tabs, (x,)))
-    return not any(table.ext_from(mask) & target for table, mask, target in masks)
 
 
 def tilting_hasse(

@@ -7,12 +7,35 @@ connected component of the slice's underlying graph is Dynkin.
 
 The sum over sign vectors and the product over slice components both
 factor over the quiver's own weakly connected components, so counts and
-finiteness walk the 2^k sign vectors of each k-vertex component in turn.
-A `SliceEngine` holds one group's slice-eligible arrows once, builds each
-slice from an integer sign mask, and classifies each distinct labelled
-slice component once, in a dict that lives only as long as the engine:
-one call of a count or a finiteness check.  `sign_slice_components` and
-the `signdec` command's rows use one engine over the whole vertex set.
+finiteness handle each quiver component in turn.
+
+`transfer_count` sums one component's sign classes as a transfer matrix.
+It sweeps the vertices in breadth-first order from a vertex of least
+degree, ties and neighbours taken by label, and branches on the two signs
+of each vertex.  A slice edge is decided when its later end gets its sign.
+The frontier is the set of swept vertices with a neighbour still to come.
+A state holds the frontier's signs and the open slice paths, those that
+still hold a frontier vertex; a path is kept as its two ends (a frontier
+vertex, or none once the end has left the frontier), its frontier
+vertices inside, its length and its non-unit edges by position.  States
+with equal keys merge by adding their exact int weights.  A path with no
+frontier vertex left is closed: the weight is multiplied by its tilting
+count, `catalan(length)` for an all-unit path and `classify` on the path
+otherwise, memoised for one call.  A connected subgraph of a Dynkin graph
+is Dynkin and every state with a weight comes from some sign vector, so
+two edges into one open path (a cycle) or a non-Dynkin open path return
+`INFINITE` at once.  An edge into a frontier vertex inside a path, or a
+third edge at the new vertex, is a branch: the sweep gives up and that
+component falls back to the walk below.  `count`, `finite` and
+`brauer --verify` take their counts from the sweep.
+
+A `SliceEngine` walks the 2^k sign vectors of one group of vertices.  It
+holds the group's slice-eligible arrows once, builds each slice from an
+integer sign mask, and classifies each distinct labelled slice component
+once, in a dict that lives only as long as the engine.  It counts the
+components the sweep gives up on, finds the first witness of `finite` in
+the components the sweep found infinite, and gives the `signdec` rows and
+`sign_slice_components` over the whole vertex set.
 """
 
 from __future__ import annotations
@@ -20,7 +43,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .dynkin import DynkinType, classify, tilting_count
+from .dynkin import DynkinType, catalan, classify, tilting_count
 from .quiver import SignVector, ValuedGraph, ValuedQuiver, check_signs, components
 
 Classified = tuple[ValuedGraph, DynkinType]
@@ -105,13 +128,163 @@ class SliceEngine:
         return found
 
 
-def _quiver_components(quiver: ValuedQuiver) -> tuple[tuple[int, ...], ...]:
-    """Vertex sets of the quiver's weakly connected components, by minimal vertex."""
-    neighbours: dict[int, list[int]] = {v: [] for v in quiver.vertices}
+# links[v][u] = [valuation of v -> u, valuation of u -> v], None where absent
+Links = dict[int, dict[int, list]]
+Path = tuple  # (end, end, length, inner frontier vertices, non-unit edges)
+_UNIT = (1, 1)
+
+
+def _links(quiver: ValuedQuiver) -> Links:
+    """The unordered valuations of the non-loop arrows, at both of their ends."""
+    links: Links = {v: {} for v in quiver.vertices}
     for a in quiver.arrows:
-        neighbours[a.src].append(a.tgt)
-        neighbours[a.tgt].append(a.src)
-    return components(neighbours)
+        if a.src != a.tgt:
+            val = a.val.unordered()
+            links[a.src].setdefault(a.tgt, [None, None])[0] = val
+            links[a.tgt].setdefault(a.src, [None, None])[1] = val
+    return links
+
+
+def _sweep_order(links: Links, group: Sequence[int]) -> list[int]:
+    """Breadth-first from a vertex of least degree; ties and neighbours by label."""
+    order = [min(group, key=lambda v: (len(links[v]), v))]
+    seen = set(order)
+    for v in order:
+        for u in sorted(links[v]):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    return order
+
+
+def _reversed(length: int, special: Sequence) -> tuple:
+    """Non-unit edges by position from the other end of the path."""
+    return tuple(sorted((length - 2 - p, val) for p, val in special)) if special else ()
+
+
+def _path_count(length: int, special: tuple, memo: dict) -> int | Infinite:
+    """Tilting count of a path on `length` vertices with these non-unit edges."""
+    if special:
+        special = min(special, _reversed(length, special))
+    key = (length, special)
+    count = memo.get(key)
+    if count is None:
+        if special:
+            vals = dict(special)
+            graph = ValuedGraph(
+                tuple(range(1, length + 1)),
+                tuple((p + 1, p + 2, vals.get(p, _UNIT)) for p in range(length - 1)),
+            )
+            dynkin = classify(graph)
+            count = tilting_count(dynkin) if dynkin.is_dynkin else INFINITE
+        else:
+            count = catalan(length)
+        memo[key] = count
+    return count
+
+
+def _join(
+    paths: tuple[Path, ...], touched: list, fresh: int, memo: dict
+) -> list[Path] | Infinite | None:
+    """The open paths once the new vertex `fresh` takes its slice edges.
+
+    `touched` lists (frontier index, valuation) of the new vertex's edges.
+    Returns INFINITE when they close a cycle or make a non-Dynkin path,
+    and None when they make a branch.
+    """
+    if len(touched) > 2:
+        return None
+    rest = list(paths)
+    a, b, length, inner, special = fresh, fresh, 1, (), []
+    for i, val in touched:
+        for k, p in enumerate(rest):
+            if i == p[0] or i == p[1]:
+                break
+        else:
+            if any(i in p[3] for p in rest):
+                return None
+            return INFINITE  # i already lies on the new vertex's path: a cycle
+        pa, pb, plength, pinner, pspecial = rest.pop(k)
+        if b != fresh:  # the new vertex is the path's first end: turn the path round
+            a, b, special = b, a, list(_reversed(length, special))
+        if pa != i:
+            pa, pb, pspecial = pb, pa, _reversed(plength, pspecial)
+        inner += pinner + (fresh,) * (length > 1) + (i,) * (plength > 1)
+        if val != _UNIT:
+            special.append((length - 1, val))
+        special += [(length + p, w) for p, w in pspecial]
+        b, length = pb, length + plength
+    special = tuple(special)
+    if special and _path_count(length, special, memo) is INFINITE:
+        return INFINITE
+    rest.append((a, b, length, tuple(sorted(inner)), special))
+    return rest
+
+
+def transfer_count(
+    links: Links, group: Sequence[int], memo: dict
+) -> int | Infinite | None:
+    """Sum of one quiver component's sign-class counts by a vertex sweep.
+
+    Returns INFINITE as soon as an open slice path closes a cycle or is not
+    Dynkin, and None when a slice branches (see the module docstring).
+    `memo` holds path counts for the length of one call.
+    """
+    waiting = {v: len(links[v]) for v in group}
+    frontier: list[int] = []
+    states: dict[tuple, int] = {((), ()): 1}
+    for v in _sweep_order(links, group):
+        at = {u: i for i, u in enumerate(frontier)}
+        # (frontier index, valuation) of the slice edges v can take as +1 and as -1
+        plus = [(at[u], out) for u, (out, _) in links[v].items() if u in at and out]
+        minus = [(at[u], into) for u, (_, into) in links[v].items() if u in at and into]
+        for u in links[v]:
+            waiting[u] -= 1
+        fresh = len(frontier)  # v's index until the frontier moves on
+        frontier.append(v)
+        stay = [i for i, u in enumerate(frontier) if waiting[u]]
+        remap = [-1] * (fresh + 2)  # remap[-1] == -1 keeps a closed end closed
+        for new, old in enumerate(stay):
+            remap[old] = new
+        frontier = [frontier[i] for i in stay]
+        v_stays = bool(stay) and stay[-1] == fresh
+        carried = stay[:-1] if v_stays else stay
+        merged: dict[tuple, int] = {}
+        for (signs, paths), weight in states.items():
+            carried_signs = tuple(signs[i] for i in carried)
+            for s, edges in ((1, plus), (-1, minus)):
+                touched = [(i, val) for i, val in edges if signs[i] != s]
+                joined = _join(paths, touched, fresh, memo) if touched else (
+                    paths + ((fresh, fresh, 1, (), ()),)
+                )
+                if joined is None or joined is INFINITE:
+                    return joined
+                out = weight
+                kept = []
+                for a, b, length, inner, special in joined:
+                    a, b = remap[a], remap[b]
+                    if inner:  # sorted, and remap keeps the order
+                        inner = tuple([remap[i] for i in inner if remap[i] >= 0])
+                    if a < 0 and b < 0 and not inner:
+                        out *= _path_count(length, special, memo)  # closed
+                    elif b < a or (a == b and special and _reversed(length, special) < special):
+                        kept.append((b, a, length, inner, _reversed(length, special)))
+                    else:
+                        kept.append((a, b, length, inner, special))
+                key = (carried_signs + (s,) if v_stays else carried_signs, tuple(sorted(kept)))
+                merged[key] = merged.get(key, 0) + out
+        states = merged
+    return sum(states.values())
+
+
+def _group_counts(
+    quiver: ValuedQuiver,
+) -> Iterator[tuple[tuple[int, ...], int | Infinite | None]]:
+    """Each quiver component's vertices and its `transfer_count`, by minimal vertex."""
+    links = _links(quiver)
+    memo: dict = {}
+    for group in components(links):
+        yield group, transfer_count(links, group, memo)
 
 
 def sign_slice_components(
@@ -141,15 +314,19 @@ def count_for_signs(quiver: ValuedQuiver, signs: Sequence[int]) -> int | Infinit
 
 def count_support_tilting(quiver: ValuedQuiver) -> int | Infinite:
     """Total number of support tilting modules: the product over the quiver's
-    components of each component's sum over its sign classes."""
+    components of each component's sum over its sign classes, by the sweep
+    or, where a slice branches, by the walk."""
     total = 1
-    for group in _quiver_components(quiver):
-        group_total = 0
-        for _, parts in SliceEngine(quiver, group).walk():
-            part = slice_count(parts)
-            if part is INFINITE:
-                return INFINITE
-            group_total += part
+    for group, group_total in _group_counts(quiver):
+        if group_total is None:
+            group_total = 0
+            for _, parts in SliceEngine(quiver, group).walk():
+                part = slice_count(parts)
+                if part is INFINITE:
+                    return INFINITE
+                group_total += part
+        if group_total is INFINITE:
+            return INFINITE
         total *= group_total
     return total
 
@@ -161,10 +338,13 @@ def finiteness_witness(
 
     The first witness is +1 outside one quiver component and that
     component's own first witness inside it: setting signs outside the
-    component to +1 keeps the witness and cannot move it later.
+    component to +1 keeps the witness and cannot move it later.  Only the
+    components whose sweep count is not finite are walked.
     """
     found = []
-    for group in _quiver_components(quiver):
+    for group, group_total in _group_counts(quiver):
+        if isinstance(group_total, int):
+            continue
         for local, parts in SliceEngine(quiver, group).walk():
             bad = next((graph for graph, dynkin in parts if not dynkin.is_dynkin), None)
             if bad is not None:

@@ -10,7 +10,10 @@ classified afresh, as the reference for the factored slice engine in
 `taudec.signdec`.  The tilting enumerator, the mutation quiver and Fac
 membership are also kept in their direct forms, which call ext_dim on
 every pair they need, as references for the rigidity-table versions in
-`taudec.repa`.  The gluing arrows of the glued Hasse quiver are rebuilt
+`taudec.repa`.  Fac membership read from the rigidity tables
+(`fac_contains`) and the contiguity-checking interval factory
+(`interval`) have no caller in the package and live here with their
+tests.  The gluing arrows of the glued Hasse quiver are rebuilt
 by completing each tilting module of a vertex-deleted slice on both
 sides of the deleted vertex with a scanning Bongartz completion, as the
 reference for pairing the open ends of one mutation pass.
@@ -23,7 +26,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
-from taudec.dynkin import DynkinType, classify
+from taudec.dynkin import DynkinType, catalan, classify
 from taudec.glue import HasseNode, sign_slice_path_quiver
 from taudec.matrices import g_from_dim_vector
 from taudec.quiver import (
@@ -39,7 +42,10 @@ from taudec.quiver import (
 from taudec.repa import (
     IntervalModule,
     PathQuiver,
+    RigidityTables,
     TiltingModule,
+    _masks,
+    _tables,
     ext_dim,
     intervals,
     tilting_modules,
@@ -297,6 +303,27 @@ def finiteness_witness_scan(
     return None
 
 
+def oriented_path_count(forward: Sequence[bool]) -> int:
+    """The count of the path 1 - 2 - ... - n, edge k pointing right when forward[k].
+
+    Every slice is a union of type-A paths, so a sign class counts the
+    product of catalan(size) over its runs of joined vertices.  One pass
+    along the path keeps, per sign of the last vertex and length of its
+    run, the summed counts of the closed runs before it.
+    """
+    runs = {(1, 1): 1, (-1, 1): 1}
+    for right in forward:
+        nxt: dict[tuple[int, int], int] = {}
+        for (last, length), weight in runs.items():
+            for sign in (1, -1):
+                joined = last != sign and (last == 1) == right
+                key = (sign, length + 1) if joined else (sign, 1)
+                closed = 1 if joined else catalan(length)
+                nxt[key] = nxt.get(key, 0) + weight * closed
+        runs = nxt
+    return sum(weight * catalan(length) for (_, length), weight in runs.items())
+
+
 def disjoint_union(first: ValuedQuiver, second: ValuedQuiver) -> ValuedQuiver:
     """Both quivers side by side; the second's vertices follow the first's."""
     shifted = tuple(Arrow(a.src + first.n, a.tgt + first.n, a.val) for a in second.arrows)
@@ -367,6 +394,35 @@ def tilting_modules_scan(quiver: PathQuiver) -> tuple[TiltingModule, ...]:
         TiltingModule(tuple(m for part in combo for m in part))
         for combo in product(*per_component)
     )
+
+
+def interval(quiver: PathQuiver, support: Iterable[int]) -> IntervalModule:
+    """Build an interval module, checking contiguity within one path component."""
+    sup = frozenset(support)
+    for path in quiver.paths:
+        positions = [i for i, w in enumerate(path) if w in sup]
+        if not positions:
+            continue
+        if len(positions) != len(sup) or positions[-1] - positions[0] + 1 != len(sup):
+            raise ValueError(f"support {sorted(sup)} is not contiguous")
+        return IntervalModule(sup)
+    raise ValueError(f"support {sorted(sup)} not inside the quiver")
+
+
+def fac_contains(
+    quiver: PathQuiver,
+    tilt: TiltingModule,
+    x: IntervalModule,
+    tables: RigidityTables | None = None,
+) -> bool:
+    """Whether x lies in the torsion class generated by a tilting module, by
+    the rigidity tables that mutation reads.
+
+    For tilting T over a hereditary algebra, Fac T = {X : Ext^1(T, X) = 0}.
+    """
+    tabs = _tables(quiver, tables)
+    masks = zip(tabs, _masks(tabs, tilt.summands), _masks(tabs, (x,)))
+    return not any(table.ext_from(mask) & target for table, mask, target in masks)
 
 
 def fac_contains_scan(quiver: PathQuiver, tilt: TiltingModule, x: IntervalModule) -> bool:

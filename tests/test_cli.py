@@ -2,13 +2,21 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import sys
 
 import pytest
 
-from oracles import disjoint_union
+from oracles import (
+    count_support_tilting_scan,
+    disjoint_union,
+    finiteness_witness_scan,
+    random_quiver,
+)
 from taudec import cli, glue
 from taudec.brauer import IdentityCheck, brauer_line_quiver
-from taudec.quiver import quiver_file_text
+from taudec.quiver import format_signs, quiver_file_text
+from taudec.signdec import INFINITE
 
 THREE_CYCLE_FILE = "n 3\na 1 2\na 2 3\na 3 1\n"
 STAR_D4_FILE = "n 4\na 1 4\na 2 4\na 3 4\n"
@@ -92,6 +100,46 @@ class TestCount:
         union = disjoint_union(brauer_line_quiver(5), brauer_line_quiver(6))
         code, out, _ = run(capsys, "count", quiver_file(quiver_file_text(union)))
         assert (code, out) == (0, f"{math.comb(10, 5) * math.comb(12, 6)}\n")
+
+    def test_count_past_the_int_digit_limit(self, quiver_file, capsys):
+        # 2^15000 has 4,516 digits, more than str() gives by default
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = str(2**15000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        code, out, err = run(capsys, "count", quiver_file("n 15000\n"))
+        assert (code, out, err) == (0, want + "\n", "")
+        assert sys.get_int_max_str_digits() == limit
+
+
+def scan_count_text(quiver) -> str:
+    count = count_support_tilting_scan(quiver)
+    return "infinite\n" if count is INFINITE else f"{count}\n"
+
+
+def scan_finite_text(quiver) -> str:
+    witness = finiteness_witness_scan(quiver)
+    if witness is None:
+        return "finite\n"
+    signs, component = witness
+    verts = ",".join(str(v) for v in component.vertices)
+    return f"infinite\nwitness: signs={format_signs(signs)} component={{{verts}}}\n"
+
+
+def test_count_and_finite_stdout_match_the_scan(quiver_file, capsys):
+    rng = random.Random(1803)
+    for k in range(201):
+        max_val = rng.choice((1, 2, 3))
+        if k % 3:
+            quiver = random_quiver(rng, max_n=7, max_val=max_val)
+        else:
+            first = random_quiver(rng, max_n=4, max_val=max_val)
+            quiver = disjoint_union(first, random_quiver(rng, max_n=4, max_val=max_val))
+        path = quiver_file(quiver_file_text(quiver))
+        assert run(capsys, "count", path) == (0, scan_count_text(quiver), "")
+        assert run(capsys, "finite", path) == (0, scan_finite_text(quiver), "")
 
 
 class TestSigndec:
@@ -191,6 +239,14 @@ class TestBrauer:
     def test_cycle_verify(self, capsys):
         code, out, _ = run(capsys, "brauer", "cycle", "3", "--verify")
         assert (code, out) == (0, "OK 32\n")
+
+    def test_line_sixty_verify(self, capsys):
+        code, out, _ = run(capsys, "brauer", "line", "60", "--verify")
+        assert (code, out) == (0, f"OK {math.comb(120, 60)}\n")
+
+    def test_cycle_thirty_one_verify(self, capsys):
+        code, out, _ = run(capsys, "brauer", "cycle", "31", "--verify")
+        assert (code, out) == (0, f"OK {2**61}\n")
 
     def test_even_cycle_notice(self, capsys):
         code, out, _ = run(capsys, "brauer", "cycle", "4", "--verify")

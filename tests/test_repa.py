@@ -9,8 +9,10 @@ from oracles import (
     bongartz_complete_scan,
     brute_maximal_rigid,
     delete_vertex,
+    fac_contains,
     fac_contains_scan,
     hom_dim_linear,
+    interval,
     path_with_orientation,
     tilting_hasse_pairs,
     tilting_modules_scan,
@@ -24,10 +26,8 @@ from taudec.repa import (
     UnsupportedComponentError,
     euler_form,
     ext_dim,
-    fac_contains,
     hom_dim,
     indicator,
-    interval,
     intervals,
     path_quiver,
     tilting_hasse,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from oracles import (
     finite_by_separated_quiver,
     finiteness_witness_scan,
     graph_components,
+    oriented_path_count,
     random_quiver,
     relabelled,
     sign_slice_components_scan,
@@ -22,6 +24,7 @@ from taudec.quiver import (
     Arrow,
     Valuation,
     ValuedQuiver,
+    parse_quiver,
     sign_subquiver,
 )
 from taudec.signdec import (
@@ -32,8 +35,10 @@ from taudec.signdec import (
     count_support_tilting,
     enumerate_signs,
     finiteness_witness,
+    _group_counts,
     is_tau_tilting_finite,
     sign_slice_components,
+    slice_count,
 )
 
 THREE_CYCLE = ValuedQuiver(3, (Arrow(1, 2), Arrow(2, 3), Arrow(3, 1)))
@@ -276,3 +281,192 @@ class TestFactoringProperties:
         assert count_support_tilting(moved) == count_support_tilting(quiver)
         assert is_tau_tilting_finite(moved) == is_tau_tilting_finite(quiver)
         assert (finiteness_witness(moved) is None) == (finiteness_witness(quiver) is None)
+
+
+STAR_D4 = parse_quiver("n 4\na 1 2\na 1 3\na 1 4\n")
+
+
+def valued_cycle(rng: random.Random, max_val: int) -> ValuedQuiver:
+    """A cycle on 3 to 8 vertices, each pair joined one way or both ways."""
+    n = rng.randint(3, 8)
+    arrows = []
+    for i in range(1, n + 1):
+        j = i % n + 1
+        val = Valuation(rng.randint(1, max_val), rng.randint(1, max_val))
+        ways = rng.choice(("both", "both", "forward", "back"))
+        if ways != "back":
+            arrows.append(Arrow(i, j, val))
+        if ways != "forward":
+            arrows.append(Arrow(j, i, val.transposed()))
+    return ValuedQuiver(n, tuple(arrows))
+
+
+def sweep_quiver(family: str, max_val: int, seed: int) -> ValuedQuiver:
+    """Up to 8 vertices: plain, a shuffled union of two, with isolated
+    vertices, or a cycle, whose sweep joins two paths at its last vertex."""
+    rng = random.Random(seed)
+    if family == "cycle":
+        return shuffled(rng, valued_cycle(rng, max_val))
+    if family == "plain":
+        return random_quiver(rng, max_n=8, max_val=max_val)
+    if family == "union":
+        first = random_quiver(rng, max_n=4, max_val=max_val)
+        second = random_quiver(rng, max_n=4, max_val=max_val)
+        return shuffled(rng, disjoint_union(first, second))
+    base = random_quiver(rng, max_n=5, max_val=max_val)
+    return shuffled(rng, ValuedQuiver(base.n + rng.randint(1, 3), base.arrows))
+
+
+def walk_total(quiver: ValuedQuiver, group) -> int | Infinite:
+    """One quiver component's sum over its sign classes, by the slice engine."""
+    total = 0
+    for _, parts in SliceEngine(quiver, group).walk():
+        part = slice_count(parts)
+        if part is INFINITE:
+            return INFINITE
+        total += part
+    return total
+
+
+def sweep_counts(quiver: ValuedQuiver) -> list:
+    return [count for _, count in _group_counts(quiver)]
+
+
+def valued_line(n: int, k: int, lo: int, hi: int) -> ValuedQuiver:
+    """Arrows both ways between neighbours; the pair k, k + 1 valued (lo, hi)."""
+    arrows = []
+    for i in range(1, n):
+        val = Valuation(lo, hi) if i == k else Valuation(1, 1)
+        arrows += [Arrow(i, i + 1, val), Arrow(i + 1, i, val.transposed())]
+    return ValuedQuiver(n, tuple(arrows))
+
+
+SWEEP_FAMILIES = st.sampled_from(("plain", "union", "isolated", "cycle"))
+VALUATIONS = st.sampled_from((1, 2, 3))
+
+
+class TestSweep:
+    """The transfer-matrix sweep against the plain scan and against the walk."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(SWEEP_FAMILIES, VALUATIONS, SEEDS)
+    def test_count_against_scan(self, family, max_val, seed):
+        quiver = sweep_quiver(family, max_val, seed)
+        assert count_support_tilting(quiver) == count_support_tilting_scan(quiver)
+
+    @settings(max_examples=80, deadline=None)
+    @given(SWEEP_FAMILIES, VALUATIONS, SEEDS)
+    def test_each_component_against_its_walk(self, family, max_val, seed):
+        quiver = sweep_quiver(family, max_val, seed)
+        for group, count in _group_counts(quiver):
+            if count is not None:
+                assert count == walk_total(quiver, group)
+
+    @pytest.mark.parametrize(
+        "quiver, finite",
+        [
+            (valued_line(3, 1, 1, 2), True),  # BC3 at + - +
+            (valued_line(4, 2, 1, 2), True),  # F4 at + - + -
+            (valued_line(5, 2, 1, 2), False),  # the (1,2) edge inside a 5-path
+            (valued_line(2, 1, 1, 3), True),  # G2
+            (valued_line(3, 1, 1, 3), False),  # a (1,3) edge on a 3-path
+            (valued_line(2, 1, 1, 4), False),
+            (valued_line(6, 1, 2, 1), True),  # BC6, the (1,2) edge at the end
+        ],
+    )
+    def test_valued_paths_stay_in_the_sweep(self, quiver, finite):
+        (count,) = sweep_counts(quiver)
+        assert count is not None
+        assert (count is not INFINITE) == finite
+        assert count == count_support_tilting_scan(quiver)
+
+    def test_branch_falls_back_to_the_walk(self):
+        assert sweep_counts(STAR_D4) == [None]
+        assert count_support_tilting(STAR_D4) == 50
+
+    def test_third_edge_at_the_new_vertex_falls_back(self):
+        # the sweep reaches 6 after 3, 4 and 5; signs +++ on them and - on 6
+        # give 6 three slice edges at once (a D6 slice with 2 and 1)
+        quiver = ValuedQuiver(
+            6,
+            tuple(
+                Arrow(u, v)
+                for u, v in ((1, 2), (2, 3), (4, 2), (2, 5), (3, 6), (4, 6), (5, 6))
+            ),
+        )
+        assert sweep_counts(quiver) == [None]
+        assert count_support_tilting(quiver) == count_support_tilting_scan(quiver) == 748
+
+    def test_last_vertex_of_a_cycle_joins_two_paths(self):
+        # 4, swept last, joins 2-3 and 5-1 into 2-3-4-5-1: the (1,2) edge 3-4 is inside
+        arrows = [(1, 2), (2, 1), (1, 5), (5, 1), (2, 3), (3, 2), (4, 5)]
+        quiver = ValuedQuiver(
+            5,
+            tuple(Arrow(u, v) for u, v in arrows)
+            + (Arrow(3, 4, Valuation(1, 2)), Arrow(4, 3, Valuation(2, 1))),
+        )
+        assert sweep_counts(quiver) == [INFINITE]
+        assert count_support_tilting_scan(quiver) is INFINITE
+
+    def test_sweep_and_walk_in_one_call(self):
+        quiver = disjoint_union(STAR_D4, brauer_line_quiver(6))
+        assert sweep_counts(quiver) == [None, math.comb(12, 6)]
+        moved = shuffled(random.Random(3), quiver)
+        assert set(sweep_counts(moved)) == {None, math.comb(12, 6)}
+        assert count_support_tilting(quiver) == 50 * math.comb(12, 6)
+        assert count_support_tilting(moved) == 50 * math.comb(12, 6)
+
+    def test_infinite_at_once(self):
+        for quiver in (
+            brauer_cycle_quiver(2),
+            brauer_cycle_quiver(4),
+            brauer_cycle_quiver(10),
+            doubled_arrow(),
+        ):
+            assert sweep_counts(quiver) == [INFINITE]
+
+
+def oriented_path(rng: random.Random, n: int) -> tuple[list[bool], ValuedQuiver]:
+    """A randomly oriented path on n vertices, relabelled."""
+    forward = [rng.random() < 0.5 for _ in range(n - 1)]
+    arrows = tuple(
+        Arrow(i + 1, i + 2) if right else Arrow(i + 2, i + 1) for i, right in enumerate(forward)
+    )
+    return forward, shuffled(rng, ValuedQuiver(n, arrows))
+
+
+class TestSweepWithoutWalk:
+    """The families the sweep claims, counted with the walk switched off."""
+
+    @pytest.fixture(autouse=True)
+    def no_walk(self, monkeypatch):
+        def refuse(engine):
+            raise AssertionError("the sweep fell back to the walk")
+
+        monkeypatch.setattr(SliceEngine, "walk", refuse)
+
+    def test_brauer_lines(self):
+        for n in range(1, 61):
+            assert count_support_tilting(brauer_line_quiver(n)) == math.comb(2 * n, n)
+
+    def test_odd_brauer_cycles(self):
+        for n in range(1, 32, 2):
+            assert count_support_tilting(brauer_cycle_quiver(n)) == 2 ** (2 * n - 1)
+
+    def test_even_brauer_cycles(self):
+        for n in range(2, 31, 2):
+            assert count_support_tilting(brauer_cycle_quiver(n)) is INFINITE
+
+    def test_oriented_type_a(self):
+        rng = random.Random(2026)
+        for n in range(1, 31):
+            forward, quiver = oriented_path(rng, n)
+            assert count_support_tilting(quiver) == oriented_path_count(forward)
+
+    def test_zigzag_is_catalan(self):
+        # no path of length two: the algebra is hereditary of type A_n
+        for n in range(1, 31):
+            arrows = tuple(
+                Arrow(i, i + 1) if i % 2 else Arrow(i + 1, i) for i in range(1, n)
+            )
+            assert count_support_tilting(ValuedQuiver(n, arrows)) == catalan(n + 1)
