@@ -8,7 +8,6 @@ inconsistency).  All output is byte-deterministic for fixed input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
@@ -79,7 +78,7 @@ def cmd_signdec(args: argparse.Namespace) -> int:
     print("# signs  components  count  two_term_tilting")
     for signs, parts in SliceEngine(quiver, quiver.vertices).walk():
         cells = []
-        for component, dynkin in parts:
+        for component, dynkin, _ in parts:
             verts = ",".join(str(v) for v in component.vertices)
             cells.append(f"{dynkin}{{{verts}}}")
         count = slice_count(parts)
@@ -89,22 +88,35 @@ def cmd_signdec(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_list(items: Sequence[str], indent: int) -> str:
+    """Formatted items laid out as `json.dumps(..., indent=2)` lays out a list at this indent."""
+    pad = "\n" + " " * indent
+    return f"[{pad}  {f',{pad}  '.join(items)}{pad}]" if items else "[]"
+
+
+def _json_ints(values: Sequence[int], indent: int) -> str:
+    return _json_list([str(x) for x in values], indent)
+
+
 def hasse_json(hasse: GluedHasse) -> str:
-    payload = {
-        "nodes": [
-            {
-                "id": k,
-                "eps": list(node.signs),
-                "summand_supports": [list(s) for s in node.tilt.supports()],
-                "g": list(node.g),
-            }
-            for k, node in enumerate(hasse.nodes)
-        ],
-        "arrows": [
-            {"from": a, "to": b, "kind": kind} for a, b, kind in hasse.arrows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The bytes of `json.dumps(payload, indent=2)`, written directly: with an
+    indent the standard encoder runs in pure Python."""
+    supports: dict[frozenset[int], str] = {}
+    nodes = []
+    for k, node in enumerate(hasse.nodes):
+        for m in node.tilt.summands:
+            if m.support not in supports:
+                supports[m.support] = _json_ints(sorted(m.support), 8)
+        summands = _json_list([supports[m.support] for m in node.tilt.summands], 6)
+        nodes.append(
+            f'{{\n      "id": {k},\n      "eps": {_json_ints(node.signs, 6)},\n'
+            f'      "summand_supports": {summands},\n      "g": {_json_ints(node.g, 6)}\n    }}'
+        )
+    arrows = [
+        f'{{\n      "from": {a},\n      "to": {b},\n      "kind": "{kind}"\n    }}'
+        for a, b, kind in hasse.arrows
+    ]
+    return f'{{\n  "nodes": {_json_list(nodes, 2)},\n  "arrows": {_json_list(arrows, 2)}\n}}\n'
 
 
 def hasse_dot(hasse: GluedHasse) -> str:

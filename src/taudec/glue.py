@@ -2,19 +2,27 @@
 
 Each sign vector contributes the tilting poset of its hereditary slice
 (taken over the opposite of the sign subquiver, where the relevant
-endomorphism algebra lives).  One mutation pass per slice gives its
-internal arrows and its open ends: summands whose rest has no other
-complement in the slice.  Such a rest misses exactly one vertex v, so it
-is a tilting module of the slice without v, which is the same for both
-signs at v and has one completion on each side.  The open ends of the
-two slices that differ only at v therefore pair up by their rest, and
-each pair is one gluing arrow from the +1 side to the -1 side.  Node
-g-vectors are the sign diagonal applied to the dimension vectors.
+endomorphism algebra lives).  Every slice is a disjoint union of type-A
+paths, so its poset is the product of the posets of its components.
+Each component's mutation graph comes from the rigidity table of its
+orientation word (see `repa`), read on the component's labels through a
+`ComponentView`; tables and views live for one call.  A slice's nodes
+are the mixed-radix product of its views' tilting modules, and each
+arrow or open end of a view is taken at every combination of the other
+views' digits.  An open end is a summand whose rest has no other complement in
+the slice.  Such a rest misses exactly one vertex v, so it is a tilting
+module of the slice without v, which is the same for both signs at v and
+has one completion on each side.  The open ends of the two slices that
+differ only at v therefore pair up by their rest, and each pair is one
+gluing arrow from the +1 side to the -1 side.  Node g-vectors are the
+sign diagonal applied to the sum of the components' dimension vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 from typing import Sequence
 
 from .matrices import IntVector, g_from_dim_vector
@@ -22,14 +30,11 @@ from .quiver import SignVector, ValuedQuiver, format_signs, opposite, sign_subqu
 from .repa import (
     IntervalModule,
     PathQuiver,
-    RigidityTables,
+    RigidityTable,
     TiltingModule,
     UnsupportedComponentError,
-    _interval_key,
+    _bits,
     path_quiver,
-    tilting_hasse,
-    tilting_modules,
-    total_dim_vector,
 )
 from .signdec import enumerate_signs
 
@@ -74,71 +79,124 @@ def sign_slice_path_quiver(quiver: ValuedQuiver, signs: Sequence[int]) -> PathQu
         ) from exc
 
 
-def _slice_nodes(
-    signs: SignVector,
-    slice_quiver: PathQuiver,
-    modules: Sequence[TiltingModule],
-) -> list[HasseNode]:
-    nodes = []
-    for tilt in modules:
-        g = g_from_dim_vector(signs, total_dim_vector(slice_quiver, tilt))
-        for gi, si in zip(g, signs):
-            if gi * si <= 0:
-                raise ArithmeticError(
-                    f"g-vector {g} violates the sign law at {signs}: internal bug"
-                )
-        nodes.append(HasseNode(signs, tilt, g))
-    return nodes
+class ComponentView:
+    """An orientation word's table read on one labelled path: position p is path[p].
 
-
-def _rest_order(
-    slice_quiver: PathQuiver, v: int, rest: Sequence[IntervalModule]
-) -> tuple:
-    """Sort key of `rest` among the tilting modules of the slice without v.
-
-    Those come in the product order over the slice's paths with v cut out,
-    taken by minimal vertex, each part compared by the sorted interval
-    keys of its summands.  Keying each summand by its part's minimal
-    vertex first makes one tuple comparison do both.
+    Intervals are re-sorted by their keys over the labels and tilting
+    modules into the lexicographic order of their sorted interval
+    positions, the order a table built on the labels gives.  Per tilting
+    module, in that order: `summands` (by key), their `supports`, `dims`
+    (in path order), `arrows` (b, forward) to each later module b, and
+    `ends` (missing vertex, pieces).  The rest of an open end lies on the
+    paths left and right of the missing vertex; each one it meets is a
+    piece (minimal vertex, the rest's supports on it, their keys).
     """
-    part_of: dict[int, int] = {}
-    for path in slice_quiver.paths:
-        cut = path.index(v) if v in path else len(path)
-        for part in (path[:cut], path[cut + 1:]):
-            for w in part:
-                part_of[w] = min(part)
-    return tuple(sorted((part_of[min(m.support)], _interval_key(m)) for m in rest))
+
+    def __init__(self, table: RigidityTable, path: tuple[int, ...]) -> None:
+        labelled = [IntervalModule(frozenset(map(path.__getitem__, m.support))) for m in table.intervals]
+        by_key = sorted(range(len(labelled)), key=lambda i: labelled[i].key)
+        rank = {i: r for r, i in enumerate(by_key)}
+        # table indices of each tilting module's summands, by interval key
+        members = [sorted(_bits(mask), key=rank.__getitem__) for mask in table.tilting]
+        order = sorted(range(len(members)), key=lambda t: [rank[i] for i in members[t]])
+        where = {t: k for k, t in enumerate(order)}
+        self.path = path
+        self.low = min(path)
+        self.summands = tuple(tuple(labelled[i] for i in members[t]) for t in order)
+        self.supports = tuple(tuple(m.support for m in tilt) for tilt in self.summands)
+        self.dims = tuple(table.dims[t] for t in order)
+        self.arrows: list[list[tuple[int, bool]]] = [[] for _ in order]
+        for i, j, forward in table.arrows:
+            a, b = sorted((where[i], where[j]))
+            self.arrows[a].append((b, forward == (a == where[i])))
+        self.ends: list[list[tuple[int, tuple]]] = [[] for _ in order]
+        for t, x, p in table.ends:
+            left = [i for i in members[t] if i != x and min(table.intervals[i].support) < p]
+            right = [i for i in members[t] if i != x and min(table.intervals[i].support) > p]
+            pieces = tuple(
+                (min(piece), tuple(labelled[i].support for i in on), tuple(labelled[i].key for i in on))
+                for piece, on in ((path[:p], left), (path[p + 1:], right)) if on
+            )
+            self.ends[where[t]].append((path[p], pieces))
+
+
+def component_views(
+    quiver: PathQuiver,
+    tables: dict[tuple[bool, ...], RigidityTable],
+    views: dict[tuple, ComponentView],
+) -> tuple[ComponentView, ...]:
+    """The view of each path component, in path order, from one table per
+    orientation word (True where the arrow points along the path) and one
+    view per path and word; the caller's dicts decide how long they live."""
+    arrows = set(quiver.arrows)
+    out = []
+    for path in quiver.paths:
+        word = tuple((u, v) in arrows for u, v in zip(path, path[1:]))
+        view = views.get((path, word))
+        if view is None:
+            table = tables.get(word)
+            if table is None:
+                table = tables[word] = RigidityTable(PathQuiver(
+                    tuple(range(len(path))),
+                    tuple((p, p + 1) if ahead else (p + 1, p) for p, ahead in enumerate(word)),
+                ))
+            view = views[path, word] = ComponentView(table, path)
+        out.append(view)
+    return tuple(out)
 
 
 def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
     """Nodes, internal mutation arrows, and cross-sign gluing arrows.
 
-    Open ends are paired by (signs without v, v, rest).  Gluing arrows
-    follow the upper sign vector in enumeration order, then v, then the
-    rest in the tilting order of the slice without v.  Every slice shares
-    one rigidity table per distinct path component; the tables live for
-    this call only.
+    Internal arrows are ordered by their index pair within a slice.  Open
+    ends are paired by (signs without v, v, rest), the rest given by its
+    supports on each path of the slice without v, by minimal vertex.
+    Gluing arrows follow the upper sign vector in enumeration order, then
+    v, then the rest in the tilting order of the slice without v: the
+    product order over those paths, each compared by its view's index
+    where it is a whole component and by its summands' interval keys
+    where it is a piece of v's component.
     """
     n = quiver.n
-    tables: RigidityTables = {}
+    tables: dict = {}
+    views: dict = {}
     nodes: list[HasseNode] = []
     arrows: list[tuple[int, int, str]] = []
     ends: dict[tuple, list[tuple[int, tuple, int]]] = {}
     for rank, signs in enumerate(enumerate_signs(n)):
-        slice_quiver = sign_slice_path_quiver(quiver, signs)
-        modules = tilting_modules(slice_quiver, tables)
-        offset = len(nodes)
-        nodes.extend(_slice_nodes(signs, slice_quiver, modules))
-        internal, open_ends = tilting_hasse(slice_quiver, modules, tables)
-        arrows.extend((offset + i, offset + j, INTERNAL) for i, j in internal)
-        for i, summand in open_ends:
-            rest = tuple(m for m in modules[i].summands if m != summand)
-            # exactly one vertex; none or several would fail the pairing or degree check
-            for v in summand.support.difference(*(m.support for m in rest)):
-                side = signs[v - 1]
-                order = (rank, v, _rest_order(slice_quiver, v, rest)) if side == 1 else ()
-                key = (signs[:v - 1] + signs[v:], v, rest)
-                ends.setdefault(key, []).append((side, order, offset + i))
+        parts = component_views(sign_slice_path_quiver(quiver, signs), tables, views)
+        sizes = [len(view.summands) for view in parts]
+        strides = [prod(sizes[c + 1:]) for c in range(len(parts))]
+        placed = [
+            [tuple(zip(view.path, g_from_dim_vector([signs[v - 1] for v in view.path], dim)))
+             for dim in view.dims]
+            for view in parts
+        ]
+        without = [signs[:v - 1] + signs[v:] for v in range(n + 1)]  # by vertex v
+        pairs = []
+        for i, digits in enumerate(product(*map(range, sizes)), len(nodes)):
+            g = [0] * n
+            for c, d in enumerate(digits):
+                for v, x in placed[c][d]:
+                    g[v - 1] = x
+            if any(gi * si <= 0 for gi, si in zip(g, signs)):
+                raise ArithmeticError(
+                    f"g-vector {tuple(g)} violates the sign law at {signs}: internal bug"
+                )
+            tilt = TiltingModule(tuple(m for view, d in zip(parts, digits) for m in view.summands[d]))
+            nodes.append(HasseNode(signs, tilt, tuple(g)))
+            for c, (view, d) in enumerate(zip(parts, digits)):
+                pairs.extend((i, i + (b - d) * strides[c], ahead) for b, ahead in view.arrows[d])
+                for v, pieces in view.ends[d]:
+                    rest = sorted([
+                        (parts[k].low, parts[k].supports[e], e) for k, e in enumerate(digits) if k != c
+                    ] + list(pieces))
+                    side = signs[v - 1]
+                    order = (rank, v, tuple(o for _, _, o in rest)) if side == 1 else ()
+                    key = (without[v], v, tuple(s for _, s, _ in rest))
+                    ends.setdefault(key, []).append((side, order, i))
+        pairs.sort()
+        arrows.extend((i, j, INTERNAL) if ahead else (j, i, INTERNAL) for i, j, ahead in pairs)
 
     gluing = []
     for (others, v, _), pair in ends.items():

@@ -11,26 +11,21 @@ makes Ext computable from Hom, and tilting modules are exactly the rigid
 sets with one summand per vertex.  Everything here is exact integer
 arithmetic on supports.
 
-Each path component gets one rigidity table, built with ext_dim on every
-ordered pair of its intervals: an Ext^1 bitmask and a pairwise-rigid
-bitmask per interval.  Enumeration backtracks over the rigid masks, and
-the complements of an almost complete set are the AND of its rigid masks
-minus the set itself.  Mutation replaces a summand by the other
-complement of the rest, so the Hasse quiver comes from lookups rather
-than a scan over all pairs of modules; its arrow points towards the
-smaller Fac T, the complement of the Ext^1 masks of T's summands.  A
-rest with no other complement is not sincere: the same pass reports it
-as an open end, which the glued Hasse quiver pairs with the open end of
-the neighbouring sign class.  Callers pass one `tables` dict to share
-tables across quivers with common components.
+A path component is determined up to labels by its orientation word, the
+directions of its arrows read along the path.  Each word gets one
+rigidity table on positions 0..k-1, built with ext_dim on every ordered
+pair of intervals, and the table computes its mutation graph once:
+tilting sets by backtracking over the rigid masks, mutation by the other
+complement of each rest, arrows towards the smaller Fac T, and the rests
+with no other complement (not sincere) as open ends, which the glued
+Hasse quiver pairs across the sign of the vertex they miss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Iterator, Sequence
 
 from .matrices import IntVector
 from .quiver import UNIT, ValuedQuiver, components
@@ -126,17 +121,20 @@ class IntervalModule:
     """Indecomposable module, identified by its contiguous support set."""
 
     support: frozenset[int]
+    # (min, size, sorted support), the order of intervals throughout; set once
+    key: tuple[int, int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.support:
             raise ValueError("interval support must be non-empty")
+        ordered = tuple(sorted(self.support))
+        object.__setattr__(self, "key", (ordered[0], len(ordered), ordered))
 
     def __repr__(self) -> str:
         return f"Interval({{{','.join(map(str, sorted(self.support)))}}})"
 
 
-def _interval_key(m: IntervalModule) -> tuple[int, int, tuple[int, ...]]:
-    return min(m.support), len(m.support), tuple(sorted(m.support))
+_interval_key = attrgetter("key")
 
 
 def intervals(quiver: PathQuiver) -> tuple[IntervalModule, ...]:
@@ -220,7 +218,7 @@ class TiltingModule:
 
 
 class RigidityTable:
-    """Ext^1 among all intervals of one path component, as bitmasks.
+    """Ext^1 among all intervals of one path component, and its mutation graph.
 
     `intervals` is the component's interval list in `_interval_key` order,
     and a mask names intervals by their positions there.  Bit j of
@@ -229,12 +227,18 @@ class RigidityTable:
     is).  Every entry comes from ext_dim over the component alone, which
     gives the same answer as over any quiver containing it: intervals of
     different components have neither Hom nor Ext^1 between them.
+
+    The mutation graph: `tilting` holds the tilting masks, `arrows` the
+    mutations (i, j, forward) between their indices, i < j and sorted,
+    forward when the arrow points from i to j; `ends` the open ends
+    (index, summand position, missing vertex), and `dims` one dimension
+    vector per mask, in path order.
     """
 
     def __init__(self, component: PathQuiver) -> None:
-        self.size = len(component.vertices)
+        (path,) = component.paths
+        self.size = len(path)
         self.intervals = intervals(component)
-        self.index = {m: i for i, m in enumerate(self.intervals)}
         self.full = (1 << len(self.intervals)) - 1
         self.ext_out = tuple(
             sum(1 << j for j, n in enumerate(self.intervals) if ext_dim(component, m, n))
@@ -247,6 +251,9 @@ class RigidityTable:
         self.rigid = tuple(
             self.full & ~(out | into) for out, into in zip(self.ext_out, ext_in)
         )
+        self.tilting = self._tilting()
+        self.arrows, self.ends = self._mutate()
+        self.dims = tuple(self._dims(mask, path) for mask in self.tilting)
 
     def ext_from(self, mask: int) -> int:
         """Intervals X with Ext^1(M, X) != 0 for some M in `mask`."""
@@ -262,13 +269,13 @@ class RigidityTable:
             allowed &= self.rigid[i]
         return allowed & ~base
 
-    @cached_property
-    def tilting(self) -> tuple[int, ...]:
-        """Masks of the rigid sets with one summand per vertex.
+    def _dims(self, mask: int, path: tuple[int, ...]) -> tuple[int, ...]:
+        supports = [self.intervals[i].support for i in _bits(mask)]
+        return tuple(sum(v in support for support in supports) for v in path)
 
-        Found by backtracking over the rigid masks, in lexicographic order
-        of their sorted positions.
-        """
+    def _tilting(self) -> tuple[int, ...]:
+        """Masks of the rigid sets with one summand per vertex, in lexicographic
+        order of their sorted positions."""
         found: list[int] = []
         count = len(self.intervals)
 
@@ -285,11 +292,34 @@ class RigidityTable:
         extend(0, 0, 0, self.full)
         return tuple(found)
 
-
-# Tables shared between calls, keyed by a component's path and its arrows.
-RigidityTables = dict[
-    tuple[tuple[int, ...], tuple[tuple[int, int], ...]], RigidityTable
-]
+    def _mutate(self) -> tuple[tuple[tuple[int, int, bool], ...], tuple[tuple[int, int, int], ...]]:
+        position = {mask: k for k, mask in enumerate(self.tilting)}
+        arrows: list[tuple[int, int, bool]] = []
+        ends: list[tuple[int, int, int]] = []
+        for i, mask in enumerate(self.tilting):
+            not_fac = self.ext_from(mask)
+            for x in _bits(mask):
+                rest = mask & ~(1 << x)
+                others = self.complements(rest) & ~mask
+                if not others:
+                    covered = [self.intervals[r].support for r in _bits(rest)]
+                    # exactly one vertex; none or several fail the pairing or degree check
+                    ends.extend((i, x, v) for v in sorted(self.intervals[x].support.difference(*covered)))
+                for y in _bits(others):
+                    other = rest | 1 << y
+                    j = position.get(other)
+                    if j is None or j < i:
+                        continue
+                    forward = not (not_fac >> y) & 1
+                    backward = not (self.ext_from(other) >> x) & 1
+                    if forward == backward:
+                        modules = [[self.intervals[k] for k in _bits(t)] for t in (mask, other)]
+                        raise ArithmeticError(
+                            f"adjacent tilting modules {modules[0]} and {modules[1]} have "
+                            "incomparable torsion classes: internal bug"
+                        )
+                    arrows.append((i, j, forward))
+        return tuple(sorted(arrows)), tuple(ends)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -298,117 +328,3 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _tables(
-    quiver: PathQuiver, tables: RigidityTables | None
-) -> tuple[RigidityTable, ...]:
-    """The table of each path component, in path order, built on first use."""
-    if tables is None:
-        tables = {}
-    out = []
-    for path in quiver.paths:
-        on_path = set(path)
-        arrows = tuple(a for a in quiver.arrows if a[0] in on_path)
-        table = tables.get((path, arrows))
-        if table is None:
-            table = tables[path, arrows] = RigidityTable(PathQuiver(path, arrows))
-        out.append(table)
-    return tuple(out)
-
-
-def _masks(
-    tabs: Sequence[RigidityTable], modules: Iterable[IntervalModule]
-) -> tuple[int, ...]:
-    """Per-component position masks of a set of interval modules."""
-    masks = [0] * len(tabs)
-    for m in modules:
-        for c, table in enumerate(tabs):
-            i = table.index.get(m)
-            if i is not None:
-                masks[c] |= 1 << i
-                break
-        else:
-            raise ValueError(f"{m!r} is not a module over this quiver")
-    return tuple(masks)
-
-
-def tilting_modules(
-    quiver: PathQuiver, tables: RigidityTables | None = None
-) -> tuple[TiltingModule, ...]:
-    """Enumerate all tilting modules, per component.
-
-    Within each path component the rigid sets with one summand per vertex
-    are backtracked over its rigidity table; components are then combined
-    as products.  Order is deterministic.  `tables` shares rigidity tables
-    with other calls.
-    """
-    per_component = [
-        [tuple(table.intervals[i] for i in _bits(mask)) for mask in table.tilting]
-        for table in _tables(quiver, tables)
-    ]
-    return tuple(
-        TiltingModule(tuple(m for part in combo for m in part))
-        for combo in product(*per_component)
-    )
-
-
-def tilting_hasse(
-    quiver: PathQuiver,
-    modules: Sequence[TiltingModule] | None = None,
-    tables: RigidityTables | None = None,
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, IntervalModule], ...]]:
-    """Mutation arrows between tilting modules, and the open ends.
-
-    Two tilting modules are adjacent when they share all but one summand;
-    the arrow points towards the smaller torsion class.  Indices refer to
-    the order of `modules`, by default tilting_modules(quiver).  Each
-    module is mutated at each summand: the other complements of the rest
-    come from the rigidity table, and the modules holding them are looked
-    up by their summand positions.  Arrows are ordered by their index pair.
-    An open end is a (module index, summand) pair whose rest has no other
-    complement; such a rest misses one vertex, and its second completion
-    lies across that vertex's sign.  Open ends are listed by module index.
-    """
-    if tables is None:
-        tables = {}
-    if modules is None:
-        modules = tilting_modules(quiver, tables)
-    tabs = _tables(quiver, tables)
-    keys = [_masks(tabs, t.summands) for t in modules]
-    position = {key: k for k, key in enumerate(keys)}
-    pairs: list[tuple[int, int, bool]] = []
-    open_ends: list[tuple[int, IntervalModule]] = []
-    for i, key in enumerate(keys):
-        for c, (table, mask) in enumerate(zip(tabs, key)):
-            not_fac = table.ext_from(mask)
-            for x in _bits(mask):
-                rest = mask & ~(1 << x)
-                others = table.complements(rest) & ~mask
-                if not others:
-                    open_ends.append((i, table.intervals[x]))
-                for y in _bits(others):
-                    other = rest | 1 << y
-                    j = position.get(key[:c] + (other,) + key[c + 1:])
-                    if j is None or j < i:
-                        continue
-                    forward = not (not_fac >> y) & 1
-                    backward = not (table.ext_from(other) >> x) & 1
-                    if forward == backward:
-                        raise ArithmeticError(
-                            f"adjacent tilting modules {modules[i]} and {modules[j]} "
-                            "have incomparable torsion classes: internal bug"
-                        )
-                    pairs.append((i, j, forward))
-    pairs.sort()
-    arrows = tuple((i, j) if forward else (j, i) for i, j, forward in pairs)
-    return arrows, tuple(open_ends)
-
-
-def total_dim_vector(quiver: PathQuiver, tilt: TiltingModule) -> IntVector:
-    """Dimension vector of a tilting module: sum of the summand indicators."""
-    totals = [0] * len(quiver.vertices)
-    for m in tilt.summands:
-        for i, bit in enumerate(indicator(quiver, m.support)):
-            totals[i] += bit
-    return tuple(totals)

@@ -65,6 +65,9 @@ class Infinite:
 
 INFINITE = Infinite()
 
+# a slice component with its type and its tilting count
+Counted = tuple[ValuedGraph, DynkinType, int | Infinite]
+
 
 def enumerate_signs(n: int) -> Iterator[SignVector]:
     """All 2^n sign vectors, lexicographic with +1 before -1, all-+1 first."""
@@ -82,8 +85,8 @@ class SliceEngine:
     mask, set when its sign is -1, so masks 0, 1, 2, ... run through
     `enumerate_signs(k)` in order.  The slice of a mask keeps the arrows
     from a +1 vertex to a -1 vertex.  Each labelled component is classified
-    the first time it appears and looked up afterwards; the lookup lives as
-    long as the engine.
+    the first time it appears, its tilting count kept next to its type, and
+    looked up afterwards; the lookup lives as long as the engine.
     """
 
     def __init__(self, quiver: ValuedQuiver, vertices: Iterable[int]):
@@ -95,15 +98,16 @@ class SliceEngine:
             for a in quiver.arrows
             if a.src != a.tgt and a.src in bit and a.tgt in bit
         )
-        self._classified: dict[tuple, Classified] = {}
+        self._classified: dict[tuple, Counted] = {}
 
-    def walk(self) -> Iterator[tuple[SignVector, tuple[Classified, ...]]]:
-        """Every sign vector of the group, in order, with its classified slice components."""
+    def walk(self) -> Iterator[tuple[SignVector, tuple[Counted, ...]]]:
+        """Every sign vector of the group, in order, with its counted slice components."""
         for mask, signs in enumerate(enumerate_signs(len(self.vertices))):
             yield signs, self.slice(mask)
 
-    def slice(self, mask: int) -> tuple[Classified, ...]:
-        """Components of the mask's slice with their Dynkin types, by minimal vertex."""
+    def slice(self, mask: int) -> tuple[Counted, ...]:
+        """Components of the mask's slice with their Dynkin types and tilting
+        counts, by minimal vertex."""
         kept = [
             (u, v, val) for u, v, val, src, tgt in self._arrows if mask & tgt and not mask & src
         ]
@@ -119,12 +123,14 @@ class SliceEngine:
                 edges[owner[edge[0]]].append(edge)
         return tuple(self._classify(comp, tuple(es)) for comp, es in zip(comps, edges))
 
-    def _classify(self, vertices: tuple[int, ...], edges: tuple) -> Classified:
+    def _classify(self, vertices: tuple[int, ...], edges: tuple) -> Counted:
         key = (vertices, edges)
         found = self._classified.get(key)
         if found is None:
             graph = ValuedGraph(vertices, edges)
-            found = self._classified[key] = (graph, classify(graph))
+            dynkin = classify(graph)
+            count = tilting_count(dynkin) if dynkin.is_dynkin else INFINITE
+            found = self._classified[key] = (graph, dynkin, count)
         return found
 
 
@@ -287,29 +293,33 @@ def _group_counts(
         yield group, transfer_count(links, group, memo)
 
 
-def sign_slice_components(
-    quiver: ValuedQuiver, signs: Sequence[int]
-) -> tuple[Classified, ...]:
-    """Connected components of the sign slice's underlying graph, classified."""
+def _sign_slice(quiver: ValuedQuiver, signs: Sequence[int]) -> tuple[Counted, ...]:
     mask = 0
     for s in check_signs(signs, quiver.n):
         mask = mask << 1 | (s == -1)
     return SliceEngine(quiver, quiver.vertices).slice(mask)
 
 
-def slice_count(parts: Iterable[Classified]) -> int | Infinite:
-    """Product of the per-type tilting counts of classified slice components."""
+def sign_slice_components(
+    quiver: ValuedQuiver, signs: Sequence[int]
+) -> tuple[Classified, ...]:
+    """Connected components of the sign slice's underlying graph, classified."""
+    return tuple((graph, dynkin) for graph, dynkin, _ in _sign_slice(quiver, signs))
+
+
+def slice_count(parts: Iterable[Counted]) -> int | Infinite:
+    """Product of the tilting counts of counted slice components."""
     total = 1
-    for _, dynkin in parts:
-        if not dynkin.is_dynkin:
+    for _, _, count in parts:
+        if count is INFINITE:
             return INFINITE
-        total *= tilting_count(dynkin)
+        total *= count
     return total
 
 
 def count_for_signs(quiver: ValuedQuiver, signs: Sequence[int]) -> int | Infinite:
     """Number of support tilting modules in one sign class (or INFINITE)."""
-    return slice_count(sign_slice_components(quiver, signs))
+    return slice_count(_sign_slice(quiver, signs))
 
 
 def count_support_tilting(quiver: ValuedQuiver) -> int | Infinite:
@@ -346,7 +356,7 @@ def finiteness_witness(
         if isinstance(group_total, int):
             continue
         for local, parts in SliceEngine(quiver, group).walk():
-            bad = next((graph for graph, dynkin in parts if not dynkin.is_dynkin), None)
+            bad = next((graph for graph, dynkin, _ in parts if not dynkin.is_dynkin), None)
             if bad is not None:
                 signs = [1] * quiver.n
                 for v, s in zip(group, local):

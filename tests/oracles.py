@@ -6,19 +6,26 @@ system, maximal rigid sets by Bron-Kerbosch, slice components by
 union-find, and finiteness through the separated quiver's maximal single
 subquivers.  Counts, witnesses and slice rows are also kept as the plain
 scan over all 2^n sign vectors, each slice built as a quiver and
-classified afresh, as the reference for the factored slice engine in
-`taudec.signdec`.  The tilting enumerator, the mutation quiver and Fac
-membership are also kept in their direct forms, which call ext_dim on
-every pair they need, as references for the rigidity-table versions in
-`taudec.repa`.  Fac membership read from the rigidity tables
-(`fac_contains`) and the contiguity-checking interval factory
-(`interval`) have no caller in the package and live here with their
-tests.  The gluing arrows of the glued Hasse quiver are rebuilt
+classified afresh and counted by `slice_count_scan`, as the reference for the
+factored slice engine in `taudec.signdec`.  The tilting enumerator, the
+mutation quiver and Fac membership are also kept in their direct forms,
+which call ext_dim on every pair they need, as references for the
+rigidity-table versions in `taudec.repa`.  Fac membership read from the
+rigidity tables (`fac_contains`) and the contiguity-checking interval
+factory (`interval`) have no caller in the package and live here with
+their tests.  The gluing arrows of the glued Hasse quiver are rebuilt
 by completing each tilting module of a vertex-deleted slice on both
 sides of the deleted vertex with a scanning Bongartz completion, as the
 reference for pairing the open ends of one mutation pass.
-"""
 
+`glued_hasse_scan` is the glued Hasse quiver slice by slice: a rigidity
+table per labelled path component, the slice's tilting modules as the
+product of their lists (`tilting_modules`), one mutation pass over that
+product (`tilting_hasse`) and dimension vectors summed over summands
+(`total_dim_vector`).  It is the reference for `taudec.glue`, which
+reads one table per orientation word through labelled views and takes
+products by index arithmetic.
+"""
 from __future__ import annotations
 
 import random
@@ -26,9 +33,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
-from taudec.dynkin import DynkinType, catalan, classify
-from taudec.glue import HasseNode, sign_slice_path_quiver
-from taudec.matrices import g_from_dim_vector
+from taudec.dynkin import DynkinType, catalan, classify, tilting_count
+from taudec.glue import GLUING, INTERNAL, GluedHasse, HasseNode, sign_slice_path_quiver
+from taudec.matrices import IntVector, g_from_dim_vector
 from taudec.quiver import (
     Arrow,
     QuiverError,
@@ -37,21 +44,21 @@ from taudec.quiver import (
     ValuedGraph,
     ValuedQuiver,
     components,
+    format_signs,
     sign_subquiver,
 )
 from taudec.repa import (
     IntervalModule,
     PathQuiver,
-    RigidityTables,
+    RigidityTable,
     TiltingModule,
-    _masks,
-    _tables,
+    _bits,
+    _interval_key,
     ext_dim,
+    indicator,
     intervals,
-    tilting_modules,
-    total_dim_vector,
 )
-from taudec.signdec import INFINITE, Infinite, enumerate_signs, slice_count
+from taudec.signdec import INFINITE, Classified, Infinite, enumerate_signs
 
 
 def rank_of(rows: list[list[int]]) -> int:
@@ -170,6 +177,31 @@ def random_quiver(rng: random.Random, max_n: int = 5, max_val: int = 2) -> Value
     return ValuedQuiver(n, tuple(arrows))
 
 
+def random_type_a(rng: random.Random, max_n: int = 5) -> ValuedQuiver:
+    """A path or cycle, sometimes beside a second one, relabelled as a whole.
+
+    Each edge points one way or both ways and any vertex may carry a loop,
+    so every sign slice is a union of type-A paths unless it keeps a whole
+    even cycle.
+    """
+    arrows: list[Arrow] = []
+    n = 0
+    for _ in range(rng.choice((1, 1, 2))):
+        size = rng.randint(1, max_n)
+        cycle = size >= 3 and rng.random() < 0.5
+        for u in range(1, size + cycle):
+            v = u % size + 1
+            way = rng.choice(("->", "<-", "<->"))
+            if way != "<-":
+                arrows.append(Arrow(n + u, n + v))
+            if way != "->":
+                arrows.append(Arrow(n + v, n + u))
+        arrows += [Arrow(n + v, n + v) for v in range(1, size + 1) if rng.random() < 0.3]
+        n += size
+    images = rng.sample(range(1, n + 1), n)
+    return relabelled(ValuedQuiver(n, tuple(arrows)), images)
+
+
 def separated_quiver(quiver: ValuedQuiver) -> ValuedQuiver:
     """Separated quiver on 2n vertices: arrow i->j becomes i -> n+j."""
     n = quiver.n
@@ -285,7 +317,7 @@ def count_support_tilting_scan(quiver: ValuedQuiver) -> int | Infinite:
     """The count summed over all 2^n sign vectors of the whole quiver."""
     total = 0
     for signs in enumerate_signs(quiver.n):
-        part = slice_count(sign_slice_components_scan(quiver, signs))
+        part = slice_count_scan(sign_slice_components_scan(quiver, signs))
         if isinstance(part, Infinite):
             return INFINITE
         total += part
@@ -515,3 +547,182 @@ def gluing_arrows(quiver: ValuedQuiver) -> tuple[tuple[HasseNode, HasseNode], ..
                 bottom = bongartz_complete_scan(slices[lower], shared.summands, vertex)
                 out.append((node(upper, top), node(lower, bottom)))
     return tuple(out)
+
+
+def slice_count_scan(parts: Iterable[Classified]) -> int | Infinite:
+    """Product of the per-type tilting counts of classified slice components."""
+    total = 1
+    for _, dynkin in parts:
+        if not dynkin.is_dynkin:
+            return INFINITE
+        total *= tilting_count(dynkin)
+    return total
+
+
+# Label-keyed rigidity tables shared between calls: (path, arrows) -> table.
+RigidityTables = dict[
+    tuple[tuple[int, ...], tuple[tuple[int, int], ...]], RigidityTable
+]
+
+
+def _tables(
+    quiver: PathQuiver, tables: RigidityTables | None
+) -> tuple[RigidityTable, ...]:
+    """The table of each path component, on its labels, in path order."""
+    if tables is None:
+        tables = {}
+    out = []
+    for path in quiver.paths:
+        on_path = set(path)
+        arrows = tuple(a for a in quiver.arrows if a[0] in on_path)
+        table = tables.get((path, arrows))
+        if table is None:
+            table = tables[path, arrows] = RigidityTable(PathQuiver(path, arrows))
+        out.append(table)
+    return tuple(out)
+
+
+def _masks(
+    tabs: Sequence[RigidityTable], modules: Iterable[IntervalModule]
+) -> tuple[int, ...]:
+    """Per-component position masks of a set of interval modules."""
+    masks = [0] * len(tabs)
+    for m in modules:
+        for c, table in enumerate(tabs):
+            if m in table.intervals:
+                masks[c] |= 1 << table.intervals.index(m)
+                break
+        else:
+            raise ValueError(f"{m!r} is not a module over this quiver")
+    return tuple(masks)
+
+
+def tilting_modules(
+    quiver: PathQuiver, tables: RigidityTables | None = None
+) -> tuple[TiltingModule, ...]:
+    """All tilting modules: per component from its table, combined as products."""
+    per_component = [
+        [tuple(table.intervals[i] for i in _bits(mask)) for mask in table.tilting]
+        for table in _tables(quiver, tables)
+    ]
+    return tuple(
+        TiltingModule(tuple(m for part in combo for m in part))
+        for combo in product(*per_component)
+    )
+
+
+def tilting_hasse(
+    quiver: PathQuiver,
+    modules: Sequence[TiltingModule] | None = None,
+    tables: RigidityTables | None = None,
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, IntervalModule], ...]]:
+    """Mutation arrows between tilting modules, and the open ends.
+
+    Each module of `modules` (by default tilting_modules(quiver)) is
+    mutated at each summand over the whole slice; the modules holding the
+    other complements are looked up by their summand positions.  Arrows
+    point towards the smaller torsion class and are ordered by their
+    index pair.  An open end is a (module index, summand) pair whose rest
+    has no other complement; open ends are listed by module index.
+    """
+    if tables is None:
+        tables = {}
+    if modules is None:
+        modules = tilting_modules(quiver, tables)
+    tabs = _tables(quiver, tables)
+    keys = [_masks(tabs, t.summands) for t in modules]
+    position = {key: k for k, key in enumerate(keys)}
+    pairs: list[tuple[int, int, bool]] = []
+    open_ends: list[tuple[int, IntervalModule]] = []
+    for i, key in enumerate(keys):
+        for c, (table, mask) in enumerate(zip(tabs, key)):
+            not_fac = table.ext_from(mask)
+            for x in _bits(mask):
+                rest = mask & ~(1 << x)
+                others = table.complements(rest) & ~mask
+                if not others:
+                    open_ends.append((i, table.intervals[x]))
+                for y in _bits(others):
+                    other = rest | 1 << y
+                    j = position.get(key[:c] + (other,) + key[c + 1:])
+                    if j is None or j < i:
+                        continue
+                    forward = not (not_fac >> y) & 1
+                    backward = not (table.ext_from(other) >> x) & 1
+                    assert forward != backward, "incomparable torsion classes"
+                    pairs.append((i, j, forward))
+    pairs.sort()
+    arrows = tuple((i, j) if forward else (j, i) for i, j, forward in pairs)
+    return arrows, tuple(open_ends)
+
+
+def total_dim_vector(quiver: PathQuiver, tilt: TiltingModule) -> IntVector:
+    """Dimension vector of a tilting module: sum of the summand indicators."""
+    totals = [0] * len(quiver.vertices)
+    for m in tilt.summands:
+        for i, bit in enumerate(indicator(quiver, m.support)):
+            totals[i] += bit
+    return tuple(totals)
+
+
+def _slice_nodes(
+    signs: SignVector, slice_quiver: PathQuiver, modules: Sequence[TiltingModule]
+) -> list[HasseNode]:
+    nodes = []
+    for tilt in modules:
+        g = g_from_dim_vector(signs, total_dim_vector(slice_quiver, tilt))
+        assert all(gi * si > 0 for gi, si in zip(g, signs)), "sign law"
+        nodes.append(HasseNode(signs, tilt, g))
+    return nodes
+
+
+def _rest_order(slice_quiver: PathQuiver, v: int, rest: Sequence[IntervalModule]) -> tuple:
+    """Sort key of `rest` among the tilting modules of the slice without v:
+    the product order over its paths by minimal vertex, each part by the
+    sorted interval keys of its summands."""
+    part_of: dict[int, int] = {}
+    for path in slice_quiver.paths:
+        cut = path.index(v) if v in path else len(path)
+        for part in (path[:cut], path[cut + 1:]):
+            for w in part:
+                part_of[w] = min(part)
+    return tuple(sorted((part_of[min(m.support)], _interval_key(m)) for m in rest))
+
+
+def glued_hasse_scan(quiver: ValuedQuiver) -> GluedHasse:
+    """The glued Hasse quiver slice by slice, in `glued_hasse`'s order.
+
+    Each slice's modules come from `tilting_modules` and its internal
+    arrows and open ends from `tilting_hasse`; open ends pair up by
+    (signs without v, v, rest) and gluing arrows follow the upper sign
+    vector, then v, then `_rest_order`.
+    """
+    n = quiver.n
+    tables: RigidityTables = {}
+    nodes: list[HasseNode] = []
+    arrows: list[tuple[int, int, str]] = []
+    ends: dict[tuple, list[tuple[int, tuple, int]]] = {}
+    for rank, signs in enumerate(enumerate_signs(n)):
+        slice_quiver = sign_slice_path_quiver(quiver, signs)
+        modules = tilting_modules(slice_quiver, tables)
+        offset = len(nodes)
+        nodes.extend(_slice_nodes(signs, slice_quiver, modules))
+        internal, open_ends = tilting_hasse(slice_quiver, modules, tables)
+        arrows.extend((offset + i, offset + j, INTERNAL) for i, j in internal)
+        for i, summand in open_ends:
+            rest = tuple(m for m in modules[i].summands if m != summand)
+            for v in summand.support.difference(*(m.support for m in rest)):
+                side = signs[v - 1]
+                order = (rank, v, _rest_order(slice_quiver, v, rest)) if side == 1 else ()
+                key = (signs[:v - 1] + signs[v:], v, rest)
+                ends.setdefault(key, []).append((side, order, offset + i))
+    gluing = []
+    for (others, v, _), pair in ends.items():
+        pair.sort(reverse=True)
+        upper = format_signs(others[:v - 1] + (1,) + others[v - 1:])
+        assert [side for side, _, _ in pair] == [1, -1], f"unpaired ends below {upper} at {v}"
+        (_, order, top), (_, _, bottom) = pair
+        gluing.append((order, top, bottom))
+    gluing.sort()
+    arrows.extend((top, bottom, GLUING) for _, top, bottom in gluing)
+    return GluedHasse(tuple(nodes), tuple(arrows))

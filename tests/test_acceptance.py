@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 
-from oracles import all_orientations, hom_dim_linear, random_bipartite
+from oracles import all_orientations, hom_dim_linear, random_bipartite, tilting_modules
 from taudec import cli
 from taudec.brauer import (
     brauer_cycle_quiver,
@@ -28,7 +28,7 @@ from taudec.matrices import (
     sink_reflection_matrix,
 )
 from taudec.quiver import Arrow, ValuedQuiver
-from taudec.repa import ext_dim, hom_dim, intervals, tilting_modules
+from taudec.repa import ext_dim, hom_dim, intervals
 from taudec.signdec import INFINITE, count_support_tilting
 
 THREE_CYCLE = ValuedQuiver(3, (Arrow(1, 2), Arrow(2, 3), Arrow(3, 1)))

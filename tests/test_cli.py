@@ -6,17 +6,21 @@ import random
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     count_support_tilting_scan,
     disjoint_union,
     finiteness_witness_scan,
     random_quiver,
+    random_type_a,
 )
 from taudec import cli, glue
 from taudec.brauer import IdentityCheck, brauer_line_quiver
+from taudec.glue import GluedHasse, glued_hasse
 from taudec.quiver import format_signs, quiver_file_text
-from taudec.signdec import INFINITE
+from taudec.signdec import INFINITE, count_support_tilting
 
 THREE_CYCLE_FILE = "n 3\na 1 2\na 2 3\na 3 1\n"
 STAR_D4_FILE = "n 4\na 1 4\na 2 4\na 3 4\n"
@@ -171,7 +175,35 @@ class TestSigndec:
         assert err.startswith("error: quiver too large: ")
 
 
+def standard_json(hasse: GluedHasse) -> str:
+    payload = {
+        "nodes": [
+            {
+                "id": k,
+                "eps": list(node.signs),
+                "summand_supports": [list(s) for s in node.tilt.supports()],
+                "g": list(node.g),
+            }
+            for k, node in enumerate(hasse.nodes)
+        ],
+        "arrows": [{"from": a, "to": b, "kind": kind} for a, b, kind in hasse.arrows],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
 class TestHasse:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_json_is_the_standard_encoding(self, seed):
+        quiver = random_type_a(random.Random(seed), max_n=3)
+        assume(count_support_tilting(quiver) is not INFINITE)
+        hasse = glued_hasse(quiver)
+        assert cli.hasse_json(hasse) == standard_json(hasse)
+
+    def test_json_of_empty_lists(self):
+        empty = GluedHasse((), ())
+        assert cli.hasse_json(empty) == standard_json(empty) == '{\n  "nodes": [],\n  "arrows": []\n}\n'
+
     def test_json_three_cycle(self, quiver_file, capsys):
         code, out, _ = run(capsys, "hasse", quiver_file(THREE_CYCLE_FILE))
         assert code == 0

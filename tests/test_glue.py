@@ -6,12 +6,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import gluing_arrows, hasse_nodes, relabelled, tilting_hasse_pairs
-from taudec import glue
+from oracles import (
+    disjoint_union,
+    glued_hasse_scan,
+    gluing_arrows,
+    hasse_nodes,
+    relabelled,
+    tilting_hasse,
+    tilting_hasse_pairs,
+    tilting_modules,
+)
+from taudec import repa
 from taudec.brauer import brauer_cycle_quiver, brauer_line_quiver
-from taudec.glue import GLUING, INTERNAL, glued_hasse, sign_slice_path_quiver
+from taudec import glue
+from taudec.glue import GLUING, INTERNAL, component_views, glued_hasse, sign_slice_path_quiver
 from taudec.quiver import Arrow, ValuedQuiver
-from taudec.repa import UnsupportedComponentError, tilting_hasse
+from taudec.repa import PathQuiver, TiltingModule, UnsupportedComponentError
 from taudec.signdec import INFINITE, count_support_tilting, enumerate_signs
 
 THREE_CYCLE = ValuedQuiver(3, (Arrow(1, 2), Arrow(2, 3), Arrow(3, 1)))
@@ -20,6 +30,7 @@ STAR_D4 = ValuedQuiver(4, (Arrow(1, 4), Arrow(2, 4), Arrow(3, 4)))
 # Components 1-4-6-3, 2-7 and 5 interleave their labels, so the product order
 # of a vertex-deleted slice's tilting modules is not one sort of all summands.
 INTERLEAVED = ValuedQuiver(7, (Arrow(3, 6), Arrow(4, 1), Arrow(4, 6), Arrow(7, 2)))
+ZIGZAG = ValuedQuiver(5, (Arrow(1, 2), Arrow(3, 2), Arrow(3, 4), Arrow(5, 4)))
 
 
 def node_by_supports(hasse, signs, supports):
@@ -242,7 +253,6 @@ def test_relabelling_moves_nodes_and_arrows(quiver, rng):
     ids=["three-cycle", "oriented-square", "zigzag", "two-paths", "line3"],
 )
 def test_table_count_matches_enumerator_per_sign_class(quiver):
-    from taudec.repa import tilting_modules
     from taudec.signdec import count_for_signs, enumerate_signs
 
     for signs in enumerate_signs(quiver.n):
@@ -266,13 +276,109 @@ class TestNodes:
 
 class TestPairingCheck:
     def test_unpaired_open_end_is_an_internal_bug(self, monkeypatch):
-        def drop_last_end(*args):
-            arrows, ends = tilting_hasse(*args)
-            return arrows, ends[:-1]
+        original = repa.RigidityTable.__init__
 
-        monkeypatch.setattr(glue, "tilting_hasse", drop_last_end)
+        def drop_last_end(table, component):
+            original(table, component)
+            table.ends = table.ends[:-1]
+
+        monkeypatch.setattr(repa.RigidityTable, "__init__", drop_last_end)
         with pytest.raises(ArithmeticError, match="do not pair up: internal bug"):
             glued_hasse(THREE_CYCLE)
+
+
+class TestTorsionCheck:
+    def test_incomparable_torsion_classes_are_an_internal_bug(self, monkeypatch):
+        # with no Ext^1 read anywhere, both modules of a mutation contain the other's summand
+        monkeypatch.setattr(repa.RigidityTable, "ext_from", lambda table, mask: 0)
+        with pytest.raises(ArithmeticError, match="incomparable torsion classes: internal bug"):
+            glued_hasse(THREE_CYCLE)
+
+
+@st.composite
+def type_a_unions(draw):
+    """One or two `type_a_quivers` side by side, relabelled as a whole."""
+    quiver = draw(type_a_quivers(max_vertices=5))
+    if draw(st.booleans()):
+        quiver = disjoint_union(quiver, draw(type_a_quivers(max_vertices=3)))
+    return relabelled(quiver, draw(st.permutations(range(1, quiver.n + 1))))
+
+
+class TestAgainstSliceScan:
+    """Views of one table per orientation word against tables and mutation per slice."""
+
+    @pytest.mark.parametrize(
+        "quiver",
+        [brauer_line_quiver(k) for k in range(1, 6)]
+        + [brauer_cycle_quiver(k) for k in (1, 3, 5)]
+        + [THREE_CYCLE, ZIGZAG, INTERLEAVED],
+        ids=["line1", "line2", "line3", "line4", "line5", "cycle1", "cycle3", "cycle5",
+             "three-cycle", "zigzag", "interleaved"],
+    )
+    def test_fixed_quivers(self, quiver):
+        hasse, want = glued_hasse(quiver), glued_hasse_scan(quiver)
+        assert hasse.nodes == want.nodes
+        assert hasse.arrows == want.arrows
+
+    @settings(max_examples=40, deadline=None)
+    @given(type_a_unions(), st.randoms(use_true_random=False))
+    def test_random_type_a_quivers_and_relabellings(self, quiver, rng):
+        assume(count_support_tilting(quiver) is not INFINITE)
+        images = list(range(1, quiver.n + 1))
+        rng.shuffle(images)
+        for q in (quiver, relabelled(quiver, images)):
+            hasse, want = glued_hasse(q), glued_hasse_scan(q)
+            assert hasse.nodes == want.nodes
+            assert hasse.arrows == want.arrows
+
+
+class TestComponentViews:
+    @settings(max_examples=40, deadline=None)
+    @given(type_a_unions(), st.data())
+    def test_views_read_word_tables_in_label_order(self, quiver, data):
+        signs = tuple(data.draw(st.lists(st.sampled_from((1, -1)), min_size=quiver.n,
+                                         max_size=quiver.n)))
+        try:
+            slice_quiver = sign_slice_path_quiver(quiver, signs)
+        except UnsupportedComponentError:
+            assume(False)
+        for view, path in zip(component_views(slice_quiver, {}, {}), slice_quiver.paths):
+            component = PathQuiver(path, tuple(a for a in slice_quiver.arrows if a[0] in path))
+            mods = tilting_modules(component)
+            assert tuple(TiltingModule(summands) for summands in view.summands) == mods
+            arrows, ends = tilting_hasse(component, mods)
+            assert sorted(
+                (a, b) if ahead else (b, a)
+                for a, later in enumerate(view.arrows)
+                for b, ahead in later
+            ) == sorted(arrows)
+            assert [len(at) for at in view.ends] == [
+                sum(i == k for i, _ in ends) for k in range(len(mods))
+            ]
+
+
+class TestWorkCount:
+    @pytest.mark.parametrize(
+        "quiver", [brauer_line_quiver(5), brauer_cycle_quiver(5)], ids=["line5", "cycle5"]
+    )
+    def test_one_table_per_orientation_word(self, quiver, monkeypatch):
+        built = []
+
+        class Counted(repa.RigidityTable):
+            def __init__(self, component):
+                built.append(component)
+                super().__init__(component)
+
+        monkeypatch.setattr(glue, "RigidityTable", Counted)
+        glued_hasse(quiver)
+        labelled = set()
+        for signs in enumerate_signs(quiver.n):
+            slice_quiver = sign_slice_path_quiver(quiver, signs)
+            arrows = set(slice_quiver.arrows)
+            for path in slice_quiver.paths:
+                labelled.add((path, tuple((u, v) in arrows for u, v in zip(path, path[1:]))))
+        words = {word for _, word in labelled}
+        assert len(built) == len(words) < len(labelled)
 
 
 class TestUnsupported:

@@ -14,25 +14,27 @@ from oracles import (
     hom_dim_linear,
     interval,
     path_with_orientation,
+    tilting_hasse,
     tilting_hasse_pairs,
+    tilting_modules,
     tilting_modules_scan,
+    total_dim_vector,
 )
 from taudec.dynkin import catalan
 from taudec.quiver import Arrow, Valuation, ValuedQuiver
 from taudec.repa import (
     IntervalModule,
     PathQuiver,
+    RigidityTable,
     TiltingModule,
     UnsupportedComponentError,
+    _bits,
     euler_form,
     ext_dim,
     hom_dim,
     indicator,
     intervals,
     path_quiver,
-    tilting_hasse,
-    tilting_modules,
-    total_dim_vector,
 )
 
 # path 2 -> 1 together with an isolated vertex 3
@@ -330,6 +332,27 @@ class TestAgainstDirectScans:
                 if set().union(*(m.support for m in tilt.summands if m != x))
                 != set(quiver.vertices)
             }
+
+    @settings(max_examples=40, deadline=None)
+    @given(path_quivers())
+    def test_table_mutation_graph(self, quiver):
+        for path in quiver.paths:
+            component = PathQuiver(path, tuple(a for a in quiver.arrows if a[0] in path))
+            table = RigidityTable(component)
+            mods = [TiltingModule(tuple(table.intervals[i] for i in _bits(t))) for t in table.tilting]
+            assert tuple(mods) == tilting_modules_scan(component)
+            arrows = tuple((i, j) if ahead else (j, i) for i, j, ahead in table.arrows)
+            assert arrows == tilting_hasse_pairs(component, mods)
+            # Happel-Unger: a rest has one complement exactly when it misses a vertex
+            assert {(i, table.intervals[x], v) for i, x, v in table.ends} == {
+                (i, x, v)
+                for i, tilt in enumerate(mods)
+                for x in tilt.summands
+                for v in x.support.difference(*(m.support for m in tilt.summands if m != x))
+            }
+            assert table.dims == tuple(
+                tuple(sum(v in m.support for m in tilt.summands) for v in path) for tilt in mods
+            )
 
     @settings(max_examples=25, deadline=None)
     @given(path_quivers())

@@ -17,8 +17,10 @@ from oracles import (
     random_quiver,
     relabelled,
     sign_slice_components_scan,
+    slice_count_scan,
 )
-from taudec.dynkin import catalan
+from taudec import signdec
+from taudec.dynkin import catalan, tilting_count
 from taudec.brauer import brauer_cycle_quiver, brauer_line_quiver
 from taudec.quiver import (
     Arrow,
@@ -259,8 +261,32 @@ class TestAgainstScan:
         assert [signs for signs, _ in rows] == list(enumerate_signs(quiver.n))
         for signs, parts in rows:
             want = sign_slice_components_scan(quiver, signs)
-            assert parts == want
+            assert [(graph, dynkin) for graph, dynkin, _ in parts] == list(want)
             assert sign_slice_components(quiver, signs) == want
+            assert slice_count(parts) == count_for_signs(quiver, signs) == slice_count_scan(want)
+
+
+class TestCountsHeldByTheEngine:
+    @pytest.mark.parametrize(
+        "quiver",
+        [brauer_line_quiver(6), brauer_cycle_quiver(5), brauer_cycle_quiver(4), THREE_CYCLE,
+         parse_quiver("n 4\na 1 2\na 1 3\na 1 4\n")],
+        ids=["line6", "cycle5", "cycle4", "three-cycle", "star-d4"],
+    )
+    def test_tilting_count_once_per_distinct_component(self, quiver, monkeypatch):
+        calls = []
+
+        def counted(dynkin):
+            calls.append(dynkin)
+            return tilting_count(dynkin)
+
+        monkeypatch.setattr(signdec, "tilting_count", counted)
+        rows = list(SliceEngine(quiver, quiver.vertices).walk())
+        counts = [slice_count(parts) for _, parts in rows]
+        distinct = {(graph.vertices, graph.edges) for _, parts in rows for graph, _, _ in parts}
+        assert len(calls) <= len(distinct)
+        assert counts == [slice_count_scan(sign_slice_components_scan(quiver, signs))
+                          for signs, _ in rows]
 
 
 class TestFactoringProperties:
