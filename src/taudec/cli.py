@@ -81,8 +81,7 @@ def cmd_signdec(args: argparse.Namespace) -> int:
         for component, dynkin, _ in parts:
             verts = ",".join(str(v) for v in component.vertices)
             cells.append(f"{dynkin}{{{verts}}}")
-        count = slice_count(parts)
-        count_text = "infinite" if isinstance(count, Infinite) else str(count)
+        count_text = _count_text(slice_count(parts))
         flag = "true" if two_term_tilting(quiver, signs) else "false"
         print(f"{format_signs(signs)}  {','.join(cells)}  {count_text}  {flag}")
     return 0
@@ -101,13 +100,13 @@ def _json_ints(values: Sequence[int], indent: int) -> str:
 def hasse_json(hasse: GluedHasse) -> str:
     """The bytes of `json.dumps(payload, indent=2)`, written directly: with an
     indent the standard encoder runs in pure Python."""
-    supports: dict[frozenset[int], str] = {}
+    supports: dict[tuple[int, ...], str] = {}
     nodes = []
     for k, node in enumerate(hasse.nodes):
-        for m in node.tilt.summands:
-            if m.support not in supports:
-                supports[m.support] = _json_ints(sorted(m.support), 8)
-        summands = _json_list([supports[m.support] for m in node.tilt.summands], 6)
+        for support in node.supports:
+            if support not in supports:
+                supports[support] = _json_ints(support, 8)
+        summands = _json_list([supports[support] for support in node.supports], 6)
         nodes.append(
             f'{{\n      "id": {k},\n      "eps": {_json_ints(node.signs, 6)},\n'
             f'      "summand_supports": {summands},\n      "g": {_json_ints(node.g, 6)}\n    }}'

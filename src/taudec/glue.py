@@ -1,21 +1,26 @@
 """Assemble the full Hasse quiver of support tilting modules.
 
-Each sign vector contributes the tilting poset of its hereditary slice
-(taken over the opposite of the sign subquiver, where the relevant
-endomorphism algebra lives).  Every slice is a disjoint union of type-A
-paths, so its poset is the product of the posets of its components.
-Each component's mutation graph comes from the rigidity table of its
-orientation word (see `repa`), read on the component's labels through a
-`ComponentView`; tables and views live for one call.  A slice's nodes
-are the mixed-radix product of its views' tilting modules, and each
-arrow or open end of a view is taken at every combination of the other
-views' digits.  An open end is a summand whose rest has no other complement in
-the slice.  Such a rest misses exactly one vertex v, so it is a tilting
-module of the slice without v, which is the same for both signs at v and
-has one completion on each side.  The open ends of the two slices that
-differ only at v therefore pair up by their rest, and each pair is one
-gluing arrow from the +1 side to the -1 side.  Node g-vectors are the
-sign diagonal applied to the sum of the components' dimension vectors.
+Each sign vector contributes the tilting poset of its hereditary slice,
+taken over the opposite of the sign subquiver, where the relevant
+endomorphism algebra lives.  The slices come from the `SliceEngine` walk
+that `count` and `signdec` use, and a slice component is supported when
+its Dynkin type is A, a unit-valued path.  Every slice edge joins a +1 and
+a -1 vertex, so the opposite arrow between neighbours u, v on a path
+points from u to v exactly when u is -1, and the component's orientation
+word is `signs[v] == -1` read along the path.  Its mutation graph comes
+from the rigidity table of that word (see `repa`), read on the
+component's labels through a `ComponentView`; tables and views live for
+one call.  A slice's poset is the product of its components' posets: its
+nodes are the mixed-radix product of its views' tilting modules, and
+each arrow or open end of a view is taken at every combination of the
+other views' digits.  An open end is a summand whose rest has no other
+complement in the slice.  Such a rest misses exactly one vertex v, so it
+is a tilting module of the slice without v, which is the same for both
+signs at v and has one completion on each side.  The open ends of the
+two slices that differ only at v therefore pair up by their rest, and
+each pair is one gluing arrow from the +1 side to the -1 side.  Node
+g-vectors are the sign diagonal applied to the sum of the components'
+dimension vectors.
 """
 
 from __future__ import annotations
@@ -23,20 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Sequence
 
 from .matrices import IntVector, g_from_dim_vector
-from .quiver import SignVector, ValuedQuiver, format_signs, opposite, sign_subquiver
-from .repa import (
-    IntervalModule,
-    PathQuiver,
-    RigidityTable,
-    TiltingModule,
-    UnsupportedComponentError,
-    _bits,
-    path_quiver,
-)
-from .signdec import enumerate_signs
+from .quiver import SignVector, ValuedGraph, ValuedQuiver, format_signs
+from .repa import RigidityTable, UnsupportedComponentError, _bits
+from .signdec import Counted, SliceEngine
 
 INTERNAL = "internal"
 GLUING = "gluing"
@@ -44,10 +40,12 @@ GLUING = "gluing"
 
 @dataclass(frozen=True)
 class HasseNode:
-    """One support tilting module: sign class, slice tilting module, g-vector."""
+    """One support tilting module: sign class, the supports of its slice
+    tilting module's summands (sorted vertex tuples in interval-key order),
+    g-vector."""
 
     signs: SignVector
-    tilt: TiltingModule
+    supports: tuple[tuple[int, ...], ...]
     g: IntVector
 
 
@@ -62,48 +60,34 @@ class GluedHasse:
         return tuple((a, b) for a, b, k in self.arrows if k == kind)
 
 
-def sign_slice_path_quiver(quiver: ValuedQuiver, signs: Sequence[int]) -> PathQuiver:
-    """The opposite of the sign subquiver as a PathQuiver.
-
-    Tilting modules are enumerated over the opposite orientation because
-    that is the quiver of the slice's endomorphism algebra; raises with
-    the offending sign vector when a component is not simply-laced type A.
-    """
-    try:
-        return path_quiver(opposite(sign_subquiver(quiver, signs)))
-    except UnsupportedComponentError as exc:
-        raise UnsupportedComponentError(
-            f"sign vector {format_signs(signs)}: {exc}",
-            component=exc.component,
-            signs=tuple(signs),
-        ) from exc
-
-
 class ComponentView:
     """An orientation word's table read on one labelled path: position p is path[p].
 
-    Intervals are re-sorted by their keys over the labels and tilting
+    An interval's support is its labels, sorted, and its key is (least
+    label, size, support).  Intervals are re-sorted by key and tilting
     modules into the lexicographic order of their sorted interval
     positions, the order a table built on the labels gives.  Per tilting
-    module, in that order: `summands` (by key), their `supports`, `dims`
-    (in path order), `arrows` (b, forward) to each later module b, and
-    `ends` (missing vertex, pieces).  The rest of an open end lies on the
-    paths left and right of the missing vertex; each one it meets is a
-    piece (minimal vertex, the rest's supports on it, their keys).
+    module, in that order: `summands` (their keys, sorted), `dims` (in
+    path order), `arrows` (b, forward) to each later module b, and `ends`
+    (missing vertex, pieces).  The rest of an open end lies on the paths
+    left and right of the missing vertex; each one it meets is a piece
+    (minimal vertex, the keys of the rest's summands on it, twice).
     """
 
     def __init__(self, table: RigidityTable, path: tuple[int, ...]) -> None:
-        labelled = [IntervalModule(frozenset(map(path.__getitem__, m.support))) for m in table.intervals]
-        by_key = sorted(range(len(labelled)), key=lambda i: labelled[i].key)
-        rank = {i: r for r, i in enumerate(by_key)}
-        # table indices of each tilting module's summands, by interval key
+        keys = []
+        for start, stop in table.spans:
+            support = tuple(sorted(path[start:stop]))
+            keys.append((support[0], len(support), support))
+        rank = {i: r for r, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__))}
+        # table indices of each tilting module's summands, by key
         members = [sorted(_bits(mask), key=rank.__getitem__) for mask in table.tilting]
         order = sorted(range(len(members)), key=lambda t: [rank[i] for i in members[t]])
         where = {t: k for k, t in enumerate(order)}
         self.path = path
+        self.word = table.word
         self.low = min(path)
-        self.summands = tuple(tuple(labelled[i] for i in members[t]) for t in order)
-        self.supports = tuple(tuple(m.support for m in tilt) for tilt in self.summands)
+        self.summands = tuple(tuple(keys[i] for i in members[t]) for t in order)
         self.dims = tuple(table.dims[t] for t in order)
         self.arrows: list[list[tuple[int, bool]]] = [[] for _ in order]
         for i, j, forward in table.arrows:
@@ -111,36 +95,58 @@ class ComponentView:
             self.arrows[a].append((b, forward == (a == where[i])))
         self.ends: list[list[tuple[int, tuple]]] = [[] for _ in order]
         for t, x, p in table.ends:
-            left = [i for i in members[t] if i != x and min(table.intervals[i].support) < p]
-            right = [i for i in members[t] if i != x and min(table.intervals[i].support) > p]
+            left = tuple(keys[i] for i in members[t] if i != x and table.spans[i][0] < p)
+            right = tuple(keys[i] for i in members[t] if i != x and table.spans[i][0] > p)
             pieces = tuple(
-                (min(piece), tuple(labelled[i].support for i in on), tuple(labelled[i].key for i in on))
-                for piece, on in ((path[:p], left), (path[p + 1:], right)) if on
+                (min(piece), on, on) for piece, on in ((path[:p], left), (path[p + 1:], right)) if on
             )
             self.ends[where[t]].append((path[p], pieces))
 
 
+def _path_order(graph: ValuedGraph) -> tuple[int, ...]:
+    """The vertices of a path graph in order, from its smaller end."""
+    neighbours: dict[int, list[int]] = {v: [] for v in graph.vertices}
+    for u, v, _ in graph.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    cur = min(v for v in graph.vertices if len(neighbours[v]) < 2)
+    order, prev = [cur], None
+    for _ in graph.edges:
+        prev, cur = cur, next(w for w in neighbours[cur] if w != prev)
+        order.append(cur)
+    return tuple(order)
+
+
 def component_views(
-    quiver: PathQuiver,
+    signs: SignVector,
+    parts: tuple[Counted, ...],
     tables: dict[tuple[bool, ...], RigidityTable],
     views: dict[tuple, ComponentView],
 ) -> tuple[ComponentView, ...]:
-    """The view of each path component, in path order, from one table per
-    orientation word (True where the arrow points along the path) and one
-    view per path and word; the caller's dicts decide how long they live."""
-    arrows = set(quiver.arrows)
+    """The view of each slice component of `signs`, as the slice engine
+    gives them, from one table per orientation word and one view per
+    labelled component and word; the caller's dicts decide how long they
+    live.  Raises UnsupportedComponentError unless every component has
+    Dynkin type A."""
     out = []
-    for path in quiver.paths:
-        word = tuple((u, v) in arrows for u, v in zip(path, path[1:]))
-        view = views.get((path, word))
+    for graph, dynkin, _ in parts:
+        # the signs alternate along a slice path, so one of them fixes the word
+        key = (graph, signs[graph.vertices[0] - 1])
+        view = views.get(key)
         if view is None:
+            if dynkin.family != "A":
+                raise UnsupportedComponentError(
+                    f"sign vector {format_signs(signs)}: component {list(graph.vertices)} "
+                    f"is {dynkin}, not type A",
+                    component=graph.vertices,
+                    signs=tuple(signs),
+                )
+            path = _path_order(graph)
+            word = tuple(signs[v - 1] == -1 for v in path[:-1])
             table = tables.get(word)
             if table is None:
-                table = tables[word] = RigidityTable(PathQuiver(
-                    tuple(range(len(path))),
-                    tuple((p, p + 1) if ahead else (p + 1, p) for p, ahead in enumerate(word)),
-                ))
-            view = views[path, word] = ComponentView(table, path)
+                table = tables[word] = RigidityTable(word)
+            view = views[key] = ComponentView(table, path)
         out.append(view)
     return tuple(out)
 
@@ -150,7 +156,7 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
 
     Internal arrows are ordered by their index pair within a slice.  Open
     ends are paired by (signs without v, v, rest), the rest given by its
-    supports on each path of the slice without v, by minimal vertex.
+    summands' keys on each path of the slice without v, by minimal vertex.
     Gluing arrows follow the upper sign vector in enumeration order, then
     v, then the rest in the tilting order of the slice without v: the
     product order over those paths, each compared by its view's index
@@ -163,8 +169,8 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
     nodes: list[HasseNode] = []
     arrows: list[tuple[int, int, str]] = []
     ends: dict[tuple, list[tuple[int, tuple, int]]] = {}
-    for rank, signs in enumerate(enumerate_signs(n)):
-        parts = component_views(sign_slice_path_quiver(quiver, signs), tables, views)
+    for rank, (signs, counted) in enumerate(SliceEngine(quiver, quiver.vertices).walk()):
+        parts = component_views(signs, counted, tables, views)
         sizes = [len(view.summands) for view in parts]
         strides = [prod(sizes[c + 1:]) for c in range(len(parts))]
         placed = [
@@ -183,13 +189,13 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
                 raise ArithmeticError(
                     f"g-vector {tuple(g)} violates the sign law at {signs}: internal bug"
                 )
-            tilt = TiltingModule(tuple(m for view, d in zip(parts, digits) for m in view.summands[d]))
-            nodes.append(HasseNode(signs, tilt, tuple(g)))
+            keys = sorted(key for view, d in zip(parts, digits) for key in view.summands[d])
+            nodes.append(HasseNode(signs, tuple(support for _, _, support in keys), tuple(g)))
             for c, (view, d) in enumerate(zip(parts, digits)):
                 pairs.extend((i, i + (b - d) * strides[c], ahead) for b, ahead in view.arrows[d])
                 for v, pieces in view.ends[d]:
                     rest = sorted([
-                        (parts[k].low, parts[k].supports[e], e) for k, e in enumerate(digits) if k != c
+                        (parts[k].low, parts[k].summands[e], e) for k, e in enumerate(digits) if k != c
                     ] + list(pieces))
                     side = signs[v - 1]
                     order = (rank, v, tuple(o for _, _, o in rest)) if side == 1 else ()

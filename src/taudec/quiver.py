@@ -6,8 +6,8 @@ parallel arrows into a single arrow valued (m, m).  After normalization a
 quiver holds at most one arrow per ordered vertex pair; loops are allowed.
 
 `components` is the one connected-components traversal: it takes
-neighbour lists, and the slice engine and quiver splitting in `signdec`,
-`dynkin.classify` and the path splitting in `repa` all pass it theirs.
+neighbour lists, and the slice engine and quiver splitting in `signdec`
+and `dynkin.classify` pass it theirs.
 
 All values are immutable and every operation is a pure function, so shared
 instances are safe to use concurrently.
@@ -208,13 +208,6 @@ def sign_subquiver(quiver: ValuedQuiver, signs: Sequence[int]) -> ValuedQuiver:
         a for a in quiver.arrows if signs[a.src - 1] == 1 and signs[a.tgt - 1] == -1
     )
     return ValuedQuiver(quiver.n, kept)
-
-
-def opposite(quiver: ValuedQuiver) -> ValuedQuiver:
-    """Reverse all arrows, transposing each valuation."""
-    return ValuedQuiver(
-        quiver.n, tuple(Arrow(a.tgt, a.src, a.val.transposed()) for a in quiver.arrows)
-    )
 
 
 def components(neighbours: Mapping[int, Iterable[int]]) -> tuple[tuple[int, ...], ...]:

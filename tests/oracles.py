@@ -2,41 +2,56 @@
 
 These deliberately avoid the production code paths they check: the Hom
 dimension is computed by exact Gaussian elimination on the commutation
-system, maximal rigid sets by Bron-Kerbosch, slice components by
-union-find, and finiteness through the separated quiver's maximal single
-subquivers.  Counts, witnesses and slice rows are also kept as the plain
-scan over all 2^n sign vectors, each slice built as a quiver and
-classified afresh and counted by `slice_count_scan`, as the reference for the
-factored slice engine in `taudec.signdec`.  The tilting enumerator, the
-mutation quiver and Fac membership are also kept in their direct forms,
-which call ext_dim on every pair they need, as references for the
-rigidity-table versions in `taudec.repa`.  Fac membership read from the
-rigidity tables (`fac_contains`) and the contiguity-checking interval
-factory (`interval`) have no caller in the package and live here with
-their tests.  The gluing arrows of the glued Hasse quiver are rebuilt
-by completing each tilting module of a vertex-deleted slice on both
-sides of the deleted vertex with a scanning Bongartz completion, as the
-reference for pairing the open ends of one mutation pass.
+system and Ext^1 as that Hom minus the Euler form (`ext_dim_linear`),
+maximal rigid sets by Bron-Kerbosch, slice components by union-find, and
+finiteness through the separated quiver's maximal single subquivers.
+Counts, witnesses and slice rows are also kept as the plain scan over all
+2^n sign vectors, each slice built as a quiver and classified afresh and
+counted by `slice_count_scan`, as the reference for the factored slice
+engine in `taudec.signdec`.
 
-`glued_hasse_scan` is the glued Hasse quiver slice by slice: a rigidity
-table per labelled path component, the slice's tilting modules as the
-product of their lists (`tilting_modules`), one mutation pass over that
-product (`tilting_hasse`) and dimension vectors summed over summands
-(`total_dim_vector`).  It is the reference for `taudec.glue`, which
-reads one table per orientation word through labelled views and takes
-products by index arithmetic.
+The interval layer over labelled type-A quivers lives here: `PathQuiver`
+(a disjoint union of paths, split and ordered from its arrows),
+`IntervalModule`, `TiltingModule`, `intervals`, `indicator` and
+`euler_form`.  `sign_slice_path_quiver` is the old slice pipeline
+(`sign_subquiver`, `opposite`, `path_quiver`), the reference for the
+paths and orientation words that `taudec.glue` reads off the slice
+engine.  The tilting enumerator, the mutation quiver and Fac membership
+are kept in their direct forms, which call `ext_dim_linear` on every pair
+they need, as references for the rigidity tables of `taudec.repa`.  Their
+table-reading forms (`tilting_modules`, `tilting_hasse`, `fac_contains`)
+read each labelled path's orientation-word table through a
+`LabelledTable`, which moves it into the labels' interval-key order.  The
+contiguity-checking interval factory (`interval`) has no caller in the
+package and lives here with its tests.  The gluing arrows of the glued
+Hasse quiver are rebuilt by completing each tilting module of a
+vertex-deleted slice on both sides of the deleted vertex with a scanning
+Bongartz completion, as the reference for pairing the open ends of one
+mutation pass.
+
+`glued_hasse_scan` is the glued Hasse quiver slice by slice: a labelled
+table per path component, the slice's tilting modules as the product of
+their lists (`tilting_modules`), one mutation pass over that product
+(`tilting_hasse`) and dimension vectors summed over summands
+(`total_dim_vector`).  It is the reference for `taudec.glue`, which reads
+one table per orientation word through labelled views and takes products
+by index arithmetic.
 """
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from taudec.dynkin import DynkinType, catalan, classify, tilting_count
-from taudec.glue import GLUING, INTERNAL, GluedHasse, HasseNode, sign_slice_path_quiver
+from taudec.glue import GLUING, INTERNAL, GluedHasse, HasseNode
 from taudec.matrices import IntVector, g_from_dim_vector
 from taudec.quiver import (
+    UNIT,
     Arrow,
     QuiverError,
     SignVector,
@@ -47,18 +62,190 @@ from taudec.quiver import (
     format_signs,
     sign_subquiver,
 )
-from taudec.repa import (
-    IntervalModule,
-    PathQuiver,
-    RigidityTable,
-    TiltingModule,
-    _bits,
-    _interval_key,
-    ext_dim,
-    indicator,
-    intervals,
-)
+from taudec.repa import RigidityTable, UnsupportedComponentError, _bits
 from taudec.signdec import INFINITE, Classified, Infinite, enumerate_signs
+
+
+def _paths_of(
+    vertices: tuple[int, ...], arrows: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Split into components and return each as a path-ordered vertex tuple."""
+    neighbours: dict[int, set[int]] = {v: set() for v in vertices}
+    pair_multiplicity: dict[tuple[int, int], int] = {}
+    for u, v in arrows:
+        if u == v:
+            raise UnsupportedComponentError(f"loop at vertex {u}", component=(u,))
+        key = (min(u, v), max(u, v))
+        pair_multiplicity[key] = pair_multiplicity.get(key, 0) + 1
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    for (u, v), mult in pair_multiplicity.items():
+        if mult > 1:
+            raise UnsupportedComponentError(
+                f"multiple arrows between {u} and {v}", component=(u, v)
+            )
+    paths = []
+    for comp in components(neighbours):
+        degrees = [len(neighbours[w]) for w in comp]
+        if sum(degrees) != 2 * (len(comp) - 1) or max(degrees) > 2:
+            raise UnsupportedComponentError(
+                f"component {list(comp)} is not a path", component=comp
+            )
+        first = min(w for w in comp if len(neighbours[w]) <= 1)
+        order = [first]
+        prev = None
+        while True:
+            nxt = [w for w in neighbours[order[-1]] if w != prev]
+            if not nxt:
+                break
+            prev = order[-1]
+            order.append(nxt[0])
+        paths.append(tuple(order))
+    return tuple(paths)
+
+
+@dataclass(frozen=True)
+class PathQuiver:
+    """Disjoint union of simply-laced type-A quivers on global vertex ids.
+
+    `paths` lists each component's vertices in path order (components by
+    minimal vertex, each path starting at its smaller endpoint); it is
+    derived from the arrows, never passed in.
+    """
+
+    vertices: tuple[int, ...]
+    arrows: tuple[tuple[int, int], ...] = ()
+    paths: tuple[tuple[int, ...], ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
+        object.__setattr__(self, "arrows", tuple(sorted(self.arrows)))
+        object.__setattr__(self, "paths", _paths_of(self.vertices, self.arrows))
+
+
+def path_quiver(quiver: ValuedQuiver) -> PathQuiver:
+    """View a valued quiver as a PathQuiver; rejects anything outside type A."""
+    for a in quiver.arrows:
+        if a.val != UNIT:
+            raise UnsupportedComponentError(
+                f"valued arrow {a.src}->{a.tgt} "
+                f"({a.val.d_prime},{a.val.d_dprime}) is not simply laced",
+                component=(min(a.src, a.tgt), max(a.src, a.tgt)),
+            )
+    return PathQuiver(
+        tuple(quiver.vertices), tuple((a.src, a.tgt) for a in quiver.arrows)
+    )
+
+
+def opposite(quiver: ValuedQuiver) -> ValuedQuiver:
+    """Reverse all arrows, transposing each valuation."""
+    return ValuedQuiver(
+        quiver.n, tuple(Arrow(a.tgt, a.src, a.val.transposed()) for a in quiver.arrows)
+    )
+
+
+def sign_slice_path_quiver(quiver: ValuedQuiver, signs: Sequence[int]) -> PathQuiver:
+    """The opposite of the sign subquiver as a PathQuiver.
+
+    Tilting modules are enumerated over the opposite orientation because
+    that is the quiver of the slice's endomorphism algebra; raises with
+    the offending sign vector when a component is not simply-laced type A.
+    """
+    try:
+        return path_quiver(opposite(sign_subquiver(quiver, signs)))
+    except UnsupportedComponentError as exc:
+        raise UnsupportedComponentError(
+            f"sign vector {format_signs(signs)}: {exc}",
+            component=exc.component,
+            signs=tuple(signs),
+        ) from exc
+
+
+def path_word(path: Sequence[int], arrows: Iterable[tuple[int, int]]) -> tuple[bool, ...]:
+    """A labelled path's orientation word: True where the arrow points along it."""
+    arrows = set(arrows)
+    return tuple((u, v) in arrows for u, v in zip(path, path[1:]))
+
+
+@dataclass(frozen=True)
+class IntervalModule:
+    """Indecomposable module, identified by its contiguous support set."""
+
+    support: frozenset[int]
+    # (min, size, sorted support), the order of intervals throughout; set once
+    key: tuple[int, int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ordered = tuple(sorted(self.support))
+        object.__setattr__(self, "key", (ordered[0], len(ordered), ordered))
+
+
+_interval_key = attrgetter("key")
+
+
+def interval_module(path: Sequence[int], span: tuple[int, int]) -> IntervalModule:
+    """The interval module of a table's span (start, stop) on a labelled path."""
+    return IntervalModule(frozenset(path[span[0]:span[1]]))
+
+
+def intervals(quiver: PathQuiver) -> tuple[IntervalModule, ...]:
+    """All interval modules: m(m+1)/2 per m-vertex path, ordered by (min, size)."""
+    out = []
+    for path in quiver.paths:
+        for start in range(len(path)):
+            for stop in range(start + 1, len(path) + 1):
+                out.append(IntervalModule(frozenset(path[start:stop])))
+    return tuple(sorted(out, key=_interval_key))
+
+
+def indicator(quiver: PathQuiver, support: frozenset[int]) -> IntVector:
+    return tuple(1 if v in support else 0 for v in quiver.vertices)
+
+
+def euler_form(quiver: PathQuiver, x: Sequence[int], y: Sequence[int]) -> int:
+    """Hereditary Euler form: sum of x_v y_v minus x_u y_v over arrows u -> v."""
+    pos = {v: i for i, v in enumerate(quiver.vertices)}
+    total = sum(a * b for a, b in zip(x, y))
+    for u, v in quiver.arrows:
+        total -= x[pos[u]] * y[pos[v]]
+    return total
+
+
+@dataclass(frozen=True)
+class TiltingModule:
+    """Rigid module with one indecomposable summand per vertex, summands by key."""
+
+    summands: tuple[IntervalModule, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "summands", tuple(sorted(self.summands, key=_interval_key)))
+
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(sorted(m.support)) for m in self.summands)
+
+
+class LabelledTable:
+    """The rigidity table of a labelled path's orientation word, with its
+    intervals, masks and tilting modules moved into interval-key order over
+    the labels: the order a table built on the labels would hold."""
+
+    ext_from = RigidityTable.ext_from
+    complements = RigidityTable.complements
+
+    def __init__(self, path: tuple[int, ...], arrows: Iterable[tuple[int, int]]) -> None:
+        table = RigidityTable(path_word(path, arrows))
+        labelled = [interval_module(path, span) for span in table.spans]
+        order = sorted(range(len(labelled)), key=lambda i: labelled[i].key)
+        rank = {i: r for r, i in enumerate(order)}
+
+        def move(mask: int) -> int:
+            return sum(1 << rank[i] for i in _bits(mask))
+
+        self.intervals = tuple(labelled[i] for i in order)
+        self.full = table.full
+        self.ext_out = tuple(move(table.ext_out[i]) for i in order)
+        self.rigid = tuple(move(table.rigid[i]) for i in order)
+        self.tilting = tuple(sorted(map(move, table.tilting), key=lambda m: list(_bits(m))))
 
 
 def rank_of(rows: list[list[int]]) -> int:
@@ -82,6 +269,7 @@ def rank_of(rows: list[list[int]]) -> int:
     return rank
 
 
+@cache
 def hom_dim_linear(quiver: PathQuiver, m: IntervalModule, n: IntervalModule) -> int:
     """Hom dimension by solving the commutation system as a linear system.
 
@@ -103,6 +291,13 @@ def hom_dim_linear(quiver: PathQuiver, m: IntervalModule, n: IntervalModule) -> 
         if any(row):
             rows.append(row)
     return len(variables) - rank_of(rows)
+
+
+def ext_dim_linear(quiver: PathQuiver, m: IntervalModule, n: IntervalModule) -> int:
+    """dim Ext^1(m, n) = dim Hom(m, n) - <dim m, dim n>, Hom from the linear system."""
+    return hom_dim_linear(quiver, m, n) - euler_form(
+        quiver, indicator(quiver, m.support), indicator(quiver, n.support)
+    )
 
 
 def path_with_orientation(m: int, bits: int) -> PathQuiver:
@@ -130,8 +325,8 @@ def brute_maximal_rigid(quiver: PathQuiver) -> list[frozenset[IntervalModule]]:
             j
             for j in range(k)
             if i != j
-            and ext_dim(quiver, ivs[i], ivs[j]) == 0
-            and ext_dim(quiver, ivs[j], ivs[i]) == 0
+            and ext_dim_linear(quiver, ivs[i], ivs[j]) == 0
+            and ext_dim_linear(quiver, ivs[j], ivs[i]) == 0
         }
         for i in range(k)
     ]
@@ -390,7 +585,7 @@ def finite_by_separated_quiver(quiver: ValuedQuiver) -> bool:
 
 
 def rigid(quiver: PathQuiver, m: IntervalModule, n: IntervalModule) -> bool:
-    return ext_dim(quiver, m, n) == 0 and ext_dim(quiver, n, m) == 0
+    return ext_dim_linear(quiver, m, n) == 0 and ext_dim_linear(quiver, n, m) == 0
 
 
 def tilting_modules_scan(quiver: PathQuiver) -> tuple[TiltingModule, ...]:
@@ -458,8 +653,8 @@ def fac_contains(
 
 
 def fac_contains_scan(quiver: PathQuiver, tilt: TiltingModule, x: IntervalModule) -> bool:
-    """Fac T = {X : Ext^1(T, X) = 0}, one ext_dim per summand."""
-    return all(ext_dim(quiver, t, x) == 0 for t in tilt.summands)
+    """Fac T = {X : Ext^1(T, X) = 0}, one ext_dim_linear per summand."""
+    return all(ext_dim_linear(quiver, t, x) == 0 for t in tilt.summands)
 
 
 def tilting_hasse_pairs(
@@ -503,7 +698,7 @@ def hasse_nodes(quiver: ValuedQuiver) -> tuple[HasseNode, ...]:
         slice_quiver = sign_slice_path_quiver(quiver, signs)
         for tilt in tilting_modules(slice_quiver):
             g = g_from_dim_vector(signs, total_dim_vector(slice_quiver, tilt))
-            out.append(HasseNode(signs, tilt, g))
+            out.append(HasseNode(signs, tilt.supports(), g))
     return tuple(out)
 
 
@@ -531,7 +726,7 @@ def gluing_arrows(quiver: ValuedQuiver) -> tuple[tuple[HasseNode, HasseNode], ..
 
     def node(signs: SignVector, tilt: TiltingModule) -> HasseNode:
         g = g_from_dim_vector(signs, total_dim_vector(slices[signs], tilt))
-        return HasseNode(signs, tilt, g)
+        return HasseNode(signs, tilt.supports(), g)
 
     out = []
     for upper in enumerate_signs(n):
@@ -561,13 +756,13 @@ def slice_count_scan(parts: Iterable[Classified]) -> int | Infinite:
 
 # Label-keyed rigidity tables shared between calls: (path, arrows) -> table.
 RigidityTables = dict[
-    tuple[tuple[int, ...], tuple[tuple[int, int], ...]], RigidityTable
+    tuple[tuple[int, ...], tuple[tuple[int, int], ...]], LabelledTable
 ]
 
 
 def _tables(
     quiver: PathQuiver, tables: RigidityTables | None
-) -> tuple[RigidityTable, ...]:
+) -> tuple[LabelledTable, ...]:
     """The table of each path component, on its labels, in path order."""
     if tables is None:
         tables = {}
@@ -577,13 +772,13 @@ def _tables(
         arrows = tuple(a for a in quiver.arrows if a[0] in on_path)
         table = tables.get((path, arrows))
         if table is None:
-            table = tables[path, arrows] = RigidityTable(PathQuiver(path, arrows))
+            table = tables[path, arrows] = LabelledTable(path, arrows)
         out.append(table)
     return tuple(out)
 
 
 def _masks(
-    tabs: Sequence[RigidityTable], modules: Iterable[IntervalModule]
+    tabs: Sequence[LabelledTable], modules: Iterable[IntervalModule]
 ) -> tuple[int, ...]:
     """Per-component position masks of a set of interval modules."""
     masks = [0] * len(tabs)
@@ -672,7 +867,7 @@ def _slice_nodes(
     for tilt in modules:
         g = g_from_dim_vector(signs, total_dim_vector(slice_quiver, tilt))
         assert all(gi * si > 0 for gi, si in zip(g, signs)), "sign law"
-        nodes.append(HasseNode(signs, tilt, g))
+        nodes.append(HasseNode(signs, tilt.supports(), g))
     return nodes
 
 

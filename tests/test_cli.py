@@ -16,7 +16,7 @@ from oracles import (
     random_quiver,
     random_type_a,
 )
-from taudec import cli, glue
+from taudec import cli, glue, repa
 from taudec.brauer import IdentityCheck, brauer_line_quiver
 from taudec.glue import GluedHasse, glued_hasse
 from taudec.quiver import format_signs, quiver_file_text
@@ -181,7 +181,7 @@ def standard_json(hasse: GluedHasse) -> str:
             {
                 "id": k,
                 "eps": list(node.signs),
-                "summand_supports": [list(s) for s in node.tilt.supports()],
+                "summand_supports": [list(s) for s in node.supports],
                 "g": list(node.g),
             }
             for k, node in enumerate(hasse.nodes)
@@ -261,6 +261,15 @@ class TestHasse:
         assert out == ""
         assert err.startswith("error: internal: ")
         assert "internal bug" in err
+
+    def test_negative_ext_exits_four(self, quiver_file, capsys, monkeypatch):
+        # with no Hom anywhere, Ext^1(S, S) = 0 - <S, S> = -1 in the first table built
+        monkeypatch.setattr(repa, "_hom", lambda word, x, y: 0)
+        code, out, err = run(capsys, "hasse", quiver_file(THREE_CYCLE_FILE))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: internal: negative Ext dimension between ")
+        assert err.rstrip().endswith("internal bug")
 
 
 class TestBrauer:

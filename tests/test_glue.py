@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -7,22 +8,27 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    IntervalModule,
+    PathQuiver,
+    TiltingModule,
     disjoint_union,
     glued_hasse_scan,
     gluing_arrows,
     hasse_nodes,
+    path_word,
+    random_quiver,
     relabelled,
+    sign_slice_path_quiver,
     tilting_hasse,
     tilting_hasse_pairs,
     tilting_modules,
 )
-from taudec import repa
+from taudec import glue, quiver as quiver_module, repa
 from taudec.brauer import brauer_cycle_quiver, brauer_line_quiver
-from taudec import glue
-from taudec.glue import GLUING, INTERNAL, component_views, glued_hasse, sign_slice_path_quiver
+from taudec.glue import GLUING, INTERNAL, component_views, glued_hasse
 from taudec.quiver import Arrow, ValuedQuiver
-from taudec.repa import PathQuiver, TiltingModule, UnsupportedComponentError
-from taudec.signdec import INFINITE, count_support_tilting, enumerate_signs
+from taudec.repa import UnsupportedComponentError
+from taudec.signdec import INFINITE, SliceEngine, _sign_slice, count_support_tilting, enumerate_signs
 
 THREE_CYCLE = ValuedQuiver(3, (Arrow(1, 2), Arrow(2, 3), Arrow(3, 1)))
 ORIENTED_SQUARE = ValuedQuiver(4, (Arrow(1, 2), Arrow(2, 3), Arrow(3, 4), Arrow(4, 1)))
@@ -35,7 +41,7 @@ ZIGZAG = ValuedQuiver(5, (Arrow(1, 2), Arrow(3, 2), Arrow(3, 4), Arrow(5, 4)))
 
 def node_by_supports(hasse, signs, supports):
     for node in hasse.nodes:
-        if node.signs == signs and set(node.tilt.supports()) == set(supports):
+        if node.signs == signs and set(node.supports) == set(supports):
             return node
     raise AssertionError(f"no node {supports} at {signs}")
 
@@ -125,9 +131,9 @@ def reference_arrows(quiver):
     arrows = []
     for signs in enumerate_signs(quiver.n):
         ids = [k for k, node in enumerate(nodes) if node.signs == signs]
-        pairs = tilting_hasse_pairs(
-            sign_slice_path_quiver(quiver, signs), [nodes[k].tilt for k in ids]
-        )
+        # hasse_nodes lists each slice's nodes in tilting_modules order
+        slice_quiver = sign_slice_path_quiver(quiver, signs)
+        pairs = tilting_hasse_pairs(slice_quiver, tilting_modules(slice_quiver))
         arrows += [(ids[i], ids[j], INTERNAL) for i, j in pairs]
     arrows += [(index[a], index[b], GLUING) for a, b in gluing_arrows(quiver)]
     return tuple(arrows)
@@ -278,12 +284,33 @@ class TestPairingCheck:
     def test_unpaired_open_end_is_an_internal_bug(self, monkeypatch):
         original = repa.RigidityTable.__init__
 
-        def drop_last_end(table, component):
-            original(table, component)
+        def drop_last_end(table, word):
+            original(table, word)
             table.ends = table.ends[:-1]
 
         monkeypatch.setattr(repa.RigidityTable, "__init__", drop_last_end)
         with pytest.raises(ArithmeticError, match="do not pair up: internal bug"):
+            glued_hasse(THREE_CYCLE)
+
+
+class TestCollisionCheck:
+    def test_colliding_g_vectors_are_an_internal_bug(self, monkeypatch):
+        # g = signs keeps the sign law but gives every node of a slice the same g
+        monkeypatch.setattr(glue, "g_from_dim_vector", lambda signs, dim: tuple(signs))
+        with pytest.raises(ArithmeticError, match="node g-vectors collide: internal bug"):
+            glued_hasse(THREE_CYCLE)
+
+
+class TestRegularityCheck:
+    def test_missing_internal_arrows_are_an_internal_bug(self, monkeypatch):
+        original = repa.RigidityTable.__init__
+
+        def drop_arrows(table, word):
+            original(table, word)
+            table.arrows = ()
+
+        monkeypatch.setattr(repa.RigidityTable, "__init__", drop_arrows)
+        with pytest.raises(ArithmeticError, match="some node is not n-regular: internal bug"):
             glued_hasse(THREE_CYCLE)
 
 
@@ -342,10 +369,14 @@ class TestComponentViews:
             slice_quiver = sign_slice_path_quiver(quiver, signs)
         except UnsupportedComponentError:
             assume(False)
-        for view, path in zip(component_views(slice_quiver, {}, {}), slice_quiver.paths):
+        views = component_views(signs, _sign_slice(quiver, signs), {}, {})
+        for view, path in zip(views, slice_quiver.paths):
             component = PathQuiver(path, tuple(a for a in slice_quiver.arrows if a[0] in path))
             mods = tilting_modules(component)
-            assert tuple(TiltingModule(summands) for summands in view.summands) == mods
+            assert tuple(
+                TiltingModule(tuple(IntervalModule(frozenset(s)) for _, _, s in keys))
+                for keys in view.summands
+            ) == mods
             arrows, ends = tilting_hasse(component, mods)
             assert sorted(
                 (a, b) if ahead else (b, a)
@@ -365,9 +396,9 @@ class TestWorkCount:
         built = []
 
         class Counted(repa.RigidityTable):
-            def __init__(self, component):
-                built.append(component)
-                super().__init__(component)
+            def __init__(self, word):
+                built.append(word)
+                super().__init__(word)
 
         monkeypatch.setattr(glue, "RigidityTable", Counted)
         glued_hasse(quiver)
@@ -386,9 +417,71 @@ class TestUnsupported:
         with pytest.raises(UnsupportedComponentError) as err:
             glued_hasse(STAR_D4)
         assert err.value.signs == (1, 1, 1, -1)
+        assert err.value.component == (1, 2, 3, 4)
         assert "+++-" in str(err.value)
+        assert "component [1, 2, 3, 4] is D4" in str(err.value)
 
     def test_slice_quiver_is_opposite(self):
         p = sign_slice_path_quiver(THREE_CYCLE, (1, -1, 1))
         assert p.arrows == ((2, 1),)
         assert p.vertices == (1, 2, 3)
+
+
+def slice_readings(quiver):
+    """Per sign vector, the paths and words of the views read off the slice
+    engine, up to the first unsupported slice, and that slice's error."""
+    tables, views, out = {}, {}, []
+    try:
+        for signs, parts in SliceEngine(quiver, quiver.vertices).walk():
+            parts = component_views(signs, parts, tables, views)
+            out.append((signs, [(view.path, view.word) for view in parts]))
+    except UnsupportedComponentError as exc:
+        return out, exc
+    return out, None
+
+
+def pipeline_readings(quiver):
+    """The same by the old slice pipeline, one sign vector at a time."""
+    out = []
+    for signs in enumerate_signs(quiver.n):
+        try:
+            slice_quiver = sign_slice_path_quiver(quiver, signs)
+        except UnsupportedComponentError as exc:
+            return out, exc
+        out.append((signs, [(path, path_word(path, slice_quiver.arrows))
+                            for path in slice_quiver.paths]))
+    return out, None
+
+
+class TestSliceReading:
+    """Paths and words from the slice engine against the old slice pipeline,
+    over every sign vector."""
+
+    def check(self, quiver):
+        got, got_error = slice_readings(quiver)
+        want, want_error = pipeline_readings(quiver)
+        assert got == want
+        assert (got_error is None) == (want_error is None)
+        if got_error is not None:
+            assert got_error.signs == want_error.signs
+            assert f"component {list(got_error.component)} is " in str(got_error)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_valued_quivers(self, seed):
+        self.check(random_quiver(random.Random(seed), max_n=5, max_val=2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(type_a_unions())
+    def test_type_a_unions(self, quiver):
+        self.check(quiver)
+
+    def test_no_quiver_is_built_per_slice(self, monkeypatch):
+        quiver = brauer_line_quiver(3)
+        want = glued_hasse(quiver)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ValuedQuiver was built")
+
+        monkeypatch.setattr(quiver_module.ValuedQuiver, "__init__", refuse)
+        assert glued_hasse(quiver) == want

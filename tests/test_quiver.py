@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     graph_components,
     graph_components_union_find,
+    opposite,
     random_quiver,
     separated_quiver,
     source_sink_signs,
@@ -22,7 +23,6 @@ from taudec.quiver import (
     check_signs,
     components,
     normalize,
-    opposite,
     parse_quiver,
     quiver_file_text,
     sign_subquiver,

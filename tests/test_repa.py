@@ -5,15 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    IntervalModule,
+    PathQuiver,
+    TiltingModule,
     all_orientations,
     bongartz_complete_scan,
     brute_maximal_rigid,
     delete_vertex,
+    ext_dim_linear,
     fac_contains,
     fac_contains_scan,
     hom_dim_linear,
+    indicator,
     interval,
+    interval_module,
+    intervals,
+    path_quiver,
     path_with_orientation,
+    path_word,
     tilting_hasse,
     tilting_hasse_pairs,
     tilting_modules,
@@ -22,20 +31,7 @@ from oracles import (
 )
 from taudec.dynkin import catalan
 from taudec.quiver import Arrow, Valuation, ValuedQuiver
-from taudec.repa import (
-    IntervalModule,
-    PathQuiver,
-    RigidityTable,
-    TiltingModule,
-    UnsupportedComponentError,
-    _bits,
-    euler_form,
-    ext_dim,
-    hom_dim,
-    indicator,
-    intervals,
-    path_quiver,
-)
+from taudec.repa import RigidityTable, UnsupportedComponentError, _bits
 
 # path 2 -> 1 together with an isolated vertex 3
 A2_DOWN = PathQuiver((1, 2), ((2, 1),))
@@ -44,6 +40,40 @@ A2_PLUS_POINT = PathQuiver((1, 2, 3), ((2, 1),))
 
 def iv(*support):
     return IntervalModule(frozenset(support))
+
+
+def table_entries(table, path):
+    """Each ordered pair of the table's intervals on the labelled path, with
+    its Hom and Ext^1 bits."""
+    modules = [interval_module(path, span) for span in table.spans]
+    for i, a in enumerate(modules):
+        for j, b in enumerate(modules):
+            yield a, b, table.hom_out[i] >> j & 1, table.ext_out[i] >> j & 1
+
+
+def table_bits(quiver, m, n):
+    """(Hom, Ext^1) bits between two intervals of a one-path quiver, from the
+    table of its orientation word."""
+    (path,) = quiver.paths
+    table = RigidityTable(path_word(path, quiver.arrows))
+    for a, b, hom, ext in table_entries(table, path):
+        if (a, b) == (m, n):
+            return hom, ext
+    raise AssertionError(f"{m} or {n} is not an interval of {quiver}")
+
+
+def hom(quiver, m, n):
+    return table_bits(quiver, m, n)[0]
+
+
+def ext(quiver, m, n):
+    return table_bits(quiver, m, n)[1]
+
+
+def euler(quiver, m, n):
+    """The Euler form of two intervals' dimension vectors as Hom - Ext^1."""
+    hom_bit, ext_bit = table_bits(quiver, m, n)
+    return hom_bit - ext_bit
 
 
 class TestPathQuiver:
@@ -110,68 +140,73 @@ class TestIntervals:
 
 
 class TestEulerForm:
+    """The table's Hom bit minus its Ext^1 bit is the Euler form."""
+
     def test_unit_vectors(self):
-        assert euler_form(A2_DOWN, (1, 0), (1, 0)) == 1
+        assert euler(A2_DOWN, iv(1), iv(1)) == 1
 
     def test_crossing_arrow(self):
-        assert euler_form(A2_DOWN, (0, 1), (1, 0)) == -1
-        assert euler_form(A2_DOWN, (1, 0), (0, 1)) == 0
-
-    def test_length_checked(self):
-        with pytest.raises(ValueError):
-            euler_form(A2_DOWN, (1, 0, 0), (0, 1))
+        assert euler(A2_DOWN, iv(2), iv(1)) == -1
+        assert euler(A2_DOWN, iv(1), iv(2)) == 0
 
 
 class TestHomDim:
     def test_projective_onto_top(self):
-        assert hom_dim(A2_DOWN, iv(1, 2), iv(2)) == 1
+        assert hom(A2_DOWN, iv(1, 2), iv(2)) == 1
 
     def test_identity(self):
         for m in intervals(A2_DOWN):
-            assert hom_dim(A2_DOWN, m, m) == 1
+            assert hom(A2_DOWN, m, m) == 1
 
     def test_disjoint_supports(self):
-        assert hom_dim(A2_DOWN, iv(2), iv(1)) == 0
+        assert hom(A2_DOWN, iv(2), iv(1)) == 0
 
     def test_socle_inclusion(self):
-        assert hom_dim(A2_DOWN, iv(1), iv(1, 2)) == 1
-        assert hom_dim(A2_DOWN, iv(2), iv(1, 2)) == 0
-
-    def test_modules_must_live_on_the_quiver(self):
-        with pytest.raises(ValueError):
-            hom_dim(A2_DOWN, iv(1), iv(3))
+        assert hom(A2_DOWN, iv(1), iv(1, 2)) == 1
+        assert hom(A2_DOWN, iv(2), iv(1, 2)) == 0
 
     def test_agrees_with_linear_system_up_to_five_vertices(self):
         for m in range(1, 6):
             for quiver in all_orientations(m):
-                ivs = intervals(quiver)
-                for a in ivs:
-                    for b in ivs:
-                        assert hom_dim(quiver, a, b) == hom_dim_linear(quiver, a, b)
+                (path,) = quiver.paths
+                table = RigidityTable(path_word(path, quiver.arrows))
+                for a, b, hom_bit, ext_bit in table_entries(table, path):
+                    assert hom_bit == hom_dim_linear(quiver, a, b)
+                    assert ext_bit == ext_dim_linear(quiver, a, b)
+                    assert not (hom_bit and ext_bit)
 
     def test_agrees_on_disconnected_quivers(self):
+        # intervals of different paths have neither Hom nor Ext^1, so each
+        # path's table on its own decides every pair
         quiver = PathQuiver((1, 2, 3, 4, 5), ((2, 1), (4, 5)))
-        ivs = intervals(quiver)
-        for a in ivs:
-            for b in ivs:
-                assert hom_dim(quiver, a, b) == hom_dim_linear(quiver, a, b)
+        checked = set()
+        for path in quiver.paths:
+            table = RigidityTable(path_word(path, quiver.arrows))
+            for a, b, hom_bit, ext_bit in table_entries(table, path):
+                assert hom_bit == hom_dim_linear(quiver, a, b)
+                assert ext_bit == ext_dim_linear(quiver, a, b)
+                checked.add((a, b))
+        for a in intervals(quiver):
+            for b in intervals(quiver):
+                if (a, b) not in checked:
+                    assert hom_dim_linear(quiver, a, b) == ext_dim_linear(quiver, a, b) == 0
 
 
 class TestExtDim:
     def test_extension_between_simples(self):
-        assert ext_dim(A2_DOWN, iv(2), iv(1)) == 1
+        assert ext(A2_DOWN, iv(2), iv(1)) == 1
 
     def test_projectives_have_no_ext(self):
         # over 2 -> 1 the projectives are {1} and {1,2}
         for proj in (iv(1), iv(1, 2)):
             for n in intervals(A2_DOWN):
-                assert ext_dim(A2_DOWN, proj, n) == 0
+                assert ext(A2_DOWN, proj, n) == 0
 
     def test_self_ext_vanishes(self):
         for m in range(1, 6):
             for quiver in all_orientations(m):
                 for a in intervals(quiver):
-                    assert ext_dim(quiver, a, a) == 0
+                    assert ext(quiver, a, a) == 0
 
 
 class TestTiltingModules:
@@ -337,21 +372,27 @@ class TestAgainstDirectScans:
     @given(path_quivers())
     def test_table_mutation_graph(self, quiver):
         for path in quiver.paths:
-            component = PathQuiver(path, tuple(a for a in quiver.arrows if a[0] in path))
-            table = RigidityTable(component)
-            mods = [TiltingModule(tuple(table.intervals[i] for i in _bits(t))) for t in table.tilting]
+            # the word's own path, labelled by position, holds the table's order
+            table = RigidityTable(path_word(path, quiver.arrows))
+            positions = tuple(range(len(path)))
+            component = PathQuiver(positions, tuple(
+                (p, p + 1) if ahead else (p + 1, p) for p, ahead in enumerate(table.word)
+            ))
+            spans = [interval_module(positions, span) for span in table.spans]
+            mods = [TiltingModule(tuple(spans[i] for i in _bits(t))) for t in table.tilting]
             assert tuple(mods) == tilting_modules_scan(component)
             arrows = tuple((i, j) if ahead else (j, i) for i, j, ahead in table.arrows)
             assert arrows == tilting_hasse_pairs(component, mods)
             # Happel-Unger: a rest has one complement exactly when it misses a vertex
-            assert {(i, table.intervals[x], v) for i, x, v in table.ends} == {
-                (i, x, v)
+            assert {(i, spans[x], p) for i, x, p in table.ends} == {
+                (i, x, p)
                 for i, tilt in enumerate(mods)
                 for x in tilt.summands
-                for v in x.support.difference(*(m.support for m in tilt.summands if m != x))
+                for p in x.support.difference(*(m.support for m in tilt.summands if m != x))
             }
             assert table.dims == tuple(
-                tuple(sum(v in m.support for m in tilt.summands) for v in path) for tilt in mods
+                tuple(sum(p in m.support for m in tilt.summands) for p in positions)
+                for tilt in mods
             )
 
     @settings(max_examples=25, deadline=None)
