@@ -62,28 +62,13 @@ def brauer_cycle_count(n: int) -> int:
     return 2 ** (2 * n - 1)
 
 
-@dataclass(frozen=True)
-class CompositionSums:
-    """Table of sums over positive compositions of n into r parts of Catalan products."""
+def composition_sums(n_max: int) -> tuple[tuple[int, ...], ...]:
+    """Table P[n][r] for 0 <= n, r <= n_max: the sum over positive
+    compositions of n into r parts of the product of the parts' Catalan
+    numbers, zero outside 1 <= r <= n.
 
-    n_max: int
-    table: tuple[tuple[int, ...], ...]  # table[n][r], zero outside 1 <= r <= n
-
-    def value(self, n: int, r: int) -> int:
-        if not (0 <= n <= self.n_max and 0 <= r <= self.n_max):
-            raise ValueError(f"({n}, {r}) outside table range 0..{self.n_max}")
-        return self.table[n][r]
-
-    def row_sum(self, n: int, parity: int | None = None) -> int:
-        return sum(
-            self.table[n][r]
-            for r in range(1, n + 1)
-            if parity is None or r % 2 == parity
-        )
-
-
-def composition_sums(n_max: int) -> CompositionSums:
-    """Dynamic program: P[n][r] = sum over k of C_k * P[n-k][r-1], P[0][0] = 1."""
+    Dynamic program: P[n][r] = sum over k of C_k * P[n-k][r-1], P[0][0] = 1.
+    """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     cats = [catalan(k) for k in range(n_max + 1)]
@@ -94,7 +79,7 @@ def composition_sums(n_max: int) -> CompositionSums:
             table[n][r] = sum(
                 cats[k] * table[n - k][r - 1] for k in range(1, n - r + 2)
             )
-    return CompositionSums(n_max, tuple(tuple(row) for row in table))
+    return tuple(tuple(row) for row in table)
 
 
 @dataclass(frozen=True)
@@ -115,19 +100,14 @@ def verify_identities(n_max: int) -> list[IdentityCheck]:
     Total row sum equals half the central binomial; the odd-length and
     even-length parts contribute n*C_{n-1} and (n-1)*C_{n-1}.
     """
-    sums = composition_sums(n_max)
+    table = composition_sums(n_max)
     checks = []
     for n in range(1, n_max + 1):
+        row = table[n]  # row[0] is 0 for n >= 1
+        checks.append(IdentityCheck("total-sum", n, sum(row), math.comb(2 * n, n) // 2))
+        checks.append(IdentityCheck("odd-parts", n, sum(row[1::2]), n * catalan(n - 1)))
         checks.append(
-            IdentityCheck("total-sum", n, sums.row_sum(n), math.comb(2 * n, n) // 2)
-        )
-        checks.append(
-            IdentityCheck("odd-parts", n, sums.row_sum(n, parity=1), n * catalan(n - 1))
-        )
-        checks.append(
-            IdentityCheck(
-                "even-parts", n, sums.row_sum(n, parity=0), (n - 1) * catalan(n - 1)
-            )
+            IdentityCheck("even-parts", n, sum(row[2::2]), (n - 1) * catalan(n - 1))
         )
     return checks
 

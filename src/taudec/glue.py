@@ -18,9 +18,12 @@ complement in the slice.  Such a rest misses exactly one vertex v, so it
 is a tilting module of the slice without v, which is the same for both
 signs at v and has one completion on each side.  The open ends of the
 two slices that differ only at v therefore pair up by their rest, and
-each pair is one gluing arrow from the +1 side to the -1 side.  Node
-g-vectors are the sign diagonal applied to the sum of the components'
-dimension vectors.
+each pair is one gluing arrow from the +1 side to the -1 side.  A node's
+g-vector is the sign diagonal applied to its slice tilting module's
+dimension vector.  A view is kept per labelled component and the sign of
+one of its vertices, which fixes every sign on its path, so it flips its
+modules' dimension vectors once, and a node's g is put together from its
+views' pieces.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .matrices import IntVector, g_from_dim_vector
-from .quiver import SignVector, ValuedGraph, ValuedQuiver, format_signs
+from .quiver import IntVector, SignVector, ValuedGraph, ValuedQuiver, format_signs
 from .repa import RigidityTable, UnsupportedComponentError, _bits
 from .signdec import Counted, SliceEngine
 
@@ -56,25 +58,25 @@ class GluedHasse:
     nodes: tuple[HasseNode, ...]
     arrows: tuple[tuple[int, int, str], ...]
 
-    def arrows_of_kind(self, kind: str) -> tuple[tuple[int, int], ...]:
-        return tuple((a, b) for a, b, k in self.arrows if k == kind)
-
 
 class ComponentView:
-    """An orientation word's table read on one labelled path: position p is path[p].
+    """An orientation word's table read on one labelled path under one sign
+    vector: position p is path[p].
 
     An interval's support is its labels, sorted, and its key is (least
     label, size, support).  Intervals are re-sorted by key and tilting
     modules into the lexicographic order of their sorted interval
     positions, the order a table built on the labels gives.  Per tilting
-    module, in that order: `summands` (their keys, sorted), `dims` (in
-    path order), `arrows` (b, forward) to each later module b, and `ends`
-    (missing vertex, pieces).  The rest of an open end lies on the paths
-    left and right of the missing vertex; each one it meets is a piece
-    (minimal vertex, the keys of the rest's summands on it, twice).
+    module, in that order: `summands` (their keys, sorted), `g` (its
+    g-vector's entries on the path as (vertex, entry) pairs: the dimension
+    vector, negated at -1 vertices), `arrows` (b, forward) to each later
+    module b, and `ends` (missing vertex, pieces).  The rest of an open
+    end lies on the paths left and right of the missing vertex; each one
+    it meets is a piece (minimal vertex, the keys of the rest's summands
+    on it, twice).
     """
 
-    def __init__(self, table: RigidityTable, path: tuple[int, ...]) -> None:
+    def __init__(self, table: RigidityTable, path: tuple[int, ...], signs: SignVector) -> None:
         keys = []
         for start, stop in table.spans:
             support = tuple(sorted(path[start:stop]))
@@ -88,7 +90,9 @@ class ComponentView:
         self.word = table.word
         self.low = min(path)
         self.summands = tuple(tuple(keys[i] for i in members[t]) for t in order)
-        self.dims = tuple(table.dims[t] for t in order)
+        self.g = tuple(
+            tuple((v, signs[v - 1] * x) for v, x in zip(path, table.dims[t])) for t in order
+        )
         self.arrows: list[list[tuple[int, bool]]] = [[] for _ in order]
         for i, j, forward in table.arrows:
             a, b = sorted((where[i], where[j]))
@@ -146,7 +150,7 @@ def component_views(
             table = tables.get(word)
             if table is None:
                 table = tables[word] = RigidityTable(word)
-            view = views[key] = ComponentView(table, path)
+            view = views[key] = ComponentView(table, path, signs)
         out.append(view)
     return tuple(out)
 
@@ -173,17 +177,12 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
         parts = component_views(signs, counted, tables, views)
         sizes = [len(view.summands) for view in parts]
         strides = [prod(sizes[c + 1:]) for c in range(len(parts))]
-        placed = [
-            [tuple(zip(view.path, g_from_dim_vector([signs[v - 1] for v in view.path], dim)))
-             for dim in view.dims]
-            for view in parts
-        ]
         without = [signs[:v - 1] + signs[v:] for v in range(n + 1)]  # by vertex v
         pairs = []
         for i, digits in enumerate(product(*map(range, sizes)), len(nodes)):
             g = [0] * n
-            for c, d in enumerate(digits):
-                for v, x in placed[c][d]:
+            for view, d in zip(parts, digits):
+                for v, x in view.g[d]:
                     g[v - 1] = x
             if any(gi * si <= 0 for gi, si in zip(g, signs)):
                 raise ArithmeticError(

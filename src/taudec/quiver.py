@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 SignVector = tuple[int, ...]
+IntVector = tuple[int, ...]
 
 
 class QuiverError(ValueError):
@@ -61,9 +62,6 @@ class Valuation:
                 f"valuation entries must be positive, got ({self.d_prime}, {self.d_dprime})"
             )
 
-    def transposed(self) -> Valuation:
-        return Valuation(self.d_dprime, self.d_prime)
-
     def unordered(self) -> tuple[int, int]:
         lo, hi = sorted((self.d_prime, self.d_dprime))
         return lo, hi
@@ -103,9 +101,6 @@ class ValuedQuiver:
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def arrow_map(self) -> dict[tuple[int, int], Valuation]:
-        return {(a.src, a.tgt): a.val for a in self.arrows}
 
 
 RawArrow = tuple  # (src, tgt) for a unit arrow or (src, tgt, d', d'')

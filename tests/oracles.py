@@ -36,6 +36,14 @@ their lists (`tilting_modules`), one mutation pass over that product
 (`total_dim_vector`).  It is the reference for `taudec.glue`, which reads
 one table per orientation word through labelled views and takes products
 by index arithmetic.
+
+The exact integer matrix layer (Cartan matrices, sign diagonals, sink
+reflections and `g_from_dim_vector`, the sign flip from a slice tilting
+module's dimension vector to its g-vector) has no caller in the package,
+where each labelled view of `taudec.glue` flips its modules' dimension
+vectors once.  It is the reference for those g pieces and for the
+matrix identities of criterion 7.  `transposed` and `arrows_of_kind` are
+likewise called only by tests.
 """
 from __future__ import annotations
 
@@ -49,15 +57,16 @@ from typing import Iterable, Sequence
 
 from taudec.dynkin import DynkinType, catalan, classify, tilting_count
 from taudec.glue import GLUING, INTERNAL, GluedHasse, HasseNode
-from taudec.matrices import IntVector, g_from_dim_vector
 from taudec.quiver import (
     UNIT,
     Arrow,
+    IntVector,
     QuiverError,
     SignVector,
     Valuation,
     ValuedGraph,
     ValuedQuiver,
+    check_signs,
     components,
     format_signs,
     sign_subquiver,
@@ -137,10 +146,15 @@ def path_quiver(quiver: ValuedQuiver) -> PathQuiver:
     )
 
 
+def transposed(val: Valuation) -> Valuation:
+    """The valuation of the reversed arrow: (d'', d')."""
+    return Valuation(val.d_dprime, val.d_prime)
+
+
 def opposite(quiver: ValuedQuiver) -> ValuedQuiver:
     """Reverse all arrows, transposing each valuation."""
     return ValuedQuiver(
-        quiver.n, tuple(Arrow(a.tgt, a.src, a.val.transposed()) for a in quiver.arrows)
+        quiver.n, tuple(Arrow(a.tgt, a.src, transposed(a.val)) for a in quiver.arrows)
     )
 
 
@@ -921,3 +935,125 @@ def glued_hasse_scan(quiver: ValuedQuiver) -> GluedHasse:
     gluing.sort()
     arrows.extend((top, bottom, GLUING) for _, top, bottom in gluing)
     return GluedHasse(tuple(nodes), tuple(arrows))
+
+
+def arrows_of_kind(hasse: GluedHasse, kind: str) -> tuple[tuple[int, int], ...]:
+    """The (from, to) pairs of the Hasse arrows of one kind, in order."""
+    return tuple((a, b) for a, b, k in hasse.arrows if k == kind)
+
+
+# Exact integer matrices: Cartan matrices, sign diagonals, sink reflections.
+# Matrices are dense tuples of tuples of Python ints; sizes stay tiny, so
+# exactness wins over any numeric library.
+
+IntMatrix = tuple[tuple[int, ...], ...]
+
+
+def identity_matrix(n: int) -> IntMatrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def diagonal_matrix(entries: Sequence[int]) -> IntMatrix:
+    n = len(entries)
+    return tuple(
+        tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)
+    )
+
+
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def mat_vec(a: IntMatrix, x: Sequence[int]) -> IntVector:
+    return tuple(sum(row[k] * x[k] for k in range(len(x))) for row in a)
+
+
+def _assert_acyclic(quiver: ValuedQuiver) -> None:
+    outgoing: dict[int, list[int]] = {v: [] for v in quiver.vertices}
+    indegree = {v: 0 for v in quiver.vertices}
+    for a in quiver.arrows:
+        if a.src == a.tgt:
+            raise QuiverError(f"loop at vertex {a.src}; quiver is not hereditary")
+        outgoing[a.src].append(a.tgt)
+        indegree[a.tgt] += 1
+    queue = [v for v in quiver.vertices if indegree[v] == 0]
+    removed = 0
+    while queue:
+        v = queue.pop()
+        removed += 1
+        for w in outgoing[v]:
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                queue.append(w)
+    if removed != quiver.n:
+        raise QuiverError("oriented cycle; quiver is not hereditary")
+
+
+def cartan_matrix(quiver: ValuedQuiver) -> IntMatrix:
+    """Cartan matrix of the presented hereditary algebra.
+
+    Column i is e_i plus d'_{ij} e_j over the arrows i -> j (the radical of
+    the i-th projective is semisimple).  Requires a loop-free acyclic quiver.
+    """
+    _assert_acyclic(quiver)
+    n = quiver.n
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a in quiver.arrows:
+        rows[a.tgt - 1][a.src - 1] = a.val.d_prime
+    return tuple(tuple(row) for row in rows)
+
+
+def sign_diagonal(signs: Sequence[int]) -> IntMatrix:
+    """Diagonal matrix of a +/-1 vector; an involution."""
+    signs = check_signs(signs, len(signs))
+    return diagonal_matrix(signs)
+
+
+def reflect_at(quiver: ValuedQuiver, a: int, x: Sequence[int]) -> IntVector:
+    """Reflection of an integer vector at a sink: negate there, add weighted inflow."""
+    if not 1 <= a <= quiver.n:
+        raise QuiverError(f"vertex {a} outside 1..{quiver.n}")
+    if len(x) != quiver.n:
+        raise QuiverError(f"vector has length {len(x)}, expected {quiver.n}")
+    if any(arrow.src == a for arrow in quiver.arrows):
+        raise QuiverError(f"vertex {a} is not a sink")
+    y = list(x)
+    y[a - 1] = -x[a - 1] + sum(
+        arrow.val.d_prime * x[arrow.src - 1]
+        for arrow in quiver.arrows
+        if arrow.tgt == a
+    )
+    return tuple(y)
+
+
+def sink_reflection_matrix(quiver: ValuedQuiver, signs: Sequence[int]) -> IntMatrix:
+    """Matrix of the simultaneous reflection at all -1 vertices.
+
+    The sign vector must orient the quiver source-to-sink: every arrow
+    runs from a +1 vertex to a -1 vertex (so -1 vertices are sinks and the
+    reflections commute).  Equals the Cartan matrix times the sign diagonal.
+    """
+    signs = check_signs(signs, quiver.n)
+    for arrow in quiver.arrows:
+        if signs[arrow.src - 1] != 1 or signs[arrow.tgt - 1] != -1:
+            raise QuiverError(
+                f"arrow {arrow.src}->{arrow.tgt} violates the source/sink signs"
+            )
+    return mat_mul(cartan_matrix(quiver), sign_diagonal(signs))
+
+
+def g_from_dim_vector(signs: Sequence[int], c: Sequence[int]) -> IntVector:
+    """g-vector from a dimension vector: flip the sign of each -1 coordinate.
+
+    This coordinatewise involution translates dimension vectors of tilting
+    modules over a sign slice into g-vectors of the support tilting
+    modules they index, and back.
+    """
+    signs = check_signs(signs, len(signs))
+    if len(c) != len(signs):
+        raise QuiverError(f"length mismatch: {len(c)} vs {len(signs)}")
+    return tuple(s * x for s, x in zip(signs, c))

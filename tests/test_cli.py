@@ -255,7 +255,13 @@ class TestHasse:
 
     def test_failed_self_check_exits_four(self, quiver_file, capsys, monkeypatch):
         # an all-zero g-vector breaks the sign law that glued_hasse checks
-        monkeypatch.setattr(glue, "g_from_dim_vector", lambda signs, dim: (0,) * len(signs))
+        original = glue.ComponentView.__init__
+
+        def zero_g(view, table, path, signs):
+            original(view, table, path, signs)
+            view.g = tuple(tuple((v, 0) for v, _ in g) for g in view.g)
+
+        monkeypatch.setattr(glue.ComponentView, "__init__", zero_g)
         code, out, err = run(capsys, "hasse", quiver_file(THREE_CYCLE_FILE))
         assert code == 4
         assert out == ""

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from oracles import (
     IntervalModule,
+    arrows_of_kind,
     PathQuiver,
     TiltingModule,
     disjoint_union,
+    g_from_dim_vector,
     glued_hasse_scan,
     gluing_arrows,
     hasse_nodes,
@@ -22,6 +24,7 @@ from oracles import (
     tilting_hasse,
     tilting_hasse_pairs,
     tilting_modules,
+    total_dim_vector,
 )
 from taudec import glue, quiver as quiver_module, repa
 from taudec.brauer import brauer_cycle_quiver, brauer_line_quiver
@@ -51,8 +54,8 @@ class TestThreeCycle:
         hasse = glued_hasse(THREE_CYCLE)
         assert len(hasse.nodes) == 14
         assert len(hasse.arrows) == 21
-        assert len(hasse.arrows_of_kind(INTERNAL)) == 6
-        assert len(hasse.arrows_of_kind(GLUING)) == 15
+        assert len(arrows_of_kind(hasse, INTERNAL)) == 6
+        assert len(arrows_of_kind(hasse, GLUING)) == 15
 
     def test_g_vector_of_marked_node(self):
         hasse = glued_hasse(THREE_CYCLE)
@@ -65,7 +68,7 @@ class TestThreeCycle:
         bottom = node_by_supports(hasse, (-1, -1, 1), [(1, 3), (2,), (3,)])
         top_idx = hasse.nodes.index(top)
         bottom_idx = hasse.nodes.index(bottom)
-        assert (top_idx, bottom_idx) in hasse.arrows_of_kind(GLUING)
+        assert (top_idx, bottom_idx) in arrows_of_kind(hasse, GLUING)
 
     def test_gluing_arrows_as_pairs(self):
         pairs = gluing_arrows(THREE_CYCLE)
@@ -296,7 +299,13 @@ class TestPairingCheck:
 class TestCollisionCheck:
     def test_colliding_g_vectors_are_an_internal_bug(self, monkeypatch):
         # g = signs keeps the sign law but gives every node of a slice the same g
-        monkeypatch.setattr(glue, "g_from_dim_vector", lambda signs, dim: tuple(signs))
+        original = glue.ComponentView.__init__
+
+        def g_is_signs(view, table, path, signs):
+            original(view, table, path, signs)
+            view.g = tuple(tuple((v, signs[v - 1]) for v in path) for _ in view.g)
+
+        monkeypatch.setattr(glue.ComponentView, "__init__", g_is_signs)
         with pytest.raises(ArithmeticError, match="node g-vectors collide: internal bug"):
             glued_hasse(THREE_CYCLE)
 
@@ -377,6 +386,12 @@ class TestComponentViews:
                 TiltingModule(tuple(IntervalModule(frozenset(s)) for _, _, s in keys))
                 for keys in view.summands
             ) == mods
+            on = component.vertices
+            assert [dict(g) for g in view.g] == [
+                dict(zip(on, g_from_dim_vector([signs[v - 1] for v in on],
+                                               total_dim_vector(component, mod))))
+                for mod in mods
+            ]
             arrows, ends = tilting_hasse(component, mods)
             assert sorted(
                 (a, b) if ahead else (b, a)

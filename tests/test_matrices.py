@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from oracles import random_bipartite
-from taudec.matrices import (
+from oracles import (
     cartan_matrix,
     g_from_dim_vector,
     identity_matrix,
     mat_mul,
     mat_vec,
+    random_bipartite,
     reflect_at,
     sign_diagonal,
     sink_reflection_matrix,

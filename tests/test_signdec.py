@@ -18,6 +18,7 @@ from oracles import (
     relabelled,
     sign_slice_components_scan,
     slice_count_scan,
+    transposed,
 )
 from taudec import signdec
 from taudec.dynkin import catalan, tilting_count
@@ -323,7 +324,7 @@ def valued_cycle(rng: random.Random, max_val: int) -> ValuedQuiver:
         if ways != "back":
             arrows.append(Arrow(i, j, val))
         if ways != "forward":
-            arrows.append(Arrow(j, i, val.transposed()))
+            arrows.append(Arrow(j, i, transposed(val)))
     return ValuedQuiver(n, tuple(arrows))
 
 
@@ -363,7 +364,7 @@ def valued_line(n: int, k: int, lo: int, hi: int) -> ValuedQuiver:
     arrows = []
     for i in range(1, n):
         val = Valuation(lo, hi) if i == k else Valuation(1, 1)
-        arrows += [Arrow(i, i + 1, val), Arrow(i + 1, i, val.transposed())]
+        arrows += [Arrow(i, i + 1, val), Arrow(i + 1, i, transposed(val))]
     return ValuedQuiver(n, tuple(arrows))
 
 
