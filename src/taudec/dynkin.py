@@ -118,7 +118,8 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError(f"catalan is undefined for n = {n}")
     quotient, remainder = divmod(math.comb(2 * n, n), n + 1)
-    assert remainder == 0
+    if remainder:
+        raise ArithmeticError(f"binom({2 * n}, {n}) is not a multiple of {n + 1}: internal bug")
     return quotient
 
 
@@ -136,7 +137,8 @@ def tilting_count(dynkin: DynkinType) -> int:
         quotient, remainder = divmod(
             (3 * rank - 4) * math.comb(2 * rank - 2, rank - 2), 2 * rank - 2
         )
-        assert remainder == 0
+        if remainder:
+            raise ArithmeticError(f"the D{rank} count is not an integer: internal bug")
         return quotient
     if family == "E":
         return {6: 418, 7: 2431, 8: 17342}[rank]

@@ -27,15 +27,19 @@ two edges into one open path (a cycle) or a non-Dynkin open path return
 `INFINITE` at once.  An edge into a frontier vertex inside a path, or a
 third edge at the new vertex, is a branch: the sweep gives up and that
 component falls back to the walk below.  `count`, `finite` and
-`brauer --verify` take their counts from the sweep.
+`brauer --verify` take their counts from the sweep.  For `finite` a state
+holds, in place of its weight, the least sign mask reaching it: merged
+states share their futures, so the least mask over all detections, +1 on
+every vertex not yet swept, is the component's first witness.
 
 A `SliceEngine` walks the 2^k sign vectors of one group of vertices.  It
 holds the group's slice-eligible arrows once, builds each slice from an
 integer sign mask, and classifies each distinct labelled slice component
 once, in a dict that lives only as long as the engine.  It counts the
-components the sweep gives up on, finds the first witness of `finite` in
-the components the sweep found infinite, and gives the `signdec` rows and
-`sign_slice_components` over the whole vertex set.
+components the sweep gives up on and walks them to the first witness of
+`finite`, names the non-Dynkin component of the sweep's witness from its
+one slice, and gives the `signdec` rows and `sign_slice_components` over
+the whole vertex set.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .dynkin import DynkinType, catalan, classify, tilting_count
-from .quiver import SignVector, ValuedGraph, ValuedQuiver, check_signs, components
+from .quiver import SignVector, ValuedGraph, ValuedQuiver, check_signs, components, format_signs
 
 Classified = tuple[ValuedGraph, DynkinType]
 
@@ -228,17 +232,22 @@ def _join(
 
 
 def transfer_count(
-    links: Links, group: Sequence[int], memo: dict
+    links: Links, group: Sequence[int], memo: dict, witness: bool = False
 ) -> int | Infinite | None:
     """Sum of one quiver component's sign-class counts by a vertex sweep.
 
     Returns INFINITE as soon as an open slice path closes a cycle or is not
     Dynkin, and None when a slice branches (see the module docstring).
-    `memo` holds path counts for the length of one call.
+    `memo` holds path counts for the length of one call.  With `witness`,
+    a state holds the least `SliceEngine` mask that reaches it in place of
+    its weight, and the sweep runs on past each detection: it returns the
+    least witness mask, 0 if there is none, or None on a branch.
     """
+    bit = {v: 1 << (len(group) - 1 - i) for i, v in enumerate(sorted(group))}
+    best = 0  # mask 0, all +1, has an edgeless slice and is never a witness
     waiting = {v: len(links[v]) for v in group}
     frontier: list[int] = []
-    states: dict[tuple, int] = {((), ()): 1}
+    states: dict[tuple, int] = {((), ()): 0 if witness else 1}
     for v in _sweep_order(links, group):
         at = {u: i for i, u in enumerate(frontier)}
         # (frontier index, valuation) of the slice edges v can take as +1 and as -1
@@ -263,34 +272,38 @@ def transfer_count(
                 joined = _join(paths, touched, fresh, memo) if touched else (
                     paths + ((fresh, fresh, 1, (), ()),)
                 )
+                out = weight | bit[v] if witness and s < 0 else weight
+                if joined is INFINITE and witness:  # least completion: +1 on the rest
+                    best = min(best or out, out)
+                    continue
                 if joined is None or joined is INFINITE:
                     return joined
-                out = weight
                 kept = []
                 for a, b, length, inner, special in joined:
                     a, b = remap[a], remap[b]
                     if inner:  # sorted, and remap keeps the order
                         inner = tuple([remap[i] for i in inner if remap[i] >= 0])
                     if a < 0 and b < 0 and not inner:
-                        out *= _path_count(length, special, memo)  # closed
+                        if not witness:
+                            out *= _path_count(length, special, memo)  # closed
                     elif b < a or (a == b and special and _reversed(length, special) < special):
                         kept.append((b, a, length, inner, _reversed(length, special)))
                     else:
                         kept.append((a, b, length, inner, special))
                 key = (carried_signs + (s,) if v_stays else carried_signs, tuple(sorted(kept)))
-                merged[key] = merged.get(key, 0) + out
+                merged[key] = min(merged.get(key, out), out) if witness else merged.get(key, 0) + out
         states = merged
-    return sum(states.values())
+    return best if witness else sum(states.values())
 
 
 def _group_counts(
-    quiver: ValuedQuiver,
+    quiver: ValuedQuiver, witness: bool = False
 ) -> Iterator[tuple[tuple[int, ...], int | Infinite | None]]:
     """Each quiver component's vertices and its `transfer_count`, by minimal vertex."""
     links = _links(quiver)
     memo: dict = {}
     for group in components(links):
-        yield group, transfer_count(links, group, memo)
+        yield group, transfer_count(links, group, memo, witness)
 
 
 def _sign_slice(quiver: ValuedQuiver, signs: Sequence[int]) -> tuple[Counted, ...]:
@@ -341,6 +354,10 @@ def count_support_tilting(quiver: ValuedQuiver) -> int | Infinite:
     return total
 
 
+def _non_dynkin(parts: Iterable[Counted]) -> ValuedGraph | None:
+    return next((graph for graph, dynkin, _ in parts if not dynkin.is_dynkin), None)
+
+
 def finiteness_witness(
     quiver: ValuedQuiver,
 ) -> tuple[SignVector, ValuedGraph] | None:
@@ -348,21 +365,27 @@ def finiteness_witness(
 
     The first witness is +1 outside one quiver component and that
     component's own first witness inside it: setting signs outside the
-    component to +1 keeps the witness and cannot move it later.  Only the
-    components whose sweep count is not finite are walked.
+    component to +1 keeps the witness and cannot move it later.  The sweep
+    gives each component's first witness mask, whose one slice names the
+    component; only a component where the sweep gives up is walked.
     """
     found = []
-    for group, group_total in _group_counts(quiver):
-        if isinstance(group_total, int):
+    for group, mask in _group_counts(quiver, witness=True):
+        if mask == 0:
             continue
-        for local, parts in SliceEngine(quiver, group).walk():
-            bad = next((graph for graph, dynkin, _ in parts if not dynkin.is_dynkin), None)
-            if bad is not None:
-                signs = [1] * quiver.n
-                for v, s in zip(group, local):
-                    signs[v - 1] = s
-                found.append((tuple(signs), bad))
-                break
+        engine = SliceEngine(quiver, group)
+        if mask is None:  # the sweep gave up: walk to the first witness, if any
+            mask = next((m for m, (_, parts) in enumerate(engine.walk()) if _non_dynkin(parts)), 0)
+            if not mask:
+                continue
+        bits = dict(zip(group, f"{mask:0{len(group)}b}"))
+        signs = tuple(-1 if bits.get(v) == "1" else 1 for v in quiver.vertices)
+        bad = _non_dynkin(engine.slice(mask))
+        if bad is None:
+            raise ArithmeticError(
+                f"witness {format_signs(signs)} is Dynkin on {group}: internal bug"
+            )
+        found.append((signs, bad))
     # negated vectors compare in enumerate_signs order, +1 before -1
     return min(found, key=lambda w: tuple(-s for s in w[0]), default=None)
 

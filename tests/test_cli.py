@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import types
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,8 +17,8 @@ from oracles import (
     random_quiver,
     random_type_a,
 )
-from taudec import cli, glue, repa
-from taudec.brauer import IdentityCheck, brauer_line_quiver
+from taudec import cli, dynkin, glue, repa, signdec
+from taudec.brauer import IdentityCheck, brauer_cycle_quiver, brauer_line_quiver
 from taudec.glue import GluedHasse, glued_hasse
 from taudec.quiver import format_signs, quiver_file_text
 from taudec.signdec import INFINITE, count_support_tilting
@@ -62,6 +63,16 @@ class TestFinite:
             "witness: signs=+- component={1,2}",
         ]
 
+    def test_sweep_witness_without_a_non_dynkin_component_exits_four(
+        self, quiver_file, capsys, monkeypatch
+    ):
+        # mask 1 puts -1 on vertex 4 alone: its slice is the path 3 - 4 - 1
+        monkeypatch.setattr(signdec, "transfer_count", lambda links, group, memo, witness: 1)
+        path = quiver_file(quiver_file_text(brauer_cycle_quiver(4)))
+        code, out, err = run(capsys, "finite", path)
+        assert (code, out) == (4, "")
+        assert err == "error: internal: witness +++- is Dynkin on (1, 2, 3, 4): internal bug\n"
+
     def test_malformed_file(self, quiver_file, capsys):
         code, _, err = run(capsys, "finite", quiver_file("n 2\na 9 9\n"))
         assert code == 2
@@ -104,6 +115,13 @@ class TestCount:
         union = disjoint_union(brauer_line_quiver(5), brauer_line_quiver(6))
         code, out, _ = run(capsys, "count", quiver_file(quiver_file_text(union)))
         assert (code, out) == (0, f"{math.comb(10, 5) * math.comb(12, 6)}\n")
+
+    def test_inexact_catalan_exits_four(self, quiver_file, capsys, monkeypatch):
+        monkeypatch.setattr(dynkin, "math", types.SimpleNamespace(comb=lambda n, k: 1))
+        code, out, err = run(capsys, "count", quiver_file(THREE_CYCLE_FILE))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: internal: binom(")
+        assert err.rstrip().endswith("internal bug")
 
     def test_count_past_the_int_digit_limit(self, quiver_file, capsys):
         # 2^15000 has 4,516 digits, more than str() gives by default

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from taudec import dynkin
 from taudec.dynkin import (
     NON_DYNKIN,
     DynkinType,
@@ -164,6 +166,15 @@ class TestTiltingCount:
     def test_non_dynkin_raises(self):
         with pytest.raises(NonDynkinError):
             tilting_count(NON_DYNKIN)
+
+    def test_inexact_division_is_an_internal_error(self, monkeypatch):
+        # a binomial of 1 divides neither n + 1 = 2 nor 2 * rank - 2 = 6; the
+        # check must hold under python -O, so it is an exception, not an assert
+        monkeypatch.setattr(dynkin, "math", types.SimpleNamespace(comb=lambda n, k: 1))
+        with pytest.raises(ArithmeticError, match="internal bug"):
+            catalan(1)
+        with pytest.raises(ArithmeticError, match="internal bug"):
+            tilting_count(DynkinType("D", 4))
 
 
 def test_unknown_family_rejected():

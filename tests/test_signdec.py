@@ -20,7 +20,7 @@ from oracles import (
     slice_count_scan,
     transposed,
 )
-from taudec import signdec
+from taudec import cli, signdec
 from taudec.dynkin import catalan, tilting_count
 from taudec.brauer import brauer_cycle_quiver, brauer_line_quiver
 from taudec.quiver import (
@@ -28,6 +28,7 @@ from taudec.quiver import (
     Valuation,
     ValuedQuiver,
     parse_quiver,
+    quiver_file_text,
     sign_subquiver,
 )
 from taudec.signdec import (
@@ -311,6 +312,16 @@ class TestFactoringProperties:
 
 
 STAR_D4 = parse_quiver("n 4\na 1 2\na 1 3\na 1 4\n")
+# a 4-cycle of sources 1, 3 and sinks 2, 4, with tails 5 -> 1 and 3 <- 6 - 7: no slice
+# edge meets a third at any vertex, the sweep runs 5, 1, 2, 4, 3, 6, 7 and finds the
+# slice cycle of + - + - at 3, before the tail 6 - 7
+CYCLE_WITH_TAILS = ValuedQuiver(
+    7,
+    tuple(
+        Arrow(u, v)
+        for u, v in ((1, 2), (3, 2), (3, 4), (1, 4), (5, 1), (6, 3), (6, 7), (7, 6))
+    ),
+)
 
 
 def valued_cycle(rng: random.Random, max_val: int) -> ValuedQuiver:
@@ -359,13 +370,25 @@ def sweep_counts(quiver: ValuedQuiver) -> list:
     return [count for _, count in _group_counts(quiver)]
 
 
+def valued_path(vals) -> ValuedQuiver:
+    """Arrows both ways between neighbours; the pair i, i + 1 valued vals[i - 1]."""
+    arrows = []
+    for i, val in enumerate(vals, 1):
+        arrows += [Arrow(i, i + 1, val), Arrow(i + 1, i, transposed(val))]
+    return ValuedQuiver(len(vals) + 1, tuple(arrows))
+
+
 def valued_line(n: int, k: int, lo: int, hi: int) -> ValuedQuiver:
     """Arrows both ways between neighbours; the pair k, k + 1 valued (lo, hi)."""
-    arrows = []
-    for i in range(1, n):
-        val = Valuation(lo, hi) if i == k else Valuation(1, 1)
-        arrows += [Arrow(i, i + 1, val), Arrow(i + 1, i, transposed(val))]
-    return ValuedQuiver(n, tuple(arrows))
+    return valued_path([Valuation(lo, hi) if i == k else Valuation(1, 1) for i in range(1, n)])
+
+
+def infinite_quiver(rng: random.Random, max_val: int) -> ValuedQuiver:
+    """A random quiver on up to 4 vertices that is tau-tilting-infinite."""
+    while True:
+        quiver = random_quiver(rng, max_n=4, max_val=max_val)
+        if finiteness_witness_scan(quiver) is not None:
+            return quiver
 
 
 SWEEP_FAMILIES = st.sampled_from(("plain", "union", "isolated", "cycle"))
@@ -406,6 +429,21 @@ class TestSweep:
         assert count is not None
         assert (count is not INFINITE) == finite
         assert count == count_support_tilting_scan(quiver)
+
+    @settings(max_examples=60, deadline=None)
+    @given(VALUATIONS, SEEDS)
+    def test_witness_against_scan(self, max_val, seed):
+        quiver = random_quiver(random.Random(seed), max_n=8, max_val=max_val)
+        assert finiteness_witness(quiver) == finiteness_witness_scan(quiver)
+
+    @settings(max_examples=60, deadline=None)
+    @given(VALUATIONS, SEEDS)
+    def test_witness_of_two_infinite_components(self, max_val, seed):
+        # each component has a witness of its own, so the least of them decides
+        rng = random.Random(seed)
+        first, second = infinite_quiver(rng, max_val), infinite_quiver(rng, max_val)
+        quiver = shuffled(rng, disjoint_union(first, second))
+        assert finiteness_witness(quiver) == finiteness_witness_scan(quiver)
 
     def test_branch_falls_back_to_the_walk(self):
         assert sweep_counts(STAR_D4) == [None]
@@ -497,3 +535,58 @@ class TestSweepWithoutWalk:
                 Arrow(i, i + 1) if i % 2 else Arrow(i + 1, i) for i in range(1, n)
             )
             assert count_support_tilting(ValuedQuiver(n, arrows)) == catalan(n + 1)
+
+    def test_even_brauer_cycle_witnesses(self):
+        for n in range(2, 31, 2):
+            signs, component = finiteness_witness(brauer_cycle_quiver(n))
+            assert signs == (1, -1) * (n // 2)
+            assert component.vertices == tuple(range(1, n + 1))
+
+    def test_finite_prints_the_sweep_witness(self, tmp_path, capsys):
+        path = tmp_path / "cycle12.txt"
+        path.write_text(quiver_file_text(brauer_cycle_quiver(12)), encoding="utf-8")
+        assert cli.main(["finite", str(path)]) == 0
+        component = ",".join(str(v) for v in range(1, 13))
+        assert capsys.readouterr().out == (
+            f"infinite\nwitness: signs={'+-' * 6} component={{{component}}}\n"
+        )
+
+    def test_one_slice_per_infinite_component(self, monkeypatch):
+        built = []
+        original = SliceEngine.slice
+
+        def counted(engine, mask):
+            built.append(mask)
+            return original(engine, mask)
+
+        monkeypatch.setattr(SliceEngine, "slice", counted)
+        quiver = disjoint_union(brauer_cycle_quiver(12), brauer_cycle_quiver(4))
+        assert finiteness_witness(quiver)[0] == (1,) * 12 + (1, -1, 1, -1)
+        assert built == [0b010101010101, 0b0101]
+
+    @pytest.mark.parametrize(
+        "quiver",
+        [
+            doubled_arrow(),
+            valued_line(2, 1, 2, 2),
+            valued_line(3, 2, 2, 2),
+            valued_path([Valuation(1, 2), Valuation(2, 1)]),
+            valued_path([Valuation(1, 2), Valuation(1, 1), Valuation(1, 1), Valuation(2, 1)]),
+            valued_path([Valuation(2, 1), Valuation(1, 1), Valuation(1, 2)]),
+            valued_line(5, 2, 1, 2),  # one vertex beyond F4
+            valued_line(5, 3, 2, 1),
+            CYCLE_WITH_TAILS,
+            disjoint_union(valued_line(5, 2, 1, 2), CYCLE_WITH_TAILS),
+        ],
+        ids=["doubled-arrow", "edge-2-2", "inner-edge-2-2", "1-2-at-both-ends-3",
+             "1-2-at-both-ends-5", "2-1-and-1-2-ends-4", "beyond-f4", "beyond-f4-turned",
+             "cycle-with-tails", "union"],
+    )
+    def test_witness_without_the_walk(self, quiver):
+        want = finiteness_witness_scan(quiver)
+        assert want is not None
+        assert finiteness_witness(quiver) == want
+        rng = random.Random(len(quiver.arrows))
+        for _ in range(5):
+            moved = shuffled(rng, quiver)
+            assert finiteness_witness(moved) == finiteness_witness_scan(moved)
