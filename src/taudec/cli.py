@@ -26,7 +26,6 @@ from .quiver import (
     format_signs,
     parse_quiver,
     quiver_file_text,
-    two_term_tilting,
 )
 from .repa import UnsupportedComponentError
 from .signdec import (
@@ -76,13 +75,14 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_signdec(args: argparse.Namespace) -> int:
     quiver = _load_quiver(args.path)
     print("# signs  components  count  two_term_tilting")
-    for signs, parts in SliceEngine(quiver, quiver.vertices).walk():
+    engine = SliceEngine(quiver, quiver.vertices)
+    for mask, (signs, parts) in enumerate(engine.walk()):
         cells = []
         for component, dynkin, _ in parts:
             verts = ",".join(str(v) for v in component.vertices)
             cells.append(f"{dynkin}{{{verts}}}")
         count_text = _count_text(slice_count(parts))
-        flag = "true" if two_term_tilting(quiver, signs) else "false"
+        flag = "true" if engine.two_term(mask) else "false"
         print(f"{format_signs(signs)}  {','.join(cells)}  {count_text}  {flag}")
     return 0
 

@@ -5,6 +5,10 @@ when the underlying valued graph of its quiver is a Dynkin diagram, and
 the count per type is known in closed form.  B and C are merged into one
 family "BC" because the unordered valuation pair cannot tell them apart
 and their counts agree.
+
+The classifier walks graphs only through `quiver`: `neighbour_lists` and
+`components` check connectivity, and the arms of a tree with one branch
+vertex are the components left when that vertex is removed.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quiver import ValuedGraph, components
+from .quiver import ValuedGraph, components, neighbour_lists
 
 _FAMILIES = ("A", "BC", "D", "E", "F", "G", "non-Dynkin")
 
@@ -56,10 +60,7 @@ def classify(graph: ValuedGraph) -> DynkinType:
     n = len(verts)
     if n == 0:
         raise ValueError("cannot classify the empty graph")
-    adjacency: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v, _ in graph.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+    adjacency = neighbour_lists(verts, graph.edges)
     if len(components(adjacency)) != 1:
         raise ValueError("graph is disconnected")
     if len(graph.edges) != n - 1:
@@ -74,7 +75,9 @@ def classify(graph: ValuedGraph) -> DynkinType:
         branch = [v for v in verts if degree[v] >= 3]
         if len(branch) != 1 or degree[branch[0]] != 3:
             return NON_DYNKIN
-        arms = sorted(_arm_lengths(adjacency, branch[0]))
+        hub = branch[0]  # without it, a tree with one branch vertex falls apart into its arms
+        arms = sorted(map(len, components(neighbour_lists(
+            [v for v in verts if v != hub], [e for e in graph.edges if hub not in e[:2]]))))
         if arms[0] == 1 and arms[1] == 1:
             return DynkinType("D", n)
         if arms == [1, 2, 2]:
@@ -97,20 +100,6 @@ def classify(graph: ValuedGraph) -> DynkinType:
     if val == (1, 3) and n == 2:
         return DynkinType("G", 2)
     return NON_DYNKIN
-
-
-def _arm_lengths(adjacency: dict[int, list[int]], center: int) -> list[int]:
-    lengths = []
-    for first in adjacency[center]:
-        length, prev, cur = 1, center, first
-        while True:
-            nxt = [w for w in adjacency[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        lengths.append(length)
-    return lengths
 
 
 def catalan(n: int) -> int:

@@ -4,10 +4,12 @@ Each sign vector contributes the tilting poset of its hereditary slice,
 taken over the opposite of the sign subquiver, where the relevant
 endomorphism algebra lives.  The slices come from the `SliceEngine` walk
 that `count` and `signdec` use, and a slice component is supported when
-its Dynkin type is A, a unit-valued path.  Every slice edge joins a +1 and
-a -1 vertex, so the opposite arrow between neighbours u, v on a path
-points from u to v exactly when u is -1, and the component's orientation
-word is `signs[v] == -1` read along the path.  Its mutation graph comes
+its Dynkin type is A, a unit-valued path.  Its vertices are read in
+`quiver.breadth_first` order over `quiver.neighbour_lists`, which on a
+path runs from the smaller end.  Every slice edge joins a +1 and a -1
+vertex, so the opposite arrow between neighbours u, v on a path points
+from u to v exactly when u is -1, and the component's orientation word
+is `signs[v] == -1` read along the path.  Its mutation graph comes
 from the rigidity table of that word (see `repa`), read on the
 component's labels through a `ComponentView`; tables and views live for
 one call.  A slice's poset is the product of its components' posets: its
@@ -32,7 +34,8 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .quiver import IntVector, SignVector, ValuedGraph, ValuedQuiver, format_signs
+from .quiver import IntVector, SignVector, ValuedQuiver, format_signs
+from .quiver import breadth_first, neighbour_lists
 from .repa import RigidityTable, UnsupportedComponentError, _bits
 from .signdec import Counted, SliceEngine
 
@@ -76,7 +79,7 @@ class ComponentView:
     on it, twice).
     """
 
-    def __init__(self, table: RigidityTable, path: tuple[int, ...], signs: SignVector) -> None:
+    def __init__(self, table: RigidityTable, path: list[int], signs: SignVector) -> None:
         keys = []
         for start, stop in table.spans:
             support = tuple(sorted(path[start:stop]))
@@ -86,8 +89,6 @@ class ComponentView:
         members = [sorted(_bits(mask), key=rank.__getitem__) for mask in table.tilting]
         order = sorted(range(len(members)), key=lambda t: [rank[i] for i in members[t]])
         where = {t: k for k, t in enumerate(order)}
-        self.path = path
-        self.word = table.word
         self.low = min(path)
         self.summands = tuple(tuple(keys[i] for i in members[t]) for t in order)
         self.g = tuple(
@@ -105,20 +106,6 @@ class ComponentView:
                 (min(piece), on, on) for piece, on in ((path[:p], left), (path[p + 1:], right)) if on
             )
             self.ends[where[t]].append((path[p], pieces))
-
-
-def _path_order(graph: ValuedGraph) -> tuple[int, ...]:
-    """The vertices of a path graph in order, from its smaller end."""
-    neighbours: dict[int, list[int]] = {v: [] for v in graph.vertices}
-    for u, v, _ in graph.edges:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    cur = min(v for v in graph.vertices if len(neighbours[v]) < 2)
-    order, prev = [cur], None
-    for _ in graph.edges:
-        prev, cur = cur, next(w for w in neighbours[cur] if w != prev)
-        order.append(cur)
-    return tuple(order)
 
 
 def component_views(
@@ -145,7 +132,7 @@ def component_views(
                     component=graph.vertices,
                     signs=tuple(signs),
                 )
-            path = _path_order(graph)
+            path = breadth_first(neighbour_lists(graph.vertices, graph.edges), graph.vertices)
             word = tuple(signs[v - 1] == -1 for v in path[:-1])
             table = tables.get(word)
             if table is None:

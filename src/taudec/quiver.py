@@ -5,9 +5,9 @@ Vertices are numbered 1..n.  Every arrow carries a valuation, a pair
 parallel arrows into a single arrow valued (m, m).  After normalization a
 quiver holds at most one arrow per ordered vertex pair; loops are allowed.
 
-`components` is the one connected-components traversal: it takes
-neighbour lists, and the slice engine and quiver splitting in `signdec`
-and `dynkin.classify` pass it theirs.
+The package's two graph walks live here: `components` splits a graph into
+connected components and `breadth_first` orders one from a vertex of least
+degree.  Both take neighbour lists, which `neighbour_lists` builds.
 
 All values are immutable and every operation is a pure function, so shared
 instances are safe to use concurrently.
@@ -16,7 +16,7 @@ instances are safe to use concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 SignVector = tuple[int, ...]
 IntVector = tuple[int, ...]
@@ -230,7 +230,29 @@ def components(neighbours: Mapping[int, Iterable[int]]) -> tuple[tuple[int, ...]
     return tuple(out)
 
 
+def breadth_first(neighbours: Mapping[int, Collection[int]], group: Iterable[int]) -> list[int]:
+    """Breadth-first order of a connected group from a vertex of least degree;
+    ties and neighbours by label.  On a path it starts at the smaller end."""
+    order = [min(group, key=lambda v: (len(neighbours[v]), v))]
+    seen = set(order)
+    for v in order:
+        for u in sorted(neighbours[v]):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    return order
+
+
 Edge = tuple[int, int, tuple[int, int]]  # (u, v, (lo, hi)) with u < v
+
+
+def neighbour_lists(vertices: Iterable[int], edges: Iterable[Edge]) -> dict[int, list[int]]:
+    """Each vertex's neighbours, every edge listed at both ends."""
+    neighbours: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v, _ in edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    return neighbours
 
 
 @dataclass(frozen=True)
@@ -253,15 +275,3 @@ class ValuedGraph:
             if (u, v) in seen:
                 raise QuiverError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-
-
-def two_term_tilting(quiver: ValuedQuiver, signs: Sequence[int]) -> bool:
-    """Whether the two-term silting complexes in this sign class are tilting.
-
-    True exactly when no arrow runs from a -1 vertex to a +1 vertex; for a
-    radical-square-zero algebra those arrows span the obstruction space.
-    """
-    signs = check_signs(signs, quiver.n)
-    return not any(
-        signs[a.src - 1] == -1 and signs[a.tgt - 1] == 1 for a in quiver.arrows
-    )

@@ -66,9 +66,8 @@ class RigidityTable:
 
     `spans` lists the interval modules of the word's path as spans, by
     start, then size (the interval-key order on positions), and a mask
-    names intervals by their indices there.  Bit j of `hom_out[i]` is set
-    when Hom(spans[i], spans[j]) != 0, of `ext_out[i]` when
-    Ext^1(spans[i], spans[j]) != 0, and of `rigid[i]` when there
+    names intervals by their indices there.  Bit j of `ext_out[i]` is set
+    when Ext^1(spans[i], spans[j]) != 0, and of `rigid[i]` when there
     is no Ext^1 either way (bit i always is).  Every entry, the diagonal
     included, takes Ext^1 as Hom minus the Euler form, and a negative
     value is an internal bug.
@@ -87,21 +86,18 @@ class RigidityTable:
             (start, stop) for start in range(self.size) for stop in range(start + 1, self.size + 1)
         )
         self.full = (1 << len(self.spans)) - 1
-        hom_out, ext_out = [], []
+        ext_out = []
         for x in self.spans:
-            homs = exts = 0
+            exts = 0
             for j, y in enumerate(self.spans):
-                hom = _hom(self.word, x, y)
-                ext = hom - _euler(self.word, x, y)
+                ext = _hom(self.word, x, y) - _euler(self.word, x, y)
                 if ext < 0:
                     raise ArithmeticError(
                         f"negative Ext dimension between {x} and {y}: internal bug"
                     )
-                homs |= hom << j
                 exts |= bool(ext) << j
-            hom_out.append(homs)
             ext_out.append(exts)
-        self.hom_out, self.ext_out = tuple(hom_out), tuple(ext_out)
+        self.ext_out = tuple(ext_out)
         ext_in = [0] * len(self.spans)
         for i, out in enumerate(self.ext_out):
             for j in _bits(out):

@@ -10,8 +10,8 @@ factor over the quiver's own weakly connected components, so counts and
 finiteness handle each quiver component in turn.
 
 `transfer_count` sums one component's sign classes as a transfer matrix.
-It sweeps the vertices in breadth-first order from a vertex of least
-degree, ties and neighbours taken by label, and branches on the two signs
+It sweeps the vertices in `quiver.breadth_first` order (from a vertex of
+least degree, ties and neighbours by label) and branches on both signs
 of each vertex.  A slice edge is decided when its later end gets its sign.
 The frontier is the set of swept vertices with a neighbour still to come.
 A state holds the frontier's signs and the open slice paths, those that
@@ -33,13 +33,16 @@ states share their futures, so the least mask over all detections, +1 on
 every vertex not yet swept, is the component's first witness.
 
 A `SliceEngine` walks the 2^k sign vectors of one group of vertices.  It
-holds the group's slice-eligible arrows once, builds each slice from an
-integer sign mask, and classifies each distinct labelled slice component
-once, in a dict that lives only as long as the engine.  It counts the
-components the sweep gives up on and walks them to the first witness of
-`finite`, names the non-Dynkin component of the sweep's witness from its
-one slice, and gives the `signdec` rows and `sign_slice_components` over
-the whole vertex set.
+owns the sign-mask layout, which the sweep's witness masks follow too,
+and holds the group's arrows once with the mask bits of their ends.  A
+mask gives both the slice, the arrows from a +1 to a -1 vertex, and the
+`signdec` two-term column, whether no arrow runs the other way.  Each
+distinct labelled slice component is classified once, in a dict that
+lives only as long as the engine.  The engine counts the components the
+sweep gives up on and walks them to the first witness of `finite`, names
+the non-Dynkin component of the sweep's witness from its one slice, and
+gives the `signdec` rows and `sign_slice_components` over the whole
+vertex set.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .dynkin import DynkinType, catalan, classify, tilting_count
-from .quiver import SignVector, ValuedGraph, ValuedQuiver, check_signs, components, format_signs
+from .quiver import SignVector, ValuedGraph, ValuedQuiver, check_signs, format_signs
+from .quiver import breadth_first, components, neighbour_lists
 
 Classified = tuple[ValuedGraph, DynkinType]
 
@@ -83,26 +87,36 @@ def enumerate_signs(n: int) -> Iterator[SignVector]:
 class SliceEngine:
     """Classified sign slices of one group of vertices.
 
+    `layout` is the one sign-mask layout: vertex i of the group (0-based, in
+    increasing order) owns bit k - 1 - i of a k-bit mask, set when its sign
+    is -1, so masks 0, 1, 2, ... run through `enumerate_signs(k)` in order.
     The group's arrows other than loops are held as (lo, hi, unordered
-    valuation) with the mask bits of their source and target.  Vertex i of
-    the group (0-based, in increasing order) owns bit k - 1 - i of a k-bit
-    mask, set when its sign is -1, so masks 0, 1, 2, ... run through
-    `enumerate_signs(k)` in order.  The slice of a mask keeps the arrows
-    from a +1 vertex to a -1 vertex.  Each labelled component is classified
-    the first time it appears, its tilting count kept next to its type, and
-    looked up afterwards; the lookup lives as long as the engine.
+    valuation) with the mask bits of their source and target.  A mask's
+    slice keeps the arrows from +1 to -1; `two_term` asks that none runs
+    from -1 to +1.  Each labelled component is classified the first time it
+    appears, its tilting count kept next to its type, and looked up
+    afterwards; the lookup lives as long as the engine.
     """
 
     def __init__(self, quiver: ValuedQuiver, vertices: Iterable[int]):
-        self.vertices = tuple(sorted(vertices))
-        k = len(self.vertices)
-        bit = {v: 1 << (k - 1 - i) for i, v in enumerate(self.vertices)}
+        self.bit = bit = self.layout(vertices)
+        self.vertices = tuple(sorted(bit))
         self._arrows = sorted(
             (min(a.src, a.tgt), max(a.src, a.tgt), a.val.unordered(), bit[a.src], bit[a.tgt])
             for a in quiver.arrows
             if a.src != a.tgt and a.src in bit and a.tgt in bit
         )
         self._classified: dict[tuple, Counted] = {}
+
+    @staticmethod
+    def layout(vertices: Iterable[int]) -> dict[int, int]:
+        """Each vertex's mask bit: the greatest vertex owns bit 0."""
+        return {v: 1 << i for i, v in enumerate(sorted(vertices, reverse=True))}
+
+    def two_term(self, mask: int) -> bool:
+        """Whether the two-term silting complexes of the mask's sign class are
+        tilting: no arrow runs from -1 to +1; such arrows span the obstruction space."""
+        return not any(mask & src and not mask & tgt for _, _, _, src, tgt in self._arrows)
 
     def walk(self) -> Iterator[tuple[SignVector, tuple[Counted, ...]]]:
         """Every sign vector of the group, in order, with its counted slice components."""
@@ -115,11 +129,7 @@ class SliceEngine:
         kept = [
             (u, v, val) for u, v, val, src, tgt in self._arrows if mask & tgt and not mask & src
         ]
-        neighbours: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for u, v, _ in kept:
-            neighbours[u].append(v)
-            neighbours[v].append(u)
-        comps = components(neighbours)
+        comps = components(neighbour_lists(self.vertices, kept))
         edges: list[list] = [[] for _ in comps]
         if kept:
             owner = {v: k for k, comp in enumerate(comps) for v in comp}
@@ -153,18 +163,6 @@ def _links(quiver: ValuedQuiver) -> Links:
             links[a.src].setdefault(a.tgt, [None, None])[0] = val
             links[a.tgt].setdefault(a.src, [None, None])[1] = val
     return links
-
-
-def _sweep_order(links: Links, group: Sequence[int]) -> list[int]:
-    """Breadth-first from a vertex of least degree; ties and neighbours by label."""
-    order = [min(group, key=lambda v: (len(links[v]), v))]
-    seen = set(order)
-    for v in order:
-        for u in sorted(links[v]):
-            if u not in seen:
-                seen.add(u)
-                order.append(u)
-    return order
 
 
 def _reversed(length: int, special: Sequence) -> tuple:
@@ -243,12 +241,12 @@ def transfer_count(
     its weight, and the sweep runs on past each detection: it returns the
     least witness mask, 0 if there is none, or None on a branch.
     """
-    bit = {v: 1 << (len(group) - 1 - i) for i, v in enumerate(sorted(group))}
+    bit = SliceEngine.layout(group)
     best = 0  # mask 0, all +1, has an edgeless slice and is never a witness
     waiting = {v: len(links[v]) for v in group}
     frontier: list[int] = []
     states: dict[tuple, int] = {((), ()): 0 if witness else 1}
-    for v in _sweep_order(links, group):
+    for v in breadth_first(links, group):
         at = {u: i for i, u in enumerate(frontier)}
         # (frontier index, valuation) of the slice edges v can take as +1 and as -1
         plus = [(at[u], out) for u, (out, _) in links[v].items() if u in at and out]
@@ -307,10 +305,9 @@ def _group_counts(
 
 
 def _sign_slice(quiver: ValuedQuiver, signs: Sequence[int]) -> tuple[Counted, ...]:
-    mask = 0
-    for s in check_signs(signs, quiver.n):
-        mask = mask << 1 | (s == -1)
-    return SliceEngine(quiver, quiver.vertices).slice(mask)
+    signs = check_signs(signs, quiver.n)
+    engine = SliceEngine(quiver, quiver.vertices)
+    return engine.slice(sum(b for v, b in engine.bit.items() if signs[v - 1] == -1))
 
 
 def sign_slice_components(
@@ -378,8 +375,7 @@ def finiteness_witness(
             mask = next((m for m, (_, parts) in enumerate(engine.walk()) if _non_dynkin(parts)), 0)
             if not mask:
                 continue
-        bits = dict(zip(group, f"{mask:0{len(group)}b}"))
-        signs = tuple(-1 if bits.get(v) == "1" else 1 for v in quiver.vertices)
+        signs = tuple(-1 if mask & engine.bit.get(v, 0) else 1 for v in quiver.vertices)
         bad = _non_dynkin(engine.slice(mask))
         if bad is None:
             raise ArithmeticError(

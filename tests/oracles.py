@@ -43,7 +43,8 @@ module's dimension vector to its g-vector) has no caller in the package,
 where each labelled view of `taudec.glue` flips its modules' dimension
 vectors once.  It is the reference for those g pieces and for the
 matrix identities of criterion 7.  `transposed` and `arrows_of_kind` are
-likewise called only by tests.
+likewise called only by tests.  `two_term_tilting` scans the arrows for
+the two-term rule on a sign vector, the reference for `SliceEngine.two_term`.
 """
 from __future__ import annotations
 
@@ -433,6 +434,18 @@ def source_sink_signs(quiver: ValuedQuiver) -> SignVector | None:
             return None
         signs.append(-1 if v in has_in else 1)
     return tuple(signs)
+
+
+def two_term_tilting(quiver: ValuedQuiver, signs: Sequence[int]) -> bool:
+    """Whether the two-term silting complexes in this sign class are tilting.
+
+    True exactly when no arrow runs from a -1 vertex to a +1 vertex; for a
+    radical-square-zero algebra those arrows span the obstruction space.
+    """
+    signs = check_signs(signs, quiver.n)
+    return not any(
+        signs[a.src - 1] == -1 and signs[a.tgt - 1] == 1 for a in quiver.arrows
+    )
 
 
 def union_find_groups(

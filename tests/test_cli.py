@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -16,11 +17,12 @@ from oracles import (
     finiteness_witness_scan,
     random_quiver,
     random_type_a,
+    relabelled,
 )
 from taudec import cli, dynkin, glue, repa, signdec
 from taudec.brauer import IdentityCheck, brauer_cycle_quiver, brauer_line_quiver
 from taudec.glue import GluedHasse, glued_hasse
-from taudec.quiver import format_signs, quiver_file_text
+from taudec.quiver import format_signs, parse_quiver, quiver_file_text
 from taudec.signdec import INFINITE, count_support_tilting
 
 THREE_CYCLE_FILE = "n 3\na 1 2\na 2 3\na 3 1\n"
@@ -162,6 +164,153 @@ def test_count_and_finite_stdout_match_the_scan(quiver_file, capsys):
         path = quiver_file(quiver_file_text(quiver))
         assert run(capsys, "count", path) == (0, scan_count_text(quiver), "")
         assert run(capsys, "finite", path) == (0, scan_finite_text(quiver), "")
+
+
+def relabelled_file(text: str):
+    """A builder of the quiver file `text`, relabelled by a permutation drawn from the rng."""
+    def build(rng: random.Random):
+        quiver = parse_quiver(text)
+        return relabelled(quiver, rng.sample(range(1, quiver.n + 1), quiver.n))
+
+    return build
+
+
+# name: (seed, builder); `hasse` exits 3 on every input with a slice that is
+# not type A, the D4 star and the valued ones
+PIN_INPUTS = {
+    "three-cycle": (1, relabelled_file(THREE_CYCLE_FILE)),
+    "brauer-cycle-5": (2, relabelled_file(quiver_file_text(brauer_cycle_quiver(5)))),
+    "brauer-line-4": (3, relabelled_file(quiver_file_text(brauer_line_quiver(4)))),
+    "loops-on-a-zigzag": (
+        4, relabelled_file("n 5\na 1 1\na 2 1\na 2 3\na 3 3 2 3\na 4 3\na 4 5\na 5 4\n")
+    ),
+    "isolated-vertices": (5, relabelled_file("n 6\na 2 4\na 4 5\na 5 4\na 6 6\n")),
+    "valued-path": (6, relabelled_file("n 4\na 1 2 1 2\na 3 2\na 3 4\n")),
+    "valued-two-way-edge": (7, relabelled_file("n 3\na 1 2 2 2\na 2 3\n")),
+    "even-cycle-with-tail": (
+        8, relabelled_file("n 5\na 1 2\na 3 2\na 3 4\na 1 4\na 4 5\na 5 5\n")
+    ),
+    "edgeless": (9, relabelled_file("n 4\n")),
+    "random-type-a": (24, lambda rng: random_type_a(rng, max_n=4)),
+    "random-valued": (10, lambda rng: random_quiver(rng, max_n=6, max_val=2)),
+    "star-d4": (12, relabelled_file(STAR_D4_FILE)),
+}
+PIN_COMMANDS = {
+    "count": ("count",),
+    "finite": ("finite",),
+    "signdec": ("signdec",),
+    "hasse json": ("hasse", "--format", "json"),
+    "hasse dot": ("hasse", "--format", "dot"),
+}
+
+
+def pin_input(name: str) -> str:
+    seed, build = PIN_INPUTS[name]
+    return quiver_file_text(build(random.Random(seed)))
+
+
+def pinned_outputs(path: str, capsys) -> dict[str, tuple[int, str]]:
+    """Exit code and SHA-256 of stdout for each pinned command on one file."""
+    out = {}
+    for command, argv in PIN_COMMANDS.items():
+        code, stdout, _ = run(capsys, argv[0], path, *argv[1:])
+        out[command] = (code, hashlib.sha256(stdout.encode()).hexdigest())
+    return out
+
+
+# exit code and SHA-256 of stdout per input and command, recorded before the
+# slice layer's graph walks moved into `quiver`; any change of output fails here
+STDOUT_PINS: dict[str, dict[str, tuple[int, str]]] = {
+    "brauer-cycle-5": {
+        "count": (0, "240269e94afb4bbc4c643851e366bf4f0d870ff0753d250b854f748cf3516285"),
+        "finite": (0, "82de77371fd3c2f3b9e104f6881e50336bfbd8902a2fe8ce8b44508ad58643f0"),
+        "signdec": (0, "f8247a43da69dbd8c30ace3c1712189f7d168109a36e914819403aa5a23acccf"),
+        "hasse json": (0, "1ee1874a68e0ec140419b27962cc41c448365ab280e29b2631f0644c964b8535"),
+        "hasse dot": (0, "f30c3d39a03503ab58772118006c1dcebb33056123aaa6e595a0f7cbbb6a4f45"),
+    },
+    "brauer-line-4": {
+        "count": (0, "6442bc26a7c562f5afe6467dab36365c709909f6a81afcecfc0c25cff0f1bab0"),
+        "finite": (0, "82de77371fd3c2f3b9e104f6881e50336bfbd8902a2fe8ce8b44508ad58643f0"),
+        "signdec": (0, "8334ade5e3f9547bef3772dc2bf2d65879e8eff3f1f94991254de19d35b72563"),
+        "hasse json": (0, "556cb158f7bfcf9de094c9ed22d6516bd8926d3a9385ad3bac679bbea09d3686"),
+        "hasse dot": (0, "d2e33ca7f3ed61f2d319bb85ac63fca439b267643c1a059ee251af2a4db606d6"),
+    },
+    "edgeless": {
+        "count": (0, "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017"),
+        "finite": (0, "82de77371fd3c2f3b9e104f6881e50336bfbd8902a2fe8ce8b44508ad58643f0"),
+        "signdec": (0, "ba7956d8a04961878ea41d3b10981499041741d75f21809745422eb8f43e0786"),
+        "hasse json": (0, "f9c75dfb140ae770c71ba8ba52542f190e6509add8d9887164b67604ac9bbe29"),
+        "hasse dot": (0, "6a07cf6917d57be1dc70c5f31789029d0defb5c868d04b20018604659e088433"),
+    },
+    "even-cycle-with-tail": {
+        "count": (0, "5f5495f2b3545b6c8657ed8540c5d44c522b31c3507b94338a6bf45b5fdc6f34"),
+        "finite": (0, "c929c52f21b6e6244006b93093b83a823379dcae2e64f111d3d3e7ac44e32808"),
+        "signdec": (0, "87fd134075962d0e42e3f6f79ae364b2ea9c2c39de0fe8cdb0b173a356bf8850"),
+        "hasse json": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "hasse dot": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+    "isolated-vertices": {
+        "count": (0, "56292515f7d3a7110811eb8de26b3f75f82a0766aa5a1fd66ebcfcb84fe6d5ff"),
+        "finite": (0, "82de77371fd3c2f3b9e104f6881e50336bfbd8902a2fe8ce8b44508ad58643f0"),
+        "signdec": (0, "07165415c389480d786daa2dcfadac27a8a28b6b767335ba92e3a4892e1ad01d"),
+        "hasse json": (0, "ce04855f3c8ca5d20fd4cca7126d05ff5867f7826ab4c591a31d7f3350b48d8c"),
+        "hasse dot": (0, "73bafd22a1d29a514bd3eedc07110095837ab9e2f6ab395d9515054906a910fe"),
+    },
+    "loops-on-a-zigzag": {
+        "count": (0, "4c005f84cfaf4ccea894c12b193c1fba0207ffd615da6f61f1f8c130d2a0c9f1"),
+        "finite": (0, "82de77371fd3c2f3b9e104f6881e50336bfbd8902a2fe8ce8b44508ad58643f0"),
+        "signdec": (0, "a48ce332f3af4ce596ec5b97c5114cca44740f75bd019a779afd78dbb7dc662f"),
+        "hasse json": (0, "3ea4f5fec55d8abc9b5b279759f658212cf4af1a4b1590848076c72bdb5724d9"),
+        "hasse dot": (0, "f0cbaaeb3fd3ece89ae093553c2e714d2ed126c409c109fe453695a14e74e0fb"),
+    },
+    "random-type-a": {
+        "count": (0, "30f3032e967a0509e2dbd5b0d3bd5878d1aca70a86c468c88f28e9220298423c"),
+        "finite": (0, "82de77371fd3c2f3b9e104f6881e50336bfbd8902a2fe8ce8b44508ad58643f0"),
+        "signdec": (0, "18af76ca0064436c0465f0febca18146f9413e83aaa79823b30666ab75429d27"),
+        "hasse json": (0, "0580ce77f30c1763405cfde71f6154074524ad0fe1e4d340096abe40d917b87b"),
+        "hasse dot": (0, "a9431cb35eb5be9a92593451c61f49a63020de137afe79d8306cb3c73ec09f1c"),
+    },
+    "random-valued": {
+        "count": (0, "5f5495f2b3545b6c8657ed8540c5d44c522b31c3507b94338a6bf45b5fdc6f34"),
+        "finite": (0, "9948fc532617b77c256e7a5fb81bdf9ae15e3c0a087ec280994a805239a881ef"),
+        "signdec": (0, "67075583a3e50acc9ae02c8dfa51eb05dc8811c7ce8de445f86671451c3ac8e4"),
+        "hasse json": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "hasse dot": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+    "star-d4": {
+        "count": (0, "7ea9844ae84eccbf55e8330640865e36c43521e45a1baec24233327aab7e6595"),
+        "finite": (0, "82de77371fd3c2f3b9e104f6881e50336bfbd8902a2fe8ce8b44508ad58643f0"),
+        "signdec": (0, "5fbd17621c05e20f81d5e495a7cac8b9a5f25c09bc5c820ba6c0c37500d8afa0"),
+        "hasse json": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "hasse dot": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+    "three-cycle": {
+        "count": (0, "9a92adbc0cee38ef658c71ce1b1bf8c65668f166bfb213644c895ccb1ad07a25"),
+        "finite": (0, "82de77371fd3c2f3b9e104f6881e50336bfbd8902a2fe8ce8b44508ad58643f0"),
+        "signdec": (0, "d990ceb1782faa1f7e16e6b70ad56b62fd39d4e89d1ad7750779cd840855589b"),
+        "hasse json": (0, "6fa1f324c55d19aeaeb5d0d6403892f0aca9088921e0bb71a2818210e552a0cb"),
+        "hasse dot": (0, "62eb5a9fba804e5a0a10d01f9552e9c4b2a5a4a9ecfff60686c830acc7424b95"),
+    },
+    "valued-path": {
+        "count": (0, "6442bc26a7c562f5afe6467dab36365c709909f6a81afcecfc0c25cff0f1bab0"),
+        "finite": (0, "82de77371fd3c2f3b9e104f6881e50336bfbd8902a2fe8ce8b44508ad58643f0"),
+        "signdec": (0, "69f27c82beb701d7c20e89acf31e58ac857f8a72058589b80d53e4f2fb2ba9bd"),
+        "hasse json": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "hasse dot": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+    "valued-two-way-edge": {
+        "count": (0, "5f5495f2b3545b6c8657ed8540c5d44c522b31c3507b94338a6bf45b5fdc6f34"),
+        "finite": (0, "d0a5111b6b37edc605458833ce49173931fde6d1b35accee26d9b2407bd556f8"),
+        "signdec": (0, "dcfcb27e6aba493bf4d2e8b8124b2d1ec745bd307a1a9f56f27b50cb33bc01e8"),
+        "hasse json": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "hasse dot": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_INPUTS))
+def test_stdout_is_pinned(name, quiver_file, capsys):
+    assert pinned_outputs(quiver_file(pin_input(name)), capsys) == STDOUT_PINS[name]
 
 
 class TestSigndec:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import types
@@ -103,9 +104,26 @@ def relabelled(g: ValuedGraph, images) -> ValuedGraph:
     )
 
 
+def arm_rule(arms) -> DynkinType:
+    """The type of a unit star with three arms: D when two arms have one
+    vertex, E6/E7/E8 for arms 1, 2 and 2, 3 or 4, non-Dynkin otherwise."""
+    a, b, c = sorted(arms)
+    if a == b == 1:
+        return DynkinType("D", 1 + a + b + c)
+    return {(1, 2, 2): DynkinType("E", 6), (1, 2, 3): DynkinType("E", 7),
+            (1, 2, 4): DynkinType("E", 8)}.get((a, b, c), NON_DYNKIN)
+
+
+# every unit star with three arms of up to six vertices each
+STAR_TRIPLES = [
+    (star(arms), arm_rule(arms))
+    for arms in itertools.combinations_with_replacement(range(1, 7), 3)
+]
+
+
 def test_classify_relabel_invariant_catalog():
     rng = random.Random(7)
-    for g, expected in CATALOG:
+    for g, expected in CATALOG + STAR_TRIPLES:
         verts = list(g.vertices)
         for _ in range(5):
             images = rng.sample(range(1, 3 * len(verts) + 1), len(verts))

@@ -29,7 +29,7 @@ from oracles import (
 from taudec import glue, quiver as quiver_module, repa
 from taudec.brauer import brauer_cycle_quiver, brauer_line_quiver
 from taudec.glue import GLUING, INTERNAL, component_views, glued_hasse
-from taudec.quiver import Arrow, ValuedQuiver
+from taudec.quiver import Arrow, ValuedQuiver, breadth_first, neighbour_lists
 from taudec.repa import UnsupportedComponentError
 from taudec.signdec import INFINITE, SliceEngine, _sign_slice, count_support_tilting, enumerate_signs
 
@@ -444,12 +444,19 @@ class TestUnsupported:
 
 def slice_readings(quiver):
     """Per sign vector, the paths and words of the views read off the slice
-    engine, up to the first unsupported slice, and that slice's error."""
+    engine, up to the first unsupported slice, and that slice's error.  A
+    path is its component's `breadth_first` order, which the view's g
+    pieces follow, and its word is `signs[v] == -1` along it."""
     tables, views, out = {}, {}, []
     try:
         for signs, parts in SliceEngine(quiver, quiver.vertices).walk():
-            parts = component_views(signs, parts, tables, views)
-            out.append((signs, [(view.path, view.word) for view in parts]))
+            readings = []
+            for (graph, _, _), view in zip(parts, component_views(signs, parts, tables, views)):
+                neighbours = neighbour_lists(graph.vertices, graph.edges)
+                path = tuple(breadth_first(neighbours, graph.vertices))
+                assert all(tuple(v for v, _ in g) == path for g in view.g)
+                readings.append((path, tuple(signs[v - 1] == -1 for v in path[:-1])))
+            out.append((signs, readings))
     except UnsupportedComponentError as exc:
         return out, exc
     return out, None

@@ -14,19 +14,21 @@ from oracles import (
     random_quiver,
     separated_quiver,
     source_sink_signs,
+    two_term_tilting,
 )
 from taudec.quiver import (
     Arrow,
     QuiverError,
     Valuation,
     ValuedQuiver,
+    breadth_first,
     check_signs,
     components,
+    neighbour_lists,
     normalize,
     parse_quiver,
     quiver_file_text,
     sign_subquiver,
-    two_term_tilting,
 )
 
 THREE_CYCLE = ValuedQuiver(3, (Arrow(1, 2), Arrow(2, 3), Arrow(3, 1)))
@@ -155,7 +157,7 @@ class TestOpposite:
             assert opposite(opposite(q)) == q
 
 
-def neighbour_lists(quiver: ValuedQuiver) -> dict[int, list[int]]:
+def arrow_neighbours(quiver: ValuedQuiver) -> dict[int, list[int]]:
     """Arrows forgotten to undirected neighbour lists; loops are kept."""
     neighbours: dict[int, list[int]] = {v: [] for v in quiver.vertices}
     for a in quiver.arrows:
@@ -164,18 +166,41 @@ def neighbour_lists(quiver: ValuedQuiver) -> dict[int, list[int]]:
     return neighbours
 
 
+class TestBreadthFirst:
+    @given(st.permutations(list(range(1, 9))), st.integers(1, 8))
+    def test_relabelled_path_from_its_smaller_end(self, images, n):
+        path = images[:n]
+        edges = [(min(u, v), max(u, v), (1, 1)) for u, v in zip(path, path[1:])]
+        neighbours = neighbour_lists(sorted(path), edges)
+        want = path if path[0] < path[-1] else path[::-1]
+        assert breadth_first(neighbours, sorted(path)) == want
+
+    def test_degree_tie_in_the_sweep_order(self):
+        # leaves 2, 4 and 6 tie at degree one: the walk starts at 2, and each
+        # vertex's neighbours join in label order
+        edges = [(1, 3, (1, 1)), (1, 4, (1, 1)), (1, 5, (1, 1)), (3, 6, (1, 1)), (2, 5, (1, 1))]
+        neighbours = neighbour_lists(range(1, 7), edges)
+        assert breadth_first(neighbours, range(1, 7)) == [2, 5, 1, 3, 4, 6]
+        # the sweep's valuation dicts list the same neighbours
+        links = {v: dict.fromkeys(ws) for v, ws in neighbours.items()}
+        assert breadth_first(links, range(1, 7)) == [2, 5, 1, 3, 4, 6]
+
+    def test_single_vertex(self):
+        assert breadth_first({7: []}, (7,)) == [7]
+
+
 class TestComponents:
     def test_examples(self):
         assert components({1: [2], 2: [1], 3: []}) == ((1, 2), (3,))
         assert components({1: [], 2: [], 3: []}) == ((1,), (2,), (3,))
-        assert components(neighbour_lists(THREE_CYCLE)) == ((1, 2, 3),)
+        assert components(arrow_neighbours(THREE_CYCLE)) == ((1, 2, 3),)
         assert components({9: [], 5: [2], 2: [5], 4: [4]}) == ((2, 5), (4,), (9,))
         assert components({}) == ()
 
     @given(quiver_and_signs())
     def test_partition(self, data):
         quiver, _ = data
-        comps = components(neighbour_lists(quiver))
+        comps = components(arrow_neighbours(quiver))
         flat = sorted(v for c in comps for v in c)
         assert flat == list(quiver.vertices)
         assert all(list(c) == sorted(c) for c in comps)
@@ -184,7 +209,7 @@ class TestComponents:
     @given(quiver_and_signs())
     def test_connected_and_separated(self, data):
         quiver, _ = data
-        neighbours = neighbour_lists(quiver)
+        neighbours = arrow_neighbours(quiver)
         comps = components(neighbours)
         owner = {v: k for k, c in enumerate(comps) for v in c}
         for a in quiver.arrows:

@@ -29,6 +29,7 @@ from oracles import (
     tilting_modules_scan,
     total_dim_vector,
 )
+from taudec import repa
 from taudec.dynkin import catalan
 from taudec.quiver import Arrow, Valuation, ValuedQuiver
 from taudec.repa import RigidityTable, UnsupportedComponentError, _bits
@@ -48,7 +49,8 @@ def table_entries(table, path):
     modules = [interval_module(path, span) for span in table.spans]
     for i, a in enumerate(modules):
         for j, b in enumerate(modules):
-            yield a, b, table.hom_out[i] >> j & 1, table.ext_out[i] >> j & 1
+            hom = repa._hom(table.word, table.spans[i], table.spans[j])
+            yield a, b, hom, table.ext_out[i] >> j & 1
 
 
 def table_bits(quiver, m, n):

@@ -19,6 +19,7 @@ from oracles import (
     sign_slice_components_scan,
     slice_count_scan,
     transposed,
+    two_term_tilting,
 )
 from taudec import cli, signdec
 from taudec.dynkin import catalan, tilting_count
@@ -289,6 +290,30 @@ class TestCountsHeldByTheEngine:
         assert len(calls) <= len(distinct)
         assert counts == [slice_count_scan(sign_slice_components_scan(quiver, signs))
                           for signs, _ in rows]
+
+
+class TestTwoTerm:
+    """`SliceEngine.two_term` against the per-arrow scan, on every mask."""
+
+    def check(self, quiver):
+        engine = SliceEngine(quiver, quiver.vertices)
+        for mask, signs in enumerate(enumerate_signs(quiver.n)):
+            assert engine.two_term(mask) == two_term_tilting(quiver, signs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(SEEDS, st.sampled_from((1, 2, 3)))
+    def test_random_quivers(self, seed, max_val):
+        self.check(random_quiver(random.Random(seed), max_n=7, max_val=max_val))
+
+    def test_loops_two_cycles_valued_arrows_and_isolated_vertices(self):
+        # vertex 5 is isolated; 1 and 3 carry loops; 1 and 2 form a 2-cycle
+        quiver = ValuedQuiver(5, (
+            Arrow(1, 1), Arrow(1, 2), Arrow(2, 1), Arrow(2, 3, Valuation(1, 3)),
+            Arrow(3, 3, Valuation(2, 2)), Arrow(4, 2, Valuation(2, 1)),
+        ))
+        rng = random.Random(11)
+        for moved in [quiver] + [shuffled(rng, quiver) for _ in range(5)]:
+            self.check(moved)
 
 
 class TestFactoringProperties:
