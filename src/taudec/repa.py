@@ -16,10 +16,13 @@ with one summand per vertex.  Everything here is exact integer
 arithmetic on positions.
 
 Each word gets one rigidity table, and the table computes its mutation
-graph once: tilting sets by backtracking over the rigid masks, mutation
-by the other complement of each rest, arrows towards the smaller Fac T,
-and the rests with no other complement (not sincere) as open ends, which
-the glued Hasse quiver pairs across the sign of the vertex they miss.
+graph once: tilting sets by backtracking over the rigid masks, then the
+exchange rule.  An almost complete tilting module over a hereditary
+algebra has two complements when it is sincere and one when it is not
+(Happel-Unger); an almost complete support tau-tilting pair has exactly
+two completions (Adachi-Iyama-Reiten 2014, Theorem 2.18), so the missing
+one of a rest that is not sincere lies across the sign of the vertex the
+rest misses, where the glued Hasse quiver pairs the open ends.
 """
 
 from __future__ import annotations
@@ -72,11 +75,16 @@ class RigidityTable:
     included, takes Ext^1 as Hom minus the Euler form, and a negative
     value is an internal bug.
 
-    The mutation graph: `tilting` holds the tilting masks, `arrows` the
-    mutations (i, j, forward) between their indices, i < j and sorted,
-    forward when the arrow points from i to j; `ends` the open ends
-    (index, summand, missing position), and `dims` one dimension vector
-    per mask, by position.
+    The mutation graph: `tilting` holds the tilting masks, `dims` one
+    dimension vector per mask, by position, `arrows` the mutations
+    (i, j, forward) between their indices, i < j and sorted, forward when
+    the arrow points from i to j, and `ends` the open ends (index,
+    summand, missing position).  One pass groups the masks by rest.  By
+    the exchange rule a sincere rest has two completions T_i = rest + X
+    and T_j = rest + Y, i < j, with Ext^1 non-zero one way between X and
+    Y; Fac T_i holds Y, and the arrow is forward, when Ext^1(Y, X) != 0.
+    Any other rest has one, an open end at the positions only X covers.
+    A third completion, or Ext^1 both ways or neither, is an internal bug.
     """
 
     def __init__(self, word: Sequence[bool]) -> None:
@@ -106,22 +114,8 @@ class RigidityTable:
             self.full & ~(out | into) for out, into in zip(self.ext_out, ext_in)
         )
         self.tilting = self._tilting()
-        self.arrows, self.ends = self._mutate()
         self.dims = tuple(self._dims(mask) for mask in self.tilting)
-
-    def ext_from(self, mask: int) -> int:
-        """Intervals X with Ext^1(M, X) != 0 for some M in `mask`."""
-        out = 0
-        for i in _bits(mask):
-            out |= self.ext_out[i]
-        return out
-
-    def complements(self, base: int) -> int:
-        """Intervals outside `base` that are rigid with every member of it."""
-        allowed = self.full
-        for i in _bits(base):
-            allowed &= self.rigid[i]
-        return allowed & ~base
+        self.arrows, self.ends = self._mutate()
 
     def _dims(self, mask: int) -> tuple[int, ...]:
         spans = [self.spans[i] for i in _bits(mask)]
@@ -147,33 +141,32 @@ class RigidityTable:
         return tuple(found)
 
     def _mutate(self) -> tuple[tuple[tuple[int, int, bool], ...], tuple[tuple[int, int, int], ...]]:
-        position = {mask: k for k, mask in enumerate(self.tilting)}
+        completions: dict[int, list[tuple[int, int]]] = {}
+        for i, mask in enumerate(self.tilting):
+            for x in _bits(mask):
+                completions.setdefault(mask & ~(1 << x), []).append((i, x))
         arrows: list[tuple[int, int, bool]] = []
         ends: list[tuple[int, int, int]] = []
-        for i, mask in enumerate(self.tilting):
-            not_fac = self.ext_from(mask)
-            for x in _bits(mask):
-                rest = mask & ~(1 << x)
-                others = self.complements(rest) & ~mask
-                if not others:
-                    covered = [range(*self.spans[r]) for r in _bits(rest)]
-                    # exactly one position; none or several fail the pairing or degree check
-                    missing = set(range(*self.spans[x])).difference(*covered)
-                    ends.extend((i, x, p) for p in sorted(missing))
-                for y in _bits(others):
-                    other = rest | 1 << y
-                    j = position.get(other)
-                    if j is None or j < i:
-                        continue
-                    forward = not (not_fac >> y) & 1
-                    backward = not (self.ext_from(other) >> x) & 1
-                    if forward == backward:
-                        modules = [[self.spans[k] for k in _bits(t)] for t in (mask, other)]
-                        raise ArithmeticError(
-                            f"adjacent tilting modules {modules[0]} and {modules[1]} have "
-                            "incomparable torsion classes: internal bug"
-                        )
-                    arrows.append((i, j, forward))
+        for rest, found in completions.items():
+            if len(found) == 1:
+                ((i, x),) = found
+                # exactly one position; none or several fail the pairing or degree check
+                ends.extend((i, x, p) for p in range(*self.spans[x]) if self.dims[i][p] == 1)
+            elif len(found) == 2:
+                (i, x), (j, y) = found
+                forward = bool(self.ext_out[y] >> x & 1)
+                if forward == bool(self.ext_out[x] >> y & 1):
+                    modules = [[self.spans[k] for k in _bits(rest | 1 << z)] for z in (x, y)]
+                    raise ArithmeticError(
+                        f"adjacent tilting modules {modules[0]} and {modules[1]} have "
+                        "incomparable torsion classes: internal bug"
+                    )
+                arrows.append((i, j, forward))
+            else:
+                raise ArithmeticError(
+                    f"almost complete tilting module {[self.spans[k] for k in _bits(rest)]} "
+                    f"has {len(found)} completions: internal bug"
+                )
         return tuple(sorted(arrows)), tuple(ends)
 
 

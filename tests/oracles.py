@@ -242,10 +242,8 @@ class TiltingModule:
 class LabelledTable:
     """The rigidity table of a labelled path's orientation word, with its
     intervals, masks and tilting modules moved into interval-key order over
-    the labels: the order a table built on the labels would hold."""
-
-    ext_from = RigidityTable.ext_from
-    complements = RigidityTable.complements
+    the labels: the order a table built on the labels would hold.  Its
+    complements scan is independent of the table's own mutation graph."""
 
     def __init__(self, path: tuple[int, ...], arrows: Iterable[tuple[int, int]]) -> None:
         table = RigidityTable(path_word(path, arrows))
@@ -261,6 +259,20 @@ class LabelledTable:
         self.ext_out = tuple(move(table.ext_out[i]) for i in order)
         self.rigid = tuple(move(table.rigid[i]) for i in order)
         self.tilting = tuple(sorted(map(move, table.tilting), key=lambda m: list(_bits(m))))
+
+    def ext_from(self, mask: int) -> int:
+        """Intervals X with Ext^1(M, X) != 0 for some M in `mask`."""
+        out = 0
+        for i in _bits(mask):
+            out |= self.ext_out[i]
+        return out
+
+    def complements(self, base: int) -> int:
+        """Intervals outside `base` that are rigid with every member of it."""
+        allowed = self.full
+        for i in _bits(base):
+            allowed &= self.rigid[i]
+        return allowed & ~base
 
 
 def rank_of(rows: list[list[int]]) -> int:

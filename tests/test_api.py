@@ -37,21 +37,44 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name
 
 
+def _instance_attributes(tree: ast.Module):
+    """The attributes set as `self.X = ...` in the top-level classes that are
+    not exported, as (qualified name, name) pairs."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name not in taudec.__all__:
+            for item in ast.walk(node):
+                if (
+                    isinstance(item, ast.Attribute)
+                    and isinstance(item.ctx, ast.Store)
+                    and isinstance(item.value, ast.Name)
+                    and item.value.id == "self"
+                ):
+                    yield f"{node.name}.{item.attr}", item.attr
+
+
 def test_every_top_level_definition_is_exported_or_used():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
-    used = set()
+    used, read = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+                if not isinstance(node.ctx, ast.Store):
+                    read.add(node.attr)
     unused = sorted(
         f"{module}.{qualified}"
         for module, tree in trees.items()
         for qualified, name in _definitions(tree)
         if name not in taudec.__all__ and name not in used
-    )
+    ) + sorted({
+        # an attribute counts where some object's attribute of its name is read
+        f"{module}.{qualified}"
+        for module, tree in trees.items()
+        for qualified, name in _instance_attributes(tree)
+        if name not in read
+    })
     assert not unused, (
         f"defined in src/ but neither exported nor used there: {unused}; "
         "code that only tests call belongs in tests/oracles.py"

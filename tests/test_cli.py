@@ -444,6 +444,21 @@ class TestHasse:
         assert err.startswith("error: internal: negative Ext dimension between ")
         assert err.rstrip().endswith("internal bug")
 
+    def test_third_completion_exits_four(self, quiver_file, capsys, monkeypatch):
+        # with every mask rigid, each rest of the star's three-vertex slice has four
+        # completions, in the first table with more than two vertices
+        original = repa.RigidityTable._tilting
+
+        def all_rigid(table):
+            table.rigid = (table.full,) * len(table.spans)
+            return original(table)
+
+        monkeypatch.setattr(repa.RigidityTable, "_tilting", all_rigid)
+        code, out, err = run(capsys, "hasse", quiver_file("n 3\na 1 3\na 2 3\n"))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: internal: almost complete tilting module ")
+        assert err.rstrip().endswith("has 4 completions: internal bug")
+
 
 class TestBrauer:
     def test_line_verify(self, capsys):

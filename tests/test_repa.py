@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -350,6 +352,34 @@ def path_quivers(draw, max_vertices=7):
     return PathQuiver(tuple(labels), tuple(arrows))
 
 
+def check_table_mutation_graph(word):
+    """The table of `word` against direct scans of the word's own path, labelled
+    by position, which holds the table's order: its tilting modules, its arrows
+    against `tilting_hasse_pairs`, its open ends by Happel-Unger and its
+    dimension vectors."""
+    table = RigidityTable(word)
+    positions = tuple(range(table.size))
+    component = PathQuiver(positions, tuple(
+        (p, p + 1) if ahead else (p + 1, p) for p, ahead in enumerate(table.word)
+    ))
+    spans = [interval_module(positions, span) for span in table.spans]
+    mods = [TiltingModule(tuple(spans[i] for i in _bits(t))) for t in table.tilting]
+    assert tuple(mods) == tilting_modules_scan(component)
+    arrows = tuple((i, j) if ahead else (j, i) for i, j, ahead in table.arrows)
+    assert arrows == tilting_hasse_pairs(component, mods)
+    # Happel-Unger: a rest has one complement exactly when it misses a vertex
+    assert {(i, spans[x], p) for i, x, p in table.ends} == {
+        (i, x, p)
+        for i, tilt in enumerate(mods)
+        for x in tilt.summands
+        for p in x.support.difference(*(m.support for m in tilt.summands if m != x))
+    }
+    assert table.dims == tuple(
+        tuple(sum(p in m.support for m in tilt.summands) for p in positions)
+        for tilt in mods
+    )
+
+
 class TestAgainstDirectScans:
     """The rigidity-table fast paths against their direct ext_dim forms."""
 
@@ -374,28 +404,12 @@ class TestAgainstDirectScans:
     @given(path_quivers())
     def test_table_mutation_graph(self, quiver):
         for path in quiver.paths:
-            # the word's own path, labelled by position, holds the table's order
-            table = RigidityTable(path_word(path, quiver.arrows))
-            positions = tuple(range(len(path)))
-            component = PathQuiver(positions, tuple(
-                (p, p + 1) if ahead else (p + 1, p) for p, ahead in enumerate(table.word)
-            ))
-            spans = [interval_module(positions, span) for span in table.spans]
-            mods = [TiltingModule(tuple(spans[i] for i in _bits(t))) for t in table.tilting]
-            assert tuple(mods) == tilting_modules_scan(component)
-            arrows = tuple((i, j) if ahead else (j, i) for i, j, ahead in table.arrows)
-            assert arrows == tilting_hasse_pairs(component, mods)
-            # Happel-Unger: a rest has one complement exactly when it misses a vertex
-            assert {(i, spans[x], p) for i, x, p in table.ends} == {
-                (i, x, p)
-                for i, tilt in enumerate(mods)
-                for x in tilt.summands
-                for p in x.support.difference(*(m.support for m in tilt.summands if m != x))
-            }
-            assert table.dims == tuple(
-                tuple(sum(p in m.support for m in tilt.summands) for p in positions)
-                for tilt in mods
-            )
+            check_table_mutation_graph(path_word(path, quiver.arrows))
+
+    @pytest.mark.parametrize("vertices", range(1, 7))
+    def test_table_mutation_graph_on_every_word(self, vertices):
+        for word in product((False, True), repeat=vertices - 1):
+            check_table_mutation_graph(word)
 
     @settings(max_examples=25, deadline=None)
     @given(path_quivers())
