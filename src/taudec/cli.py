@@ -76,14 +76,20 @@ def cmd_signdec(args: argparse.Namespace) -> int:
     quiver = _load_quiver(args.path)
     print("# signs  components  count  two_term_tilting")
     engine = SliceEngine(quiver, quiver.vertices)
-    for mask, (signs, parts) in enumerate(engine.walk()):
-        cells = []
-        for component, dynkin, _ in parts:
-            verts = ",".join(str(v) for v in component.vertices)
-            cells.append(f"{dynkin}{{{verts}}}")
-        count_text = _count_text(slice_count(parts))
+    # a row's components and count, by the id of the slice tuple that the
+    # engine shares between the masks of one slice and keeps alive
+    tails: dict[int, str] = {}
+    for mask in range(1 << quiver.n):
+        parts = engine.slice(mask)
+        tail = tails.get(id(parts))
+        if tail is None:
+            cells = ",".join(
+                f"{dynkin}{{{','.join(map(str, component.vertices))}}}"
+                for component, dynkin, _ in parts
+            )
+            tail = tails[id(parts)] = f"{cells}  {_count_text(slice_count(parts))}"
         flag = "true" if engine.two_term(mask) else "false"
-        print(f"{format_signs(signs)}  {','.join(cells)}  {count_text}  {flag}")
+        print(f"{engine.signs_text(mask)}  {tail}  {flag}")
     return 0
 
 

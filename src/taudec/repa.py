@@ -27,6 +27,7 @@ rest misses, where the glued Hasse quiver pairs the open ends.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 Span = tuple[int, int]  # the positions [start, stop) of an interval module
@@ -118,8 +119,14 @@ class RigidityTable:
         self.arrows, self.ends = self._mutate()
 
     def _dims(self, mask: int) -> tuple[int, ...]:
-        spans = [self.spans[i] for i in _bits(mask)]
-        return tuple(sum(a <= p < b for a, b in spans) for p in range(self.size))
+        """Summands covering each position: each span adds 1 from its start
+        and takes it back at its stop, and a running sum reads the positions."""
+        steps = [0] * (self.size + 1)
+        for i in _bits(mask):
+            start, stop = self.spans[i]
+            steps[start] += 1
+            steps[stop] -= 1
+        return tuple(accumulate(steps[:-1]))
 
     def _tilting(self) -> tuple[int, ...]:
         """Masks of the rigid sets with one summand per vertex, in lexicographic

@@ -36,13 +36,16 @@ A `SliceEngine` walks the 2^k sign vectors of one group of vertices.  It
 owns the sign-mask layout, which the sweep's witness masks follow too,
 and holds the group's arrows once with the mask bits of their ends.  A
 mask gives both the slice, the arrows from a +1 to a -1 vertex, and the
-`signdec` two-term column, whether no arrow runs the other way.  Each
-distinct labelled slice component is classified once, in a dict that
-lives only as long as the engine.  The engine counts the components the
-sweep gives up on and walks them to the first witness of `finite`, names
-the non-Dynkin component of the sweep's witness from its one slice, and
-gives the `signdec` rows and `sign_slice_components` over the whole
-vertex set.
+`signdec` two-term column, whether no arrow runs the other way.  A slice
+depends only on its kept edges, so each distinct kept-edge set is split
+and classified once, and each distinct labelled component classified
+once, in dicts that live only as long as the engine: one entry per
+distinct slice and per distinct component.  A component that fails to
+classify is an internal bug named by its sign vector and vertices.  The
+engine counts the components the sweep gives up on and walks them to the
+first witness of `finite`, names the non-Dynkin component of the sweep's
+witness from its one slice, and gives the `signdec` rows and
+`sign_slice_components` over the whole vertex set.
 """
 
 from __future__ import annotations
@@ -90,22 +93,28 @@ class SliceEngine:
     `layout` is the one sign-mask layout: vertex i of the group (0-based, in
     increasing order) owns bit k - 1 - i of a k-bit mask, set when its sign
     is -1, so masks 0, 1, 2, ... run through `enumerate_signs(k)` in order.
-    The group's arrows other than loops are held as (lo, hi, unordered
-    valuation) with the mask bits of their source and target.  A mask's
-    slice keeps the arrows from +1 to -1; `two_term` asks that none runs
-    from -1 to +1.  Each labelled component is classified the first time it
-    appears, its tilting count kept next to its type, and looked up
-    afterwards; the lookup lives as long as the engine.
+    The group's arrows other than loops are held with the mask bits of their
+    source and target and the key bit of their edge (lo, hi, unordered
+    valuation), one bit per distinct edge.  A mask's slice keeps the arrows
+    from +1 to -1; `two_term` asks that none runs from -1 to +1.  Each
+    distinct kept-edge set is split once, and each labelled component
+    classified once, its tilting count kept next to its type.  Both lookups
+    live as long as the engine, one entry per distinct slice and per
+    distinct component, and all masks of one slice get one shared tuple.
     """
 
     def __init__(self, quiver: ValuedQuiver, vertices: Iterable[int]):
         self.bit = bit = self.layout(vertices)
         self.vertices = tuple(sorted(bit))
-        self._arrows = sorted(
-            (min(a.src, a.tgt), max(a.src, a.tgt), a.val.unordered(), bit[a.src], bit[a.tgt])
+        arrows = [
+            ((min(a.src, a.tgt), max(a.src, a.tgt), a.val.unordered()), bit[a.src], bit[a.tgt])
             for a in quiver.arrows
             if a.src != a.tgt and a.src in bit and a.tgt in bit
-        )
+        ]
+        self._edges = sorted({edge for edge, _, _ in arrows})
+        key_bit = {edge: 1 << k for k, edge in enumerate(self._edges)}
+        self._arrows = [(key_bit[edge], src, tgt) for edge, src, tgt in arrows]
+        self._slices: dict[int, tuple[Counted, ...]] = {}
         self._classified: dict[tuple, Counted] = {}
 
     @staticmethod
@@ -113,10 +122,14 @@ class SliceEngine:
         """Each vertex's mask bit: the greatest vertex owns bit 0."""
         return {v: 1 << i for i, v in enumerate(sorted(vertices, reverse=True))}
 
+    def signs_text(self, mask: int) -> str:
+        """The mask's signs on the group as `format_signs` writes them."""
+        return format(mask, f"0{len(self.vertices)}b").replace("0", "+").replace("1", "-")
+
     def two_term(self, mask: int) -> bool:
         """Whether the two-term silting complexes of the mask's sign class are
         tilting: no arrow runs from -1 to +1; such arrows span the obstruction space."""
-        return not any(mask & src and not mask & tgt for _, _, _, src, tgt in self._arrows)
+        return not any(mask & src and not mask & tgt for _, src, tgt in self._arrows)
 
     def walk(self) -> Iterator[tuple[SignVector, tuple[Counted, ...]]]:
         """Every sign vector of the group, in order, with its counted slice components."""
@@ -125,27 +138,39 @@ class SliceEngine:
 
     def slice(self, mask: int) -> tuple[Counted, ...]:
         """Components of the mask's slice with their Dynkin types and tilting
-        counts, by minimal vertex."""
-        kept = [
-            (u, v, val) for u, v, val, src, tgt in self._arrows if mask & tgt and not mask & src
-        ]
+        counts, by minimal vertex; one shared tuple per kept-edge set."""
+        # at most one arrow of an edge runs from +1 to -1, so the sum sets bits
+        key = sum(edge for edge, src, tgt in self._arrows if mask & tgt and not mask & src)
+        found = self._slices.get(key)
+        if found is None:
+            found = self._slices[key] = self._split(mask, key)
+        return found
+
+    def _split(self, mask: int, key: int) -> tuple[Counted, ...]:
+        kept = [edge for k, edge in enumerate(self._edges) if key >> k & 1]
         comps = components(neighbour_lists(self.vertices, kept))
         edges: list[list] = [[] for _ in comps]
         if kept:
             owner = {v: k for k, comp in enumerate(comps) for v in comp}
             for edge in kept:
                 edges[owner[edge[0]]].append(edge)
-        return tuple(self._classify(comp, tuple(es)) for comp, es in zip(comps, edges))
-
-    def _classify(self, vertices: tuple[int, ...], edges: tuple) -> Counted:
-        key = (vertices, edges)
-        found = self._classified.get(key)
-        if found is None:
-            graph = ValuedGraph(vertices, edges)
-            dynkin = classify(graph)
-            count = tilting_count(dynkin) if dynkin.is_dynkin else INFINITE
-            found = self._classified[key] = (graph, dynkin, count)
-        return found
+        parts = []
+        for comp, es in zip(comps, edges):
+            labelled = (comp, tuple(es))
+            found = self._classified.get(labelled)
+            if found is None:
+                try:
+                    graph = ValuedGraph(*labelled)
+                    dynkin = classify(graph)
+                except ValueError as exc:  # QuiverError too: a slice of a valid quiver is valid
+                    raise ArithmeticError(
+                        f"slice of signs {self.signs_text(mask)} on vertices {self.vertices}, "
+                        f"component {comp}: {exc}: internal bug"
+                    ) from exc
+                count = tilting_count(dynkin) if dynkin.is_dynkin else INFINITE
+                found = self._classified[labelled] = (graph, dynkin, count)
+            parts.append(found)
+        return tuple(parts)
 
 
 # links[v][u] = [valuation of v -> u, valuation of u -> v], None where absent

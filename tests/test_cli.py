@@ -22,7 +22,7 @@ from oracles import (
 from taudec import cli, dynkin, glue, repa, signdec
 from taudec.brauer import IdentityCheck, brauer_cycle_quiver, brauer_line_quiver
 from taudec.glue import GluedHasse, glued_hasse
-from taudec.quiver import format_signs, parse_quiver, quiver_file_text
+from taudec.quiver import QuiverError, format_signs, parse_quiver, quiver_file_text
 from taudec.signdec import INFINITE, count_support_tilting
 
 THREE_CYCLE_FILE = "n 3\na 1 2\na 2 3\na 3 1\n"
@@ -340,6 +340,30 @@ class TestSigndec:
         code, _, err = run(capsys, "signdec", quiver_file(OVERFLOW_FILE))
         assert code == 2
         assert err.startswith("error: quiver too large: ")
+
+    @pytest.mark.parametrize(
+        "error", [ValueError("graph is disconnected"), QuiverError("bad edge (2, 3)")],
+        ids=["value-error", "quiver-error"],
+    )
+    def test_slice_classification_fault_exits_four(
+        self, quiver_file, capsys, monkeypatch, error
+    ):
+        # the three-cycle's first slice component with an edge is {2, 3}, at signs ++-
+        original = signdec.classify
+
+        def faulty(graph):
+            if graph.edges:
+                raise error
+            return original(graph)
+
+        monkeypatch.setattr(signdec, "classify", faulty)
+        code, out, err = run(capsys, "signdec", quiver_file(THREE_CYCLE_FILE))
+        assert code == 4
+        assert out.splitlines()[1:] == ["+++  A1{1},A1{2},A1{3}  1  true"]
+        assert err == (
+            "error: internal: slice of signs ++- on vertices (1, 2, 3), "
+            f"component (2, 3): {error}: internal bug\n"
+        )
 
 
 def standard_json(hasse: GluedHasse) -> str:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,7 @@ from taudec.quiver import (
     Arrow,
     Valuation,
     ValuedQuiver,
+    components,
     parse_quiver,
     quiver_file_text,
     sign_subquiver,
@@ -269,13 +273,68 @@ class TestAgainstScan:
             assert slice_count(parts) == count_for_signs(quiver, signs) == slice_count_scan(want)
 
 
-class TestCountsHeldByTheEngine:
-    @pytest.mark.parametrize(
-        "quiver",
-        [brauer_line_quiver(6), brauer_cycle_quiver(5), brauer_cycle_quiver(4), THREE_CYCLE,
-         parse_quiver("n 4\na 1 2\na 1 3\na 1 4\n")],
-        ids=["line6", "cycle5", "cycle4", "three-cycle", "star-d4"],
+ENGINE_QUIVERS = pytest.mark.parametrize(
+    "quiver",
+    [brauer_line_quiver(6), brauer_cycle_quiver(5), brauer_cycle_quiver(4), THREE_CYCLE,
+     parse_quiver("n 4\na 1 2\na 1 3\na 1 4\n"),
+     parse_quiver("n 6\na 1 2\na 3 2\na 3 4\na 5 4\na 5 6\n")],
+    ids=["line6", "cycle5", "cycle4", "three-cycle", "star-d4", "zigzag6"],
+)
+
+
+def kept_edges(quiver: ValuedQuiver, signs) -> frozenset:
+    """The slice's edges (lo, hi, unordered valuation): arrows from +1 to -1."""
+    return frozenset(
+        (min(a.src, a.tgt), max(a.src, a.tgt), a.val.unordered())
+        for a in quiver.arrows
+        if signs[a.src - 1] == 1 and signs[a.tgt - 1] == -1
     )
+
+
+def signdec_rows_scan(quiver: ValuedQuiver) -> str:
+    """The `signdec` table, each row built afresh from the scan oracles."""
+    rows = ["# signs  components  count  two_term_tilting"]
+    for signs in product((1, -1), repeat=quiver.n):
+        parts = sign_slice_components_scan(quiver, signs)
+        cells = ",".join(
+            f"{dynkin}{{{','.join(str(v) for v in graph.vertices)}}}" for graph, dynkin in parts
+        )
+        count = slice_count_scan(parts)
+        text = "infinite" if count is INFINITE else str(count)
+        flag = "true" if two_term_tilting(quiver, signs) else "false"
+        rows.append(f"{''.join('+' if s == 1 else '-' for s in signs)}  {cells}  {text}  {flag}")
+    return "\n".join(rows) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(FAMILIES, SEEDS)
+def test_signdec_stdout_against_the_scan(tmp_path_factory, family, seed):
+    quiver = sample_quiver(family, seed)
+    path = tmp_path_factory.mktemp("signdec") / "quiver.txt"
+    path.write_text(quiver_file_text(quiver), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["signdec", str(path)]) == 0
+    assert out.getvalue() == signdec_rows_scan(quiver)
+
+
+class TestCountsHeldByTheEngine:
+    @ENGINE_QUIVERS
+    def test_one_split_per_distinct_slice(self, quiver, monkeypatch):
+        calls = []
+
+        def counted(neighbours):
+            calls.append(neighbours)
+            return components(neighbours)
+
+        monkeypatch.setattr(signdec, "components", counted)
+        rows = list(SliceEngine(quiver, quiver.vertices).walk())
+        assert len(calls) <= len({kept_edges(quiver, signs) for signs, _ in rows})
+        for signs, parts in rows:
+            want = sign_slice_components_scan(quiver, signs)
+            assert [(graph, dynkin) for graph, dynkin, _ in parts] == list(want)
+
+    @ENGINE_QUIVERS
     def test_tilting_count_once_per_distinct_component(self, quiver, monkeypatch):
         calls = []
 
