@@ -2,30 +2,25 @@
 
 Each sign vector contributes the tilting poset of its hereditary slice,
 taken over the opposite of the sign subquiver, where the relevant
-endomorphism algebra lives.  The slices come from the `SliceEngine` walk
-that `count` and `signdec` use, and a slice component is supported when
-its Dynkin type is A, a unit-valued path.  Its vertices are read in
-`quiver.breadth_first` order over `quiver.neighbour_lists`, which on a
-path runs from the smaller end.  Every slice edge joins a +1 and a -1
-vertex, so the opposite arrow between neighbours u, v on a path points
-from u to v exactly when u is -1, and the component's orientation word
-is `signs[v] == -1` read along the path.  Its mutation graph comes
-from the rigidity table of that word (see `repa`), read on the
-component's labels through a `ComponentView`; tables and views live for
-one call.  A slice's poset is the product of its components' posets: its
-nodes are the mixed-radix product of its views' tilting modules, and
-each arrow or open end of a view is taken at every combination of the
-other views' digits.  An open end is a summand whose rest has no other
-complement in the slice.  Such a rest misses exactly one vertex v, so it
-is a tilting module of the slice without v, which is the same for both
-signs at v and has one completion on each side.  The open ends of the
-two slices that differ only at v therefore pair up by their rest, and
-each pair is one gluing arrow from the +1 side to the -1 side.  A node's
-g-vector is the sign diagonal applied to its slice tilting module's
-dimension vector.  A view is kept per labelled component and the sign of
-one of its vertices, which fixes every sign on its path, so it flips its
-modules' dimension vectors once, and a node's g is put together from its
-views' pieces.
+endomorphism algebra lives.  The slices come, in mask order, from the
+`SliceEngine` walk that `count` and `signdec` use, and a slice component
+is supported when its Dynkin type is A, a unit-valued path.  Every slice
+edge joins a +1 and a -1 vertex, so the opposite arrow between path
+neighbours u, v points from u to v exactly when u is -1: the component's
+orientation word is `signs[v] == -1` read along its `breadth_first` path,
+and that word's rigidity table (see `repa`) is read on the component's
+labels through a `ComponentView`.  A slice's poset is the product of its
+components' posets, and a node's g-vector is the sign diagonal applied
+to its slice tilting module's dimension vector.
+
+An open end is a summand whose rest has no other complement in the
+slice.  Such a rest misses exactly one vertex v, so it is a tilting
+module of the slice without v, which both signs at v share, and it has
+one completion on each side (Adachi-Iyama-Reiten 2014, Theorem 2.18).
+Each open end is keyed once, by (upper, v, rest): the mask with +1 at v,
+then v, then the rest's summand keys on each path of the slice without
+v, by minimal vertex.  The two ends of a key are one gluing arrow from
+the +1 side to the -1 side.
 """
 
 from __future__ import annotations
@@ -76,7 +71,7 @@ class ComponentView:
     module b, and `ends` (missing vertex, pieces).  The rest of an open
     end lies on the paths left and right of the missing vertex; each one
     it meets is a piece (minimal vertex, the keys of the rest's summands
-    on it, twice).
+    on it).
     """
 
     def __init__(self, table: RigidityTable, path: list[int], signs: SignVector) -> None:
@@ -103,7 +98,7 @@ class ComponentView:
             left = tuple(keys[i] for i in members[t] if i != x and table.spans[i][0] < p)
             right = tuple(keys[i] for i in members[t] if i != x and table.spans[i][0] > p)
             pieces = tuple(
-                (min(piece), on, on) for piece, on in ((path[:p], left), (path[p + 1:], right)) if on
+                (min(piece), on) for piece, on in ((path[:p], left), (path[p + 1:], right)) if on
             )
             self.ends[where[t]].append((path[p], pieces))
 
@@ -145,26 +140,24 @@ def component_views(
 def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
     """Nodes, internal mutation arrows, and cross-sign gluing arrows.
 
-    Internal arrows are ordered by their index pair within a slice.  Open
-    ends are paired by (signs without v, v, rest), the rest given by its
-    summands' keys on each path of the slice without v, by minimal vertex.
-    Gluing arrows follow the upper sign vector in enumeration order, then
-    v, then the rest in the tilting order of the slice without v: the
-    product order over those paths, each compared by its view's index
-    where it is a whole component and by its summands' interval keys
-    where it is a piece of v's component.
+    Nodes and internal arrows run slice by slice in mask order, internal
+    arrows by their index pair within a slice.  Gluing arrows come last,
+    by their ends' sorted keys: the upper sign vector in enumeration order,
+    then v, then the rest in the tilting order of the slice without v,
+    since a view orders its tilting modules as their sorted summand keys
+    compare.
     """
     n = quiver.n
+    engine = SliceEngine(quiver, quiver.vertices)
     tables: dict = {}
     views: dict = {}
     nodes: list[HasseNode] = []
     arrows: list[tuple[int, int, str]] = []
-    ends: dict[tuple, list[tuple[int, tuple, int]]] = {}
-    for rank, (signs, counted) in enumerate(SliceEngine(quiver, quiver.vertices).walk()):
+    ends: dict[tuple, list[tuple[int, int]]] = {}
+    for mask, (signs, counted) in enumerate(engine.walk()):
         parts = component_views(signs, counted, tables, views)
         sizes = [len(view.summands) for view in parts]
         strides = [prod(sizes[c + 1:]) for c in range(len(parts))]
-        without = [signs[:v - 1] + signs[v:] for v in range(n + 1)]  # by vertex v
         pairs = []
         for i, digits in enumerate(product(*map(range, sizes)), len(nodes)):
             g = [0] * n
@@ -181,28 +174,22 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
                 pairs.extend((i, i + (b - d) * strides[c], ahead) for b, ahead in view.arrows[d])
                 for v, pieces in view.ends[d]:
                     rest = sorted([
-                        (parts[k].low, parts[k].summands[e], e) for k, e in enumerate(digits) if k != c
+                        (parts[k].low, parts[k].summands[e]) for k, e in enumerate(digits) if k != c
                     ] + list(pieces))
-                    side = signs[v - 1]
-                    order = (rank, v, tuple(o for _, _, o in rest)) if side == 1 else ()
-                    key = (without[v], v, tuple(s for _, s, _ in rest))
-                    ends.setdefault(key, []).append((side, order, i))
+                    key = (mask & ~engine.bit[v], v, tuple(rest))
+                    ends.setdefault(key, []).append((signs[v - 1], i))
         pairs.sort()
         arrows.extend((i, j, INTERNAL) if ahead else (j, i, INTERNAL) for i, j, ahead in pairs)
 
-    gluing = []
-    for (others, v, _), pair in ends.items():
+    for (upper, v, _), pair in sorted(ends.items()):
         pair.sort(reverse=True)
-        if [side for side, _, _ in pair] != [1, -1]:
-            upper = format_signs(others[:v - 1] + (1,) + others[v - 1:])
+        if [side for side, _ in pair] != [1, -1]:
             raise ArithmeticError(
-                f"open mutation ends below {upper} at vertex {v} do not pair up: "
-                "internal bug"
+                f"open mutation ends below {engine.signs_text(upper)} at vertex {v} "
+                "do not pair up: internal bug"
             )
-        (_, order, top), (_, _, bottom) = pair
-        gluing.append((order, top, bottom))
-    gluing.sort()
-    arrows.extend((top, bottom, GLUING) for _, top, bottom in gluing)
+        (_, top), (_, bottom) = pair
+        arrows.append((top, bottom, GLUING))
 
     if len({node.g for node in nodes}) != len(nodes):
         raise ArithmeticError("node g-vectors collide: internal bug")

@@ -45,15 +45,21 @@ vectors once.  It is the reference for those g pieces and for the
 matrix identities of criterion 7.  `transposed` and `arrows_of_kind` are
 likewise called only by tests.  `two_term_tilting` scans the arrows for
 the two-term rule on a sign vector, the reference for `SliceEngine.two_term`.
+
+`g_fan_check` reads only the JSON that `hasse` prints and checks it
+against the g-vector fan (Adachi-Iyama-Reiten, Demonet-Iyama-Jasso), a
+gate that does not go through the sign decomposition; its matrices are
+inverted over the integers by `unimodular_inverse`.
 """
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 from taudec.dynkin import DynkinType, catalan, classify, tilting_count
@@ -1082,3 +1088,93 @@ def g_from_dim_vector(signs: Sequence[int], c: Sequence[int]) -> IntVector:
     if len(c) != len(signs):
         raise QuiverError(f"length mismatch: {len(c)} vs {len(signs)}")
     return tuple(s * x for s, x in zip(signs, c))
+
+
+def unimodular_inverse(rows: Sequence[Sequence[int]]) -> IntMatrix | None:
+    """The integer inverse of a square integer matrix of determinant +-1, or
+    None when the determinant is anything else.
+
+    Integer row operations (swaps, negations, adding integer multiples of a
+    row) reduce the matrix to the identity exactly when its determinant is
+    +-1: Euclid down each column leaves the gcd of the column below the
+    finished rows as pivot, and that gcd divides the determinant.  The same
+    operations turn the identity into the inverse."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        return None
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        while True:
+            live = [r for r in range(c, n) if a[r][c]]
+            if not live:
+                return None
+            p = min(live, key=lambda r: abs(a[r][c]))
+            a[c], a[p] = a[p], a[c]
+            for r in range(c + 1, n):
+                q = a[r][c] // a[c][c]
+                if q:
+                    a[r] = [x - q * y for x, y in zip(a[r], a[c])]
+            if not any(a[r][c] for r in range(c + 1, n)):
+                break
+        if abs(a[c][c]) != 1:
+            return None
+        a[c] = [a[c][c] * x for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                q = a[r][c]
+                a[r] = [x - q * y for x, y in zip(a[r], a[c])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def g_fan_check(json_text: str, points: int = 40, seed: int = 0) -> None:
+    """Check `hasse --format json` against the g-vector fan, without the sign
+    decomposition; raises AssertionError naming the first failure.
+
+    A type-A slice summand's g-vector is the node's `eps` applied to the
+    indicator of its support.  By Adachi-Iyama-Reiten (2014) the summand
+    g-vectors of each node form a Z-basis and a mutation exchanges exactly
+    one of them; by Demonet-Iyama-Jasso (2019) the cones of a tau-tilting
+    finite algebra form a complete fan.  So: every node's summand matrix
+    has determinant +-1 and its rows sum to the node's `g`; every arrow
+    joins nodes sharing exactly n - 1 summand g-vectors; the basis e_i and
+    the basis -e_i are nodes; and each of `points` seeded random points of
+    [-10^6, 10^6]^n has a non-zero coordinate in every node's basis, all
+    exact integers, and positive coordinates in exactly one of them.
+    """
+    payload = json.loads(json_text)
+    bases, inverses = [], []
+    for node in payload["nodes"]:
+        eps = node["eps"]
+        basis = [tuple(eps[v - 1] if v in support else 0 for v in range(1, len(eps) + 1))
+                 for support in map(set, node["summand_supports"])]
+        inverse = unimodular_inverse(basis)
+        assert inverse is not None, f"node {node['id']}: determinant is not +-1"
+        g = tuple(map(sum, zip(*basis)))
+        assert g == tuple(node["g"]), f"node {node['id']}: summand g-vectors sum to {g}"
+        bases.append(frozenset(basis))
+        inverses.append(inverse)
+    n = len(payload["nodes"][0]["eps"])
+    for arrow in payload["arrows"]:
+        shared = len(bases[arrow["from"]] & bases[arrow["to"]])
+        assert shared == n - 1, f"arrow {arrow}: the ends share {shared} summand g-vectors"
+    for sign in (1, -1):
+        unit = frozenset(tuple(sign * (i == j) for j in range(n)) for i in range(n))
+        assert unit in bases, f"no node has the summand g-vectors {sign:+d}e_i"
+    # coordinate j in a basis is x . (column j of its inverse): a wall's
+    # normal, kept once up to sign for all the cones that share its hyperplane
+    normals: dict[tuple[int, ...], int] = {}
+    cones = []
+    for inverse in inverses:
+        cone = set()
+        for column in zip(*inverse):
+            sign = 1 if next(c for c in column if c) > 0 else -1
+            cone.add((normals.setdefault(tuple(sign * c for c in column), len(normals)), sign))
+        cones.append(cone)
+    rng = random.Random(seed)
+    for _ in range(points):
+        x = [rng.randint(-10**6, 10**6) for _ in range(n)]
+        dots = [sum(map(mul, x, normal)) for normal in normals]
+        assert all(dots), f"point {x} has a zero coordinate in some node's basis"
+        sides = {(i, 1 if d > 0 else -1) for i, d in enumerate(dots)}
+        inside = sum(cone <= sides for cone in cones)
+        assert inside == 1, f"point {x} lies in {inside} open cones"

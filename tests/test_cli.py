@@ -459,6 +459,22 @@ class TestHasse:
         assert err.startswith("error: internal: ")
         assert "internal bug" in err
 
+    def test_unpaired_open_end_exits_four(self, quiver_file, capsys, monkeypatch):
+        original = repa.RigidityTable.__init__
+
+        def drop_last_end(table, word):
+            original(table, word)
+            table.ends = table.ends[:-1]
+
+        monkeypatch.setattr(repa.RigidityTable, "__init__", drop_last_end)
+        code, out, err = run(capsys, "hasse", quiver_file(THREE_CYCLE_FILE))
+        assert (code, out) == (4, "")
+        # the open-end keys are checked in gluing order, mask first
+        assert err == (
+            "error: internal: open mutation ends below +++ at vertex 2 do not pair up: "
+            "internal bug\n"
+        )
+
     def test_negative_ext_exits_four(self, quiver_file, capsys, monkeypatch):
         # with no Hom anywhere, Ext^1(S, S) = 0 - <S, S> = -1 in the first table built
         monkeypatch.setattr(repa, "_hom", lambda word, x, y: 0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
@@ -13,6 +14,7 @@ from oracles import (
     PathQuiver,
     TiltingModule,
     disjoint_union,
+    g_fan_check,
     g_from_dim_vector,
     glued_hasse_scan,
     gluing_arrows,
@@ -26,7 +28,7 @@ from oracles import (
     tilting_modules,
     total_dim_vector,
 )
-from taudec import glue, quiver as quiver_module, repa
+from taudec import cli, glue, quiver as quiver_module, repa
 from taudec.brauer import brauer_cycle_quiver, brauer_line_quiver
 from taudec.glue import GLUING, INTERNAL, component_views, glued_hasse
 from taudec.quiver import Arrow, ValuedQuiver, breadth_first, neighbour_lists
@@ -127,6 +129,15 @@ def type_a_quivers(draw, max_vertices=6):
     return relabelled(ValuedQuiver(n, tuple(arrows)), images)
 
 
+@st.composite
+def type_a_unions(draw):
+    """One or two `type_a_quivers` side by side, relabelled as a whole."""
+    quiver = draw(type_a_quivers(max_vertices=5))
+    if draw(st.booleans()):
+        quiver = disjoint_union(quiver, draw(type_a_quivers(max_vertices=3)))
+    return relabelled(quiver, draw(st.permutations(range(1, quiver.n + 1))))
+
+
 def reference_arrows(quiver):
     """Internal arrows by the pair scan per slice, then the reference gluing arrows."""
     nodes = hasse_nodes(quiver)
@@ -159,6 +170,14 @@ class TestAgainstBongartzGluing:
     @settings(max_examples=12, deadline=None)
     @given(type_a_quivers())
     def test_random_type_a_quivers(self, quiver):
+        assume(count_support_tilting(quiver) is not INFINITE)
+        assert glued_hasse(quiver).arrows == reference_arrows(quiver)
+
+    @settings(max_examples=8, deadline=None)
+    @given(type_a_unions())
+    def test_random_type_a_unions(self, quiver):
+        # with interleaved labels, ordering a rest by its paths and by one
+        # sort of all its summands can disagree
         assume(count_support_tilting(quiver) is not INFINITE)
         assert glued_hasse(quiver).arrows == reference_arrows(quiver)
 
@@ -295,6 +314,17 @@ class TestPairingCheck:
         with pytest.raises(ArithmeticError, match="do not pair up: internal bug"):
             glued_hasse(THREE_CYCLE)
 
+    def test_doubled_open_end_is_an_internal_bug(self, monkeypatch):
+        original = repa.RigidityTable.__init__
+
+        def double_last_end(table, word):
+            original(table, word)
+            table.ends = table.ends + table.ends[-1:]
+
+        monkeypatch.setattr(repa.RigidityTable, "__init__", double_last_end)
+        with pytest.raises(ArithmeticError, match="do not pair up: internal bug"):
+            glued_hasse(THREE_CYCLE)
+
 
 class TestCollisionCheck:
     def test_colliding_g_vectors_are_an_internal_bug(self, monkeypatch):
@@ -338,15 +368,6 @@ class TestTorsionCheck:
             glued_hasse(THREE_CYCLE)
 
 
-@st.composite
-def type_a_unions(draw):
-    """One or two `type_a_quivers` side by side, relabelled as a whole."""
-    quiver = draw(type_a_quivers(max_vertices=5))
-    if draw(st.booleans()):
-        quiver = disjoint_union(quiver, draw(type_a_quivers(max_vertices=3)))
-    return relabelled(quiver, draw(st.permutations(range(1, quiver.n + 1))))
-
-
 class TestAgainstSliceScan:
     """Views of one table per orientation word against tables and mutation per slice."""
 
@@ -373,6 +394,54 @@ class TestAgainstSliceScan:
             hasse, want = glued_hasse(q), glued_hasse_scan(q)
             assert hasse.nodes == want.nodes
             assert hasse.arrows == want.arrows
+
+
+def drop_source(payload):
+    """Remove node 0 and its arrows, renumbering the rest."""
+    del payload["nodes"][0]
+    payload["arrows"] = [
+        {**arrow, "from": arrow["from"] - 1, "to": arrow["to"] - 1}
+        for arrow in payload["arrows"] if arrow["from"]
+    ]
+
+
+class TestGVectorFan:
+    """`hasse --format json` against the g-vector fan, which does not go
+    through the sign decomposition."""
+
+    @pytest.mark.parametrize(
+        "quiver",
+        [brauer_line_quiver(k) for k in range(1, 5)]
+        + [brauer_cycle_quiver(k) for k in (1, 3, 5)]
+        + [THREE_CYCLE, INTERLEAVED],
+        ids=["line1", "line2", "line3", "line4", "cycle1", "cycle3", "cycle5",
+             "three-cycle", "interleaved"],
+    )
+    def test_fixed_quivers(self, quiver):
+        g_fan_check(cli.hasse_json(glued_hasse(quiver)))
+
+    @settings(max_examples=10, deadline=None)
+    @given(type_a_unions())
+    def test_random_type_a_unions(self, quiver):
+        assume(count_support_tilting(quiver) is not INFINITE)
+        g_fan_check(cli.hasse_json(glued_hasse(quiver)))
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda p: p["nodes"][1]["summand_supports"].pop(), "determinant"),
+            (lambda p: p["nodes"][1]["g"].reverse(), "sum to"),
+            (lambda p: p["arrows"][0].update({"to": p["arrows"][0]["from"]}), "share 3"),
+            (lambda p: p["nodes"].append(p["nodes"][0]), "in 2 open cones"),
+            (drop_source, "no node has the summand g-vectors [+]1e_i"),
+        ],
+        ids=["dropped-summand", "wrong-g", "loop-arrow", "doubled-node", "dropped-source"],
+    )
+    def test_tampered_output_fails(self, tamper, message):
+        payload = json.loads(cli.hasse_json(glued_hasse(THREE_CYCLE)))
+        tamper(payload)
+        with pytest.raises(AssertionError, match=message):
+            g_fan_check(json.dumps(payload))
 
 
 class TestComponentViews:
