@@ -130,9 +130,10 @@ def type_a_quivers(draw, max_vertices=6):
 
 
 @st.composite
-def type_a_unions(draw):
-    """One or two `type_a_quivers` side by side, relabelled as a whole."""
-    quiver = draw(type_a_quivers(max_vertices=5))
+def type_a_unions(draw, max_vertices=5):
+    """One or two `type_a_quivers`, of at most `max_vertices` and 3 vertices,
+    side by side and relabelled as a whole."""
+    quiver = draw(type_a_quivers(max_vertices=max_vertices))
     if draw(st.booleans()):
         quiver = disjoint_union(quiver, draw(type_a_quivers(max_vertices=3)))
     return relabelled(quiver, draw(st.permutations(range(1, quiver.n + 1))))
@@ -173,8 +174,9 @@ class TestAgainstBongartzGluing:
         assume(count_support_tilting(quiver) is not INFINITE)
         assert glued_hasse(quiver).arrows == reference_arrows(quiver)
 
+    # the reference takes seconds on one 8-vertex union, so at most 7 here
     @settings(max_examples=8, deadline=None)
-    @given(type_a_unions())
+    @given(type_a_unions(max_vertices=4))
     def test_random_type_a_unions(self, quiver):
         # with interleaved labels, ordering a rest by its paths and by one
         # sort of all its summands can disagree
