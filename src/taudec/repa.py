@@ -3,17 +3,14 @@
 A path component on k vertices is determined up to labels by its
 orientation word: word[p] is True when the arrow between positions p and
 p + 1 points from p to p + 1.  Its indecomposable representations are
-the interval modules, one per span [start, stop) of positions: the 0/1
-vector of the span as dimension vector, identity maps on the arrows
-inside it and zero elsewhere.  A homomorphism is a vertexwise family of
-scalars commuting with the arrow maps; the constraints chain the scalars
-on the overlap together, so every Hom space is 0- or 1-dimensional, and
-only the four edges where the overlap ends inside one of the two spans
-can force it to zero.  Over a hereditary algebra dim Hom - dim Ext^1 is
-the Euler form of the dimension vectors, read off the word, which makes
-Ext^1 computable from Hom, and tilting modules are exactly the rigid sets
-with one summand per vertex.  Everything here is exact integer
-arithmetic on positions.
+the interval modules, one per span [start, stop) of positions.  Over a
+hereditary algebra dim Hom - dim Ext^1 is the Euler form of the
+dimension vectors, read off the word.  A Dynkin path algebra is
+representation-directed, so Hom(X, Y) and Ext^1(X, Y) are never both
+non-zero (Ringel 1984, LNM 1099, 2.4), and the sign of the Euler form
+alone decides Ext^1: it is non-zero exactly when <x, y> < 0.  Tilting
+modules are exactly the rigid sets with one summand per vertex.
+Everything here is exact integer arithmetic on positions.
 
 Each word gets one rigidity table, and the table computes its mutation
 graph once: tilting sets by backtracking over the rigid masks, then the
@@ -43,18 +40,6 @@ class UnsupportedComponentError(ValueError):
         self.signs = signs
 
 
-def _hom(word: Sequence[bool], x: Span, y: Span) -> int:
-    """dim Hom(x, y): 1 when the spans meet and no arrow at an edge where the
-    overlap ends runs into y from the rest of x or out of x into the rest of y."""
-    (a, b), (c, d) = x, y
-    if max(a, c) >= min(b, d):
-        return 0
-    return int(not (
-        (a < c and word[c - 1]) or (d < b and not word[d - 1])
-        or (c < a and not word[a - 1]) or (b < d and word[b - 1])
-    ))
-
-
 def _euler(word: Sequence[bool], x: Span, y: Span) -> int:
     """<dim x, dim y>: the shared positions minus the arrows from x into y."""
     (a, b), (c, d) = x, y
@@ -66,15 +51,16 @@ def _euler(word: Sequence[bool], x: Span, y: Span) -> int:
 
 
 class RigidityTable:
-    """Hom, Ext^1 and the mutation graph of one orientation word.
+    """Ext^1 and the mutation graph of one orientation word.
 
     `spans` lists the interval modules of the word's path as spans, by
     start, then size (the interval-key order on positions), and a mask
     names intervals by their indices there.  Bit j of `ext_out[i]` is set
-    when Ext^1(spans[i], spans[j]) != 0, and of `rigid[i]` when there
-    is no Ext^1 either way (bit i always is).  Every entry, the diagonal
-    included, takes Ext^1 as Hom minus the Euler form, and a negative
-    value is an internal bug.
+    when <spans[i], spans[j]> < 0, that is Ext^1(spans[i], spans[j]) != 0,
+    and of `rigid[i]` when the Euler form is negative neither way (bit i
+    always is).  The Euler matrix is checked for directedness: <x, x> = 1
+    for every interval, and no pair is negative both ways; anything else
+    is an internal bug.
 
     The mutation graph: `tilting` holds the tilting masks, `dims` one
     dimension vector per mask, by position, `arrows` the mutations
@@ -95,24 +81,18 @@ class RigidityTable:
             (start, stop) for start in range(self.size) for stop in range(start + 1, self.size + 1)
         )
         self.full = (1 << len(self.spans)) - 1
-        ext_out = []
-        for x in self.spans:
-            exts = 0
-            for j, y in enumerate(self.spans):
-                ext = _hom(self.word, x, y) - _euler(self.word, x, y)
-                if ext < 0:
+        euler = [[_euler(self.word, x, y) for y in self.spans] for x in self.spans]
+        for i, row in enumerate(euler):
+            for j, form in enumerate(row):
+                if (form < 0 and euler[j][i] < 0) or (i == j and form != 1):
                     raise ArithmeticError(
-                        f"negative Ext dimension between {x} and {y}: internal bug"
+                        f"Euler form <{self.spans[i]}, {self.spans[j]}> = {form} "
+                        "breaks directedness: internal bug"
                     )
-                exts |= bool(ext) << j
-            ext_out.append(exts)
-        self.ext_out = tuple(ext_out)
-        ext_in = [0] * len(self.spans)
-        for i, out in enumerate(self.ext_out):
-            for j in _bits(out):
-                ext_in[j] |= 1 << i
+        self.ext_out = tuple(sum((form < 0) << j for j, form in enumerate(row)) for row in euler)
         self.rigid = tuple(
-            self.full & ~(out | into) for out, into in zip(self.ext_out, ext_in)
+            sum((min(form, euler[j][i]) >= 0) << j for j, form in enumerate(row))
+            for i, row in enumerate(euler)
         )
         self.tilting = self._tilting()
         self.dims = tuple(self._dims(mask) for mask in self.tilting)

@@ -48,8 +48,10 @@ the two-term rule on a sign vector, the reference for `SliceEngine.two_term`.
 
 `g_fan_check` reads only the JSON that `hasse` prints and checks it
 against the g-vector fan (Adachi-Iyama-Reiten, Demonet-Iyama-Jasso), a
-gate that does not go through the sign decomposition; its matrices are
-inverted over the integers by `unimodular_inverse`.
+gate that does not go through the sign decomposition or the Euler form:
+the fan's walls give every arrow, and its c-vectors give each arrow's
+direction.  Its matrices are inverted over the integers by
+`unimodular_inverse`.
 """
 from __future__ import annotations
 
@@ -1135,15 +1137,27 @@ def g_fan_check(json_text: str) -> None:
     g-vectors of each node form a Z-basis and a mutation exchanges exactly
     one of them; by Demonet-Iyama-Jasso (2019) the cones of a tau-tilting
     finite algebra form a complete fan.  So: every node's summand matrix
-    has determinant +-1 and its rows sum to the node's `g`; every arrow
-    joins nodes sharing exactly n - 1 summand g-vectors; the basis e_i and
-    the basis -e_i are nodes; and each of 40 seeded random points of
+    has determinant +-1 and its rows sum to the node's `g`; the basis e_i
+    and the basis -e_i are nodes; and each of 40 seeded random points of
     [-10^6, 10^6]^n has a non-zero coordinate in every node's basis, all
     exact integers, and positive coordinates in exactly one of them.
+
+    The fan also decides every arrow and its direction.  The columns of a
+    node's inverse matrix are its c-vectors, one per summand, and each is
+    >= 0 or <= 0 (sign-coherence: Treffinger 2019, Fu 2017).  Every n - 1
+    summand g-vectors of a node are shared by exactly one other node, its
+    neighbour across that wall (two completions of an almost complete
+    pair, Adachi-Iyama-Reiten 2014, Theorem 2.18), and the arrows join
+    exactly these pairs, once each.  An arrow leaves the node where the
+    exchanged summand's c-vector is positive and enters the one where it
+    is negative, and it is `gluing` exactly when its ends' `eps` differ.
+    The arrows are acyclic, with one source, the basis e_i, and one sink,
+    the basis -e_i.
     """
     payload = json.loads(json_text)
-    bases, inverses = [], []
-    for node in payload["nodes"]:
+    nodes, arrows = payload["nodes"], payload["arrows"]
+    matrices, bases, c_vectors = [], [], []
+    for node in nodes:
         eps = node["eps"]
         basis = [tuple(eps[v - 1] if v in support else 0 for v in range(1, len(eps) + 1))
                  for support in map(set, node["summand_supports"])]
@@ -1151,22 +1165,23 @@ def g_fan_check(json_text: str) -> None:
         assert inverse is not None, f"node {node['id']}: determinant is not +-1"
         g = tuple(map(sum, zip(*basis)))
         assert g == tuple(node["g"]), f"node {node['id']}: summand g-vectors sum to {g}"
+        matrices.append(basis)
         bases.append(frozenset(basis))
-        inverses.append(inverse)
-    n = len(payload["nodes"][0]["eps"])
-    for arrow in payload["arrows"]:
-        shared = len(bases[arrow["from"]] & bases[arrow["to"]])
-        assert shared == n - 1, f"arrow {arrow}: the ends share {shared} summand g-vectors"
-    for sign in (1, -1):
-        unit = frozenset(tuple(sign * (i == j) for j in range(n)) for i in range(n))
+        c_vectors.append(list(zip(*inverse)))
+    n = len(nodes[0]["eps"])
+    units = {
+        sign: frozenset(tuple(sign * (i == j) for j in range(n)) for i in range(n))
+        for sign in (1, -1)
+    }
+    for sign, unit in units.items():
         assert unit in bases, f"no node has the summand g-vectors {sign:+d}e_i"
-    # coordinate j in a basis is x . (column j of its inverse): a wall's
-    # normal, kept once up to sign for all the cones that share its hyperplane
+    # coordinate j in a basis is x . (c-vector j): a wall's normal, kept once
+    # up to sign for all the cones that share its hyperplane
     normals: dict[tuple[int, ...], int] = {}
     cones = []
-    for inverse in inverses:
+    for columns in c_vectors:
         cone = set()
-        for column in zip(*inverse):
+        for column in columns:
             sign = 1 if next(c for c in column if c) > 0 else -1
             cone.add((normals.setdefault(tuple(sign * c for c in column), len(normals)), sign))
         cones.append(cone)
@@ -1178,3 +1193,43 @@ def g_fan_check(json_text: str) -> None:
         sides = {(i, 1 if d > 0 else -1) for i, d in enumerate(dots)}
         inside = sum(cone <= sides for cone in cones)
         assert inside == 1, f"point {x} lies in {inside} open cones"
+
+    for k, columns in enumerate(c_vectors):
+        for c in columns:
+            assert min(c) >= 0 or max(c) <= 0, f"node {k}: c-vector {c} is not sign-coherent"
+    walls: dict[frozenset, list[int]] = {}
+    for k, basis in enumerate(matrices):
+        for row in basis:
+            walls.setdefault(bases[k] - {row}, []).append(k)
+    pairs = set()
+    for wall, ends in walls.items():
+        assert len(ends) == 2, f"nodes {ends} share the summand g-vectors {sorted(wall)}"
+        pairs.add(frozenset(ends))
+    joined = {frozenset((arrow["from"], arrow["to"])) for arrow in arrows}
+    assert joined == pairs, (
+        f"exchange pairs without an arrow: {sorted(map(sorted, pairs - joined))}; "
+        f"arrows between non-neighbours: {sorted(map(sorted, joined - pairs))}"
+    )
+    assert len(arrows) == len(pairs), "some exchange pair has two arrows"
+    later: list[list[int]] = [[] for _ in nodes]
+    indegree = [0] * len(nodes)
+    for arrow in arrows:
+        a, b = arrow["from"], arrow["to"]
+        for node, other, sign in ((a, b, 1), (b, a, -1)):
+            (k,) = [k for k, row in enumerate(matrices[node]) if row not in bases[other]]
+            c = c_vectors[node][k]
+            assert sign * sum(c) > 0, f"arrow {arrow}: the exchanged c-vector at node {node} is {c}"
+        kind = GLUING if nodes[a]["eps"] != nodes[b]["eps"] else INTERNAL
+        assert arrow["kind"] == kind, f"arrow {arrow}: its kind should be {kind}"
+        later[a].append(b)
+        indegree[b] += 1
+    for sign, ends in ((1, indegree), (-1, list(map(len, later)))):
+        found = [bases[k] for k, d in enumerate(ends) if not d]
+        assert found == [units[sign]], f"{len(found)} nodes end the order at the {sign:+d} side"
+    queue = [k for k, d in enumerate(indegree) if not d]
+    for k in queue:
+        for b in later[k]:
+            indegree[b] -= 1
+            if not indegree[b]:
+                queue.append(b)
+    assert len(queue) == len(nodes), "the arrows have a cycle"

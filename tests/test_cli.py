@@ -475,14 +475,25 @@ class TestHasse:
             "internal bug\n"
         )
 
-    def test_negative_ext_exits_four(self, quiver_file, capsys, monkeypatch):
-        # with no Hom anywhere, Ext^1(S, S) = 0 - <S, S> = -1 in the first table built
-        monkeypatch.setattr(repa, "_hom", lambda word, x, y: 0)
+    def test_undirected_euler_form_exits_four(self, quiver_file, capsys, monkeypatch):
+        # a zero Euler form gives <S, S> = 0 for the simple S of the first table built
+        monkeypatch.setattr(repa, "_euler", lambda word, x, y: 0)
         code, out, err = run(capsys, "hasse", quiver_file(THREE_CYCLE_FILE))
-        assert code == 4
-        assert out == ""
-        assert err.startswith("error: internal: negative Ext dimension between ")
-        assert err.rstrip().endswith("internal bug")
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: internal: Euler form <(0, 1), (0, 1)> = 0 breaks directedness: internal bug\n"
+        )
+
+    def test_euler_form_negative_both_ways_exits_four(self, quiver_file, capsys, monkeypatch):
+        # -1 off the diagonal is negative both ways on the first pair of the
+        # first table with two intervals
+        monkeypatch.setattr(repa, "_euler", lambda word, x, y: 1 if x == y else -1)
+        code, out, err = run(capsys, "hasse", quiver_file(THREE_CYCLE_FILE))
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: internal: Euler form <(0, 1), (0, 2)> = -1 breaks directedness: "
+            "internal bug\n"
+        )
 
     def test_third_completion_exits_four(self, quiver_file, capsys, monkeypatch):
         # with every mask rigid, each rest of the star's three-vertex slice has four

@@ -5,7 +5,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -42,6 +42,12 @@ STAR_D4 = ValuedQuiver(4, (Arrow(1, 4), Arrow(2, 4), Arrow(3, 4)))
 # of a vertex-deleted slice's tilting modules is not one sort of all summands.
 INTERLEAVED = ValuedQuiver(7, (Arrow(3, 6), Arrow(4, 1), Arrow(4, 6), Arrow(7, 2)))
 ZIGZAG = ValuedQuiver(5, (Arrow(1, 2), Arrow(3, 2), Arrow(3, 4), Arrow(5, 4)))
+
+
+# A failing draw that rebuilds glued_hasse and its reference takes minutes
+# to shrink, so those tests report the draw as found; they generate the same
+# examples as with shrinking on.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 def node_by_supports(hasse, signs, supports):
@@ -168,14 +174,14 @@ class TestAgainstBongartzGluing:
     def test_fixed_quivers(self, quiver):
         assert glued_hasse(quiver).arrows == reference_arrows(quiver)
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=12, deadline=None, phases=NO_SHRINK)
     @given(type_a_quivers())
     def test_random_type_a_quivers(self, quiver):
         assume(count_support_tilting(quiver) is not INFINITE)
         assert glued_hasse(quiver).arrows == reference_arrows(quiver)
 
     # the reference takes seconds on one 8-vertex union, so at most 7 here
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=8, deadline=None, phases=NO_SHRINK)
     @given(type_a_unions(max_vertices=4))
     def test_random_type_a_unions(self, quiver):
         # with interleaved labels, ordering a rest by its paths and by one
@@ -241,14 +247,14 @@ def test_structural_invariants(quiver):
     check_invariants(quiver)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK)
 @given(type_a_quivers())
 def test_structural_invariants_on_random_type_a_quivers(quiver):
     assume(count_support_tilting(quiver) is not INFINITE)
     check_invariants(quiver)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, phases=NO_SHRINK)
 @given(type_a_quivers(), st.randoms(use_true_random=False))
 def test_relabelling_moves_nodes_and_arrows(quiver, rng):
     assume(count_support_tilting(quiver) is not INFINITE)
@@ -386,7 +392,7 @@ class TestAgainstSliceScan:
         assert hasse.nodes == want.nodes
         assert hasse.arrows == want.arrows
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(type_a_unions(), st.randoms(use_true_random=False))
     def test_random_type_a_quivers_and_relabellings(self, quiver, rng):
         assume(count_support_tilting(quiver) is not INFINITE)
@@ -422,7 +428,7 @@ class TestGVectorFan:
     def test_fixed_quivers(self, quiver):
         g_fan_check(cli.hasse_json(glued_hasse(quiver)))
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None, phases=NO_SHRINK)
     @given(type_a_unions())
     def test_random_type_a_unions(self, quiver):
         assume(count_support_tilting(quiver) is not INFINITE)
@@ -433,7 +439,8 @@ class TestGVectorFan:
         [
             (lambda p: p["nodes"][1]["summand_supports"].pop(), "determinant"),
             (lambda p: p["nodes"][1]["g"].reverse(), "sum to"),
-            (lambda p: p["arrows"][0].update({"to": p["arrows"][0]["from"]}), "share 3"),
+            (lambda p: p["arrows"][0].update({"to": p["arrows"][0]["from"]}),
+             r"arrows between non-neighbours: \[\[\d+\]\]"),
             (lambda p: p["nodes"].append(p["nodes"][0]), "in 2 open cones"),
             (drop_source, "no node has the summand g-vectors [+]1e_i"),
         ],
