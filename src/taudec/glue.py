@@ -11,7 +11,9 @@ orientation word is `signs[v] == -1` read along its `breadth_first` path,
 and that word's rigidity table (see `repa`) is read on the component's
 labels through a `ComponentView`.  A slice's poset is the product of its
 components' posets, and a node's g-vector is the sign diagonal applied
-to its slice tilting module's dimension vector.
+to its slice tilting module's dimension vector.  Each vertex lies in one
+slice component, so the sign law is checked once per view piece and the
+vertex cover once per slice, not per node.
 
 An open end is a summand whose rest has no other complement in the
 slice.  Such a rest misses exactly one vertex v, so it is a tilting
@@ -28,10 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+from operator import mul
 
 from .quiver import IntVector, SignVector, ValuedQuiver, format_signs
 from .quiver import breadth_first, neighbour_lists
-from .repa import RigidityTable, UnsupportedComponentError, _bits
+from .repa import RigidityTable, UnsupportedComponentError
 from .signdec import Counted, SliceEngine
 
 INTERNAL = "internal"
@@ -70,37 +73,38 @@ class ComponentView:
     vector, negated at -1 vertices), `arrows` (b, forward) to each later
     module b, and `ends` (missing vertex, pieces).  The rest of an open
     end lies on the paths left and right of the missing vertex; each one
-    it meets is a piece (minimal vertex, the keys of the rest's summands
-    on it).
+    it meets is a piece, the keys of the rest's summands on it, which it
+    covers, so its first key starts with its minimal vertex.
     """
 
     def __init__(self, table: RigidityTable, path: list[int], signs: SignVector) -> None:
-        keys = []
-        for start, stop in table.spans:
-            support = tuple(sorted(path[start:stop]))
-            keys.append((support[0], len(support), support))
-        rank = {i: r for r, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__))}
-        # table indices of each tilting module's summands, by key
-        members = [sorted(_bits(mask), key=rank.__getitem__) for mask in table.tilting]
-        order = sorted(range(len(members)), key=lambda t: [rank[i] for i in members[t]])
-        where = {t: k for k, t in enumerate(order)}
-        self.low = min(path)
-        self.summands = tuple(tuple(keys[i] for i in members[t]) for t in order)
-        self.g = tuple(
-            tuple((v, signs[v - 1] * x) for v, x in zip(path, table.dims[t])) for t in order
-        )
+        supports = [tuple(sorted(path[start:stop])) for start, stop in table.spans]
+        keys = [(support[0], len(support), support) for support in supports]
+        by_key = sorted(range(len(keys)), key=keys.__getitem__)
+        rank = sorted(range(len(keys)), key=by_key.__getitem__)  # the inverse permutation
+        # each tilting module's summands as ranks, ascending; modules in their order
+        ranked = [sorted([rank[i] for i in members]) for members in table.members]
+        order = sorted(range(len(ranked)), key=ranked.__getitem__)
+        where = sorted(range(len(order)), key=order.__getitem__)
+        keys = [keys[i] for i in by_key]
+        self.path = path
+        self.summands = tuple([tuple([keys[r] for r in ranked[t]]) for t in order])
+        flips = [signs[v - 1] for v in path]
+        self.g = tuple([tuple(zip(path, map(mul, flips, table.dims[t]))) for t in order])
         self.arrows: list[list[tuple[int, bool]]] = [[] for _ in order]
         for i, j, forward in table.arrows:
-            a, b = sorted((where[i], where[j]))
-            self.arrows[a].append((b, forward == (a == where[i])))
-        self.ends: list[list[tuple[int, tuple]]] = [[] for _ in order]
-        for t, x, p in table.ends:
-            left = tuple(keys[i] for i in members[t] if i != x and table.spans[i][0] < p)
-            right = tuple(keys[i] for i in members[t] if i != x and table.spans[i][0] > p)
-            pieces = tuple(
-                (min(piece), on) for piece, on in ((path[:p], left), (path[p + 1:], right)) if on
-            )
-            self.ends[where[t]].append((path[p], pieces))
+            a, b = where[i], where[j]
+            if a < b:
+                self.arrows[a].append((b, forward))
+            else:
+                self.arrows[b].append((a, not forward))
+        self.ends: list[list[tuple[int, list]]] = [[] for _ in order]
+        starts, stops = zip(*[table.spans[i] for i in by_key])
+        for t, _, p in table.ends:
+            # the rest's summands end before p or start after it; X alone covers p
+            left = tuple([keys[r] for r in ranked[t] if stops[r] <= p])
+            right = tuple([keys[r] for r in ranked[t] if starts[r] > p])
+            self.ends[where[t]].append((path[p], [piece for piece in (left, right) if piece]))
 
 
 def component_views(
@@ -113,7 +117,8 @@ def component_views(
     gives them, from one table per orientation word and one view per
     labelled component and word; the caller's dicts decide how long they
     live.  Raises UnsupportedComponentError unless every component has
-    Dynkin type A."""
+    Dynkin type A, and ArithmeticError (an internal bug) when a new view's
+    g piece leaves its path or breaks the sign law."""
     out = []
     for graph, dynkin, _ in parts:
         # the signs alternate along a slice path, so one of them fixes the word
@@ -133,6 +138,12 @@ def component_views(
             if table is None:
                 table = tables[word] = RigidityTable(word)
             view = views[key] = ComponentView(table, path, signs)
+            for piece in view.g:  # one check per piece covers every node it is part of
+                if [v for v, _ in piece] != path or any(x * signs[v - 1] <= 0 for v, x in piece):
+                    raise ArithmeticError(
+                        f"g piece {piece} violates the sign law at {format_signs(signs)}: "
+                        "internal bug"
+                    )
         out.append(view)
     return tuple(out)
 
@@ -145,7 +156,7 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
     by their ends' sorted keys: the upper sign vector in enumeration order,
     then v, then the rest in the tilting order of the slice without v,
     since a view orders its tilting modules as their sorted summand keys
-    compare.
+    compare.  A node only assembles what its views hold.
     """
     n = quiver.n
     engine = SliceEngine(quiver, quiver.vertices)
@@ -156,6 +167,10 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
     ends: dict[tuple, list[tuple[int, int]]] = {}
     for mask, (signs, counted) in enumerate(engine.walk()):
         parts = component_views(signs, counted, tables, views)
+        if sorted(v for view in parts for v in view.path) != list(range(1, n + 1)):
+            raise ArithmeticError(
+                f"slice {format_signs(signs)} misses or repeats a vertex: internal bug"
+            )
         sizes = [len(view.summands) for view in parts]
         strides = [prod(sizes[c + 1:]) for c in range(len(parts))]
         pairs = []
@@ -164,19 +179,14 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
             for view, d in zip(parts, digits):
                 for v, x in view.g[d]:
                     g[v - 1] = x
-            if any(gi * si <= 0 for gi, si in zip(g, signs)):
-                raise ArithmeticError(
-                    f"g-vector {tuple(g)} violates the sign law at {signs}: internal bug"
-                )
-            keys = sorted(key for view, d in zip(parts, digits) for key in view.summands[d])
-            nodes.append(HasseNode(signs, tuple(support for _, _, support in keys), tuple(g)))
+            own = [view.summands[d] for view, d in zip(parts, digits)]
+            keys = sorted([key for summands in own for key in summands])
+            nodes.append(HasseNode(signs, tuple([support for _, _, support in keys]), tuple(g)))
             for c, (view, d) in enumerate(zip(parts, digits)):
-                pairs.extend((i, i + (b - d) * strides[c], ahead) for b, ahead in view.arrows[d])
+                pairs += [(i, i + (b - d) * strides[c], ahead) for b, ahead in view.arrows[d]]
                 for v, pieces in view.ends[d]:
-                    rest = sorted([
-                        (parts[k].low, parts[k].summands[e]) for k, e in enumerate(digits) if k != c
-                    ] + list(pieces))
-                    key = (mask & ~engine.bit[v], v, tuple(rest))
+                    rest = tuple(sorted(own[:c] + own[c + 1:] + pieces))
+                    key = (mask & ~engine.bit[v], v, rest)
                     ends.setdefault(key, []).append((signs[v - 1], i))
         pairs.sort()
         arrows.extend((i, j, INTERNAL) if ahead else (j, i, INTERNAL) for i, j, ahead in pairs)

@@ -25,7 +25,7 @@ rest misses, where the glued Hasse quiver pairs the open ends.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Sequence
 
 Span = tuple[int, int]  # the positions [start, stop) of an interval module
 
@@ -40,14 +40,20 @@ class UnsupportedComponentError(ValueError):
         self.signs = signs
 
 
-def _euler(word: Sequence[bool], x: Span, y: Span) -> int:
-    """<dim x, dim y>: the shared positions minus the arrows from x into y."""
-    (a, b), (c, d) = x, y
-    total = max(0, min(b, d) - max(a, c))
-    for p, ahead in enumerate(word):
-        u, v = (p, p + 1) if ahead else (p + 1, p)
-        total -= a <= u < b and c <= v < d
-    return total
+def _euler_matrix(word: Sequence[bool], spans: Sequence[Span]) -> list[list[int]]:
+    """<dim x, dim y> for every pair of spans: the shared positions minus the
+    arrows from x into y, each a bit count.  Arrow p joins positions p and
+    p + 1; a span's tails and heads are the arrows that start and end in it."""
+    ahead = sum(1 << p for p, forward in enumerate(word) if forward)
+    behind = (1 << len(word)) - 1 & ~ahead
+    covers = [(1 << stop) - (1 << start) for start, stop in spans]
+    # a forward arrow p starts at p and ends at p + 1, a backward one the other way
+    tails = [cover & ahead | cover >> 1 & behind for cover in covers]
+    heads = [cover >> 1 & ahead | cover & behind for cover in covers]
+    return [
+        [(x & y).bit_count() - (t & h).bit_count() for y, h in zip(covers, heads)]
+        for x, t in zip(covers, tails)
+    ]
 
 
 class RigidityTable:
@@ -55,15 +61,17 @@ class RigidityTable:
 
     `spans` lists the interval modules of the word's path as spans, by
     start, then size (the interval-key order on positions), and a mask
-    names intervals by their indices there.  Bit j of `ext_out[i]` is set
+    names intervals by their indices there.  The Euler matrix comes from bit
+    counts of position and arrow masks.  Bit j of `ext_out[i]` is set
     when <spans[i], spans[j]> < 0, that is Ext^1(spans[i], spans[j]) != 0,
     and of `rigid[i]` when the Euler form is negative neither way (bit i
     always is).  The Euler matrix is checked for directedness: <x, x> = 1
     for every interval, and no pair is negative both ways; anything else
     is an internal bug.
 
-    The mutation graph: `tilting` holds the tilting masks, `dims` one
-    dimension vector per mask, by position, `arrows` the mutations
+    The mutation graph: `tilting` holds the tilting masks, `members` the
+    indices of each mask's summands, ascending, `dims` one dimension
+    vector per mask, by position, `arrows` the mutations
     (i, j, forward) between their indices, i < j and sorted, forward when
     the arrow points from i to j, and `ends` the open ends (index,
     summand, missing position).  One pass groups the masks by rest.  By
@@ -81,85 +89,77 @@ class RigidityTable:
             (start, stop) for start in range(self.size) for stop in range(start + 1, self.size + 1)
         )
         self.full = (1 << len(self.spans)) - 1
-        euler = [[_euler(self.word, x, y) for y in self.spans] for x in self.spans]
-        for i, row in enumerate(euler):
-            for j, form in enumerate(row):
-                if (form < 0 and euler[j][i] < 0) or (i == j and form != 1):
-                    raise ArithmeticError(
-                        f"Euler form <{self.spans[i]}, {self.spans[j]}> = {form} "
-                        "breaks directedness: internal bug"
-                    )
+        euler = _euler_matrix(self.word, self.spans)
         self.ext_out = tuple(sum((form < 0) << j for j, form in enumerate(row)) for row in euler)
-        self.rigid = tuple(
-            sum((min(form, euler[j][i]) >= 0) << j for j, form in enumerate(row))
-            for i, row in enumerate(euler)
-        )
-        self.tilting = self._tilting()
-        self.dims = tuple(self._dims(mask) for mask in self.tilting)
+        ext_in = [sum((form < 0) << i for i, form in enumerate(column)) for column in zip(*euler)]
+        for i, row in enumerate(euler):
+            # the first pair (i, j) in row order negative both ways, or a diagonal entry not 1
+            if broken := self.ext_out[i] & ext_in[i] | (row[i] != 1) << i:
+                j = (broken & -broken).bit_length() - 1
+                raise ArithmeticError(
+                    f"Euler form <{self.spans[i]}, {self.spans[j]}> = {row[j]} "
+                    "breaks directedness: internal bug"
+                )
+        self.rigid = tuple(self.full & ~(out | into) for out, into in zip(self.ext_out, ext_in))
+        self.tilting, self.members = tuple(zip(*self._tilting())) or ((), ())
+        self.dims = tuple(map(self._dims, self.members))
         self.arrows, self.ends = self._mutate()
 
-    def _dims(self, mask: int) -> tuple[int, ...]:
+    def _dims(self, members: tuple[int, ...]) -> tuple[int, ...]:
         """Summands covering each position: each span adds 1 from its start
         and takes it back at its stop, and a running sum reads the positions."""
         steps = [0] * (self.size + 1)
-        for i in _bits(mask):
+        for i in members:
             start, stop = self.spans[i]
             steps[start] += 1
             steps[stop] -= 1
         return tuple(accumulate(steps[:-1]))
 
-    def _tilting(self) -> tuple[int, ...]:
-        """Masks of the rigid sets with one summand per vertex, in lexicographic
-        order of their sorted positions."""
-        found: list[int] = []
-        count = len(self.spans)
+    def _tilting(self) -> list[tuple[int, tuple[int, ...]]]:
+        """(mask, indices) of the rigid sets with one summand per vertex, in
+        lexicographic order of their sorted positions."""
+        found: list[tuple[int, tuple[int, ...]]] = []
 
-        def extend(start: int, chosen: int, size: int, allowed: int) -> None:
-            if size == self.size:
-                found.append(chosen)
-                return
-            if (allowed >> start).bit_count() < self.size - size:
-                return
-            for k in range(start, count):
-                if (allowed >> k) & 1:
-                    extend(k + 1, chosen | 1 << k, size + 1, allowed & self.rigid[k])
+        def extend(chosen: int, members: tuple[int, ...], allowed: int) -> None:
+            # `allowed` holds the later intervals rigid with every chosen one
+            need = self.size - len(members)
+            if not need:
+                found.append((chosen, members))
+            while 0 < need <= allowed.bit_count():
+                low = allowed & -allowed
+                allowed ^= low
+                k = low.bit_length() - 1
+                extend(chosen | low, members + (k,), allowed & self.rigid[k])
 
-        extend(0, 0, 0, self.full)
-        return tuple(found)
+        extend(0, (), self.full)
+        return found
 
     def _mutate(self) -> tuple[tuple[tuple[int, int, bool], ...], tuple[tuple[int, int, int], ...]]:
         completions: dict[int, list[tuple[int, int]]] = {}
-        for i, mask in enumerate(self.tilting):
-            for x in _bits(mask):
-                completions.setdefault(mask & ~(1 << x), []).append((i, x))
+        for i, (mask, members) in enumerate(zip(self.tilting, self.members)):
+            for x in members:
+                completions.setdefault(mask ^ 1 << x, []).append((i, x))
         arrows: list[tuple[int, int, bool]] = []
         ends: list[tuple[int, int, int]] = []
         for rest, found in completions.items():
             if len(found) == 1:
                 ((i, x),) = found
                 # exactly one position; none or several fail the pairing or degree check
-                ends.extend((i, x, p) for p in range(*self.spans[x]) if self.dims[i][p] == 1)
+                ends += [(i, x, p) for p in range(*self.spans[x]) if self.dims[i][p] == 1]
             elif len(found) == 2:
                 (i, x), (j, y) = found
                 forward = bool(self.ext_out[y] >> x & 1)
                 if forward == bool(self.ext_out[x] >> y & 1):
-                    modules = [[self.spans[k] for k in _bits(rest | 1 << z)] for z in (x, y)]
+                    modules = [[self.spans[k] for k in self.members[t]] for t in (i, j)]
                     raise ArithmeticError(
                         f"adjacent tilting modules {modules[0]} and {modules[1]} have "
                         "incomparable torsion classes: internal bug"
                     )
                 arrows.append((i, j, forward))
             else:
+                summands = [span for k, span in enumerate(self.spans) if rest >> k & 1]
                 raise ArithmeticError(
-                    f"almost complete tilting module {[self.spans[k] for k in _bits(rest)]} "
-                    f"has {len(found)} completions: internal bug"
+                    f"almost complete tilting module {summands} has {len(found)} completions: "
+                    "internal bug"
                 )
         return tuple(sorted(arrows)), tuple(ends)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -21,7 +21,10 @@ are kept in their direct forms, which call `ext_dim_linear` on every pair
 they need, as references for the rigidity tables of `taudec.repa`.  Their
 table-reading forms (`tilting_modules`, `tilting_hasse`, `fac_contains`)
 read each labelled path's orientation-word table through a
-`LabelledTable`, which moves it into the labels' interval-key order.  The
+`LabelledTable`, which moves it into the labels' interval-key order.
+`span_euler_form` is the Euler form of two position spans pair by pair,
+the reference for the tables' bit-count Euler matrix, and `bits` lists
+the set bits of a mask.  The
 contiguity-checking interval factory (`interval`) has no caller in the
 package and lives here with its tests.  The gluing arrows of the glued
 Hasse quiver are rebuilt by completing each tilting module of a
@@ -62,7 +65,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from operator import attrgetter, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from taudec.dynkin import DynkinType, catalan, classify, tilting_count
 from taudec.glue import GLUING, INTERNAL, GluedHasse, HasseNode
@@ -80,7 +83,7 @@ from taudec.quiver import (
     format_signs,
     sign_subquiver,
 )
-from taudec.repa import RigidityTable, UnsupportedComponentError, _bits
+from taudec.repa import RigidityTable, Span, UnsupportedComponentError
 from taudec.signdec import INFINITE, Classified, Infinite, enumerate_signs
 
 
@@ -247,6 +250,26 @@ class TiltingModule:
         return tuple(tuple(sorted(m.support)) for m in self.summands)
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def span_euler_form(word: Sequence[bool], x: Span, y: Span) -> int:
+    """<dim x, dim y> of two position spans of an orientation word's path,
+    pair by pair: the shared positions minus the arrows from x into y.  The
+    reference for the bit-count Euler matrix of `RigidityTable`."""
+    (a, b), (c, d) = x, y
+    total = max(0, min(b, d) - max(a, c))
+    for p, ahead in enumerate(word):
+        u, v = (p, p + 1) if ahead else (p + 1, p)
+        total -= a <= u < b and c <= v < d
+    return total
+
+
 class LabelledTable:
     """The rigidity table of a labelled path's orientation word, with its
     intervals, masks and tilting modules moved into interval-key order over
@@ -260,25 +283,25 @@ class LabelledTable:
         rank = {i: r for r, i in enumerate(order)}
 
         def move(mask: int) -> int:
-            return sum(1 << rank[i] for i in _bits(mask))
+            return sum(1 << rank[i] for i in bits(mask))
 
         self.intervals = tuple(labelled[i] for i in order)
         self.full = table.full
         self.ext_out = tuple(move(table.ext_out[i]) for i in order)
         self.rigid = tuple(move(table.rigid[i]) for i in order)
-        self.tilting = tuple(sorted(map(move, table.tilting), key=lambda m: list(_bits(m))))
+        self.tilting = tuple(sorted(map(move, table.tilting), key=lambda m: list(bits(m))))
 
     def ext_from(self, mask: int) -> int:
         """Intervals X with Ext^1(M, X) != 0 for some M in `mask`."""
         out = 0
-        for i in _bits(mask):
+        for i in bits(mask):
             out |= self.ext_out[i]
         return out
 
     def complements(self, base: int) -> int:
         """Intervals outside `base` that are rigid with every member of it."""
         allowed = self.full
-        for i in _bits(base):
+        for i in bits(base):
             allowed &= self.rigid[i]
         return allowed & ~base
 
@@ -844,7 +867,7 @@ def tilting_modules(
 ) -> tuple[TiltingModule, ...]:
     """All tilting modules: per component from its table, combined as products."""
     per_component = [
-        [tuple(table.intervals[i] for i in _bits(mask)) for mask in table.tilting]
+        [tuple(table.intervals[i] for i in bits(mask)) for mask in table.tilting]
         for table in _tables(quiver, tables)
     ]
     return tuple(
@@ -879,12 +902,12 @@ def tilting_hasse(
     for i, key in enumerate(keys):
         for c, (table, mask) in enumerate(zip(tabs, key)):
             not_fac = table.ext_from(mask)
-            for x in _bits(mask):
+            for x in bits(mask):
                 rest = mask & ~(1 << x)
                 others = table.complements(rest) & ~mask
                 if not others:
                     open_ends.append((i, table.intervals[x]))
-                for y in _bits(others):
+                for y in bits(others):
                     other = rest | 1 << y
                     j = position.get(key[:c] + (other,) + key[c + 1:])
                     if j is None or j < i:

@@ -476,8 +476,10 @@ class TestHasse:
         )
 
     def test_undirected_euler_form_exits_four(self, quiver_file, capsys, monkeypatch):
-        # a zero Euler form gives <S, S> = 0 for the simple S of the first table built
-        monkeypatch.setattr(repa, "_euler", lambda word, x, y: 0)
+        # a zero Euler matrix gives <S, S> = 0 for the simple S of the first table built
+        monkeypatch.setattr(repa, "_euler_matrix", lambda word, spans: [
+            [0] * len(spans) for _ in spans
+        ])
         code, out, err = run(capsys, "hasse", quiver_file(THREE_CYCLE_FILE))
         assert (code, out) == (4, "")
         assert err == (
@@ -487,7 +489,9 @@ class TestHasse:
     def test_euler_form_negative_both_ways_exits_four(self, quiver_file, capsys, monkeypatch):
         # -1 off the diagonal is negative both ways on the first pair of the
         # first table with two intervals
-        monkeypatch.setattr(repa, "_euler", lambda word, x, y: 1 if x == y else -1)
+        monkeypatch.setattr(repa, "_euler_matrix", lambda word, spans: [
+            [1 if x == y else -1 for y in spans] for x in spans
+        ])
         code, out, err = run(capsys, "hasse", quiver_file(THREE_CYCLE_FILE))
         assert (code, out) == (4, "")
         assert err == (
@@ -509,6 +513,48 @@ class TestHasse:
         assert (code, out) == (4, "")
         assert err.startswith("error: internal: almost complete tilting module ")
         assert err.rstrip().endswith("has 4 completions: internal bug")
+
+    def test_zeroed_piece_of_a_later_view_exits_four(self, quiver_file, capsys, monkeypatch):
+        # every slice of the edgeless two-vertex quiver has two views, and the one
+        # on vertex 2 comes second; the sign law is checked once per view
+        original = glue.ComponentView.__init__
+
+        def zero_later_view(view, table, path, signs):
+            original(view, table, path, signs)
+            if 1 not in path:
+                view.g = tuple(tuple((v, 0) for v, _ in g) for g in view.g)
+
+        monkeypatch.setattr(glue.ComponentView, "__init__", zero_later_view)
+        code, out, err = run(capsys, "hasse", quiver_file("n 2\n"))
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: internal: g piece ((2, 0),) violates the sign law at ++: internal bug\n"
+        )
+
+    def test_piece_missing_a_vertex_exits_four(self, quiver_file, capsys, monkeypatch):
+        # the last module of each view of more than one vertex loses its last
+        # vertex; the first such view is the path 2 - 3 at ++- of Brauer line 3
+        original = glue.ComponentView.__init__
+
+        def drop_vertex(view, table, path, signs):
+            original(view, table, path, signs)
+            if len(path) > 1:
+                view.g = view.g[:-1] + (view.g[-1][:-1],)
+
+        monkeypatch.setattr(glue.ComponentView, "__init__", drop_vertex)
+        code, out, err = run(capsys, "hasse", quiver_file(quiver_file_text(brauer_line_quiver(3))))
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: internal: g piece ((2, 1),) violates the sign law at ++-: internal bug\n"
+        )
+
+    def test_uncovered_vertex_exits_four(self, quiver_file, capsys, monkeypatch):
+        # without its last view a slice leaves a vertex unset in every g-vector
+        original = glue.component_views
+        monkeypatch.setattr(glue, "component_views", lambda *args: original(*args)[:-1])
+        code, out, err = run(capsys, "hasse", quiver_file("n 2\n"))
+        assert (code, out) == (4, "")
+        assert err == "error: internal: slice ++ misses or repeats a vertex: internal bug\n"
 
 
 class TestBrauer:

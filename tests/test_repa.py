@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     PathQuiver,
     TiltingModule,
     all_orientations,
+    bits,
     bongartz_complete_scan,
     brute_maximal_rigid,
     delete_vertex,
@@ -26,6 +28,7 @@ from oracles import (
     path_quiver,
     path_with_orientation,
     path_word,
+    span_euler_form,
     tilting_hasse,
     tilting_hasse_pairs,
     tilting_modules,
@@ -35,7 +38,7 @@ from oracles import (
 from taudec import repa
 from taudec.dynkin import catalan
 from taudec.quiver import Arrow, Valuation, ValuedQuiver
-from taudec.repa import RigidityTable, UnsupportedComponentError, _bits
+from taudec.repa import RigidityTable, UnsupportedComponentError
 
 # path 2 -> 1 together with an isolated vertex 3
 A2_DOWN = PathQuiver((1, 2), ((2, 1),))
@@ -71,9 +74,10 @@ def span(path, m):
 
 
 def euler(quiver, m, n):
-    """`repa._euler` on two intervals of a one-path quiver."""
+    """`repa._euler_matrix` on two intervals of a one-path quiver."""
     (path,) = quiver.paths
-    return repa._euler(path_word(path, quiver.arrows), span(path, m), span(path, n))
+    spans = [span(path, m), span(path, n)]
+    return repa._euler_matrix(path_word(path, quiver.arrows), spans)[0][1]
 
 
 class TestPathQuiver:
@@ -140,7 +144,7 @@ class TestIntervals:
 
 
 class TestEulerForm:
-    """`repa._euler` on position spans is the Euler form of the labels."""
+    """`repa._euler_matrix` on position spans is the Euler form of the labels."""
 
     def test_unit_vectors(self):
         assert euler(A2_DOWN, iv(1), iv(1)) == 1
@@ -157,6 +161,55 @@ class TestEulerForm:
                         assert euler(quiver, a, b) == euler_form(
                             quiver, indicator(quiver, a.support), indicator(quiver, b.support)
                         )
+
+
+def every_word(max_vertices=8):
+    """Every orientation word of a path on 1 to `max_vertices` vertices, with
+    the spans of its table: 255 words up to eight vertices."""
+    for size in range(1, max_vertices + 1):
+        spans = [(start, stop) for start in range(size) for stop in range(start + 1, size + 1)]
+        for word in product((False, True), repeat=size - 1):
+            yield word, spans
+
+
+# SHA-256 prefixes of repr((spans, ext_out, rigid, tilting, dims, arrows, ends)),
+# fed word by word in `every_word` order, per vertex count, as the tables of
+# the pairwise Euler form, mask backtracking and `_bits` scans computed them.
+PAIRWISE_TABLE_DIGESTS = {
+    1: "0f3e57b6add5e485", 2: "6ca1785f13af4ba9", 3: "17313ca6497f0fe9",
+    4: "11d5c0d29e9db860", 5: "d5abafd3bf27175e", 6: "0503449b0810af51",
+    7: "6848ca43fe3ce9f1", 8: "d6446b5dcd182b98",
+}
+
+
+class TestEulerMatrix:
+    """The bit-count Euler matrix against the pairwise form it replaced."""
+
+    def test_equals_the_pairwise_form_up_to_eight_vertices(self):
+        for word, spans in every_word():
+            assert repa._euler_matrix(word, spans) == [
+                [span_euler_form(word, x, y) for y in spans] for x in spans
+            ], word
+
+    def test_tables_equal_the_pairwise_tables_up_to_eight_vertices(self):
+        digests = {size: hashlib.sha256() for size in PAIRWISE_TABLE_DIGESTS}
+        for word, spans in every_word():
+            table = RigidityTable(word)
+            euler = [[span_euler_form(word, x, y) for y in spans] for x in spans]
+            assert table.spans == tuple(spans)
+            assert table.ext_out == tuple(
+                sum((form < 0) << j for j, form in enumerate(row)) for row in euler
+            )
+            assert table.rigid == tuple(
+                sum((min(form, euler[j][i]) >= 0) << j for j, form in enumerate(row))
+                for i, row in enumerate(euler)
+            )
+            assert table.members == tuple(tuple(bits(mask)) for mask in table.tilting)
+            digests[table.size].update(repr((
+                table.spans, table.ext_out, table.rigid, table.tilting, table.dims,
+                table.arrows, table.ends,
+            )).encode())
+        assert {size: h.hexdigest()[:16] for size, h in digests.items()} == PAIRWISE_TABLE_DIGESTS
 
 
 class TestHomDim:
@@ -367,7 +420,7 @@ def check_table_mutation_graph(word):
         (p, p + 1) if ahead else (p + 1, p) for p, ahead in enumerate(table.word)
     ))
     spans = [interval_module(positions, span) for span in table.spans]
-    mods = [TiltingModule(tuple(spans[i] for i in _bits(t))) for t in table.tilting]
+    mods = [TiltingModule(tuple(spans[i] for i in bits(t))) for t in table.tilting]
     assert tuple(mods) == tilting_modules_scan(component)
     arrows = tuple((i, j) if ahead else (j, i) for i, j, ahead in table.arrows)
     assert arrows == tilting_hasse_pairs(component, mods)
