@@ -75,21 +75,17 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_signdec(args: argparse.Namespace) -> int:
     quiver = _load_quiver(args.path)
     print("# signs  components  count  two_term_tilting")
-    engine = SliceEngine(quiver, quiver.vertices)
-    # a row's components and count, by the id of the slice tuple that the
-    # engine shares between the masks of one slice and keeps alive
-    tails: dict[int, str] = {}
-    for mask in range(1 << quiver.n):
-        parts = engine.slice(mask)
-        tail = tails.get(id(parts))
+    # component cells and row tails, by the id of the tuples the engine keeps alive
+    texts: dict[int, str] = {}
+    for text, parts, two_term in SliceEngine(quiver, quiver.vertices).rows():
+        tail = texts.get(id(parts))
         if tail is None:
-            cells = ",".join(
-                f"{dynkin}{{{','.join(map(str, component.vertices))}}}"
-                for component, dynkin, _ in parts
-            )
-            tail = tails[id(parts)] = f"{cells}  {_count_text(slice_count(parts))}"
-        flag = "true" if engine.two_term(mask) else "false"
-        print(f"{engine.signs_text(mask)}  {tail}  {flag}")
+            for part in parts:
+                if id(part) not in texts:
+                    texts[id(part)] = f"{part[1]}{{{','.join(map(str, part[0].vertices))}}}"
+            row = ",".join([texts[id(part)] for part in parts])
+            tail = texts[id(parts)] = f"  {row}  {_count_text(slice_count(parts))}  "
+        print(text + tail + ("true" if two_term else "false"))
     return 0
 
 
@@ -107,6 +103,7 @@ def hasse_json(hasse: GluedHasse) -> str:
     """The bytes of `json.dumps(payload, indent=2)`, written directly: with an
     indent the standard encoder runs in pure Python."""
     supports: dict[tuple[int, ...], str] = {}
+    eps = {signs: _json_ints(signs, 6) for signs in {node.signs for node in hasse.nodes}}
     nodes = []
     for k, node in enumerate(hasse.nodes):
         for support in node.supports:
@@ -114,7 +111,7 @@ def hasse_json(hasse: GluedHasse) -> str:
                 supports[support] = _json_ints(support, 8)
         summands = _json_list([supports[support] for support in node.supports], 6)
         nodes.append(
-            f'{{\n      "id": {k},\n      "eps": {_json_ints(node.signs, 6)},\n'
+            f'{{\n      "id": {k},\n      "eps": {eps[node.signs]},\n'
             f'      "summand_supports": {summands},\n      "g": {_json_ints(node.g, 6)}\n    }}'
         )
     arrows = [
@@ -126,9 +123,10 @@ def hasse_json(hasse: GluedHasse) -> str:
 
 def hasse_dot(hasse: GluedHasse) -> str:
     lines = ["digraph glued_hasse {"]
+    labels = {signs: format_signs(signs) for signs in {node.signs for node in hasse.nodes}}
     for k, node in enumerate(hasse.nodes):
         g = ",".join(str(x) for x in node.g)
-        lines.append(f'  n{k} [label="{format_signs(node.signs)} g=({g})"];')
+        lines.append(f'  n{k} [label="{labels[node.signs]} g=({g})"];')
     for a, b, kind in hasse.arrows:
         style = "dashed" if kind == GLUING else "solid"
         lines.append(f"  n{a} -> n{b} [style={style}];")

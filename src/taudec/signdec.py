@@ -25,27 +25,26 @@ otherwise, memoised for one call.  A connected subgraph of a Dynkin graph
 is Dynkin and every state with a weight comes from some sign vector, so
 two edges into one open path (a cycle) or a non-Dynkin open path return
 `INFINITE` at once.  An edge into a frontier vertex inside a path, or a
-third edge at the new vertex, is a branch: the sweep gives up and that
-component falls back to the walk below.  `count`, `finite` and
-`brauer --verify` take their counts from the sweep.  For `finite` a state
-holds, in place of its weight, the least sign mask reaching it: merged
-states share their futures, so the least mask over all detections, +1 on
-every vertex not yet swept, is the component's first witness.
+third edge at the new vertex, is a branch.  A count drops that state, as
+a later detection still answers `INFINITE`; with none, that component
+falls back to the walk below.  `count`, `finite` and `brauer --verify`
+take their counts from the sweep.  For `finite` a state holds, in place
+of its weight, the least sign mask reaching it: merged states share
+their futures, so the least mask over all detections, +1 on every vertex
+not yet swept, is the first witness.  A dropped state may hide a smaller
+one, so `finite` gives up at the first branch.
 
-A `SliceEngine` walks the 2^k sign vectors of one group of vertices.  It
-owns the sign-mask layout, which the sweep's witness masks follow too,
-and holds the group's arrows once with the mask bits of their ends.  A
-mask gives both the slice, the arrows from a +1 to a -1 vertex, and the
-`signdec` two-term column, whether no arrow runs the other way.  A slice
-depends only on its kept edges, so each distinct kept-edge set is split
-and classified once, and each distinct labelled component classified
-once, in dicts that live only as long as the engine: one entry per
-distinct slice and per distinct component.  A component that fails to
-classify is an internal bug named by its sign vector and vertices.  The
-engine counts the components the sweep gives up on and walks them to the
-first witness of `finite`, names the non-Dynkin component of the sweep's
-witness from its one slice, and gives the `signdec` rows and
-`sign_slice_components` over the whole vertex set.
+A `SliceEngine` walks the 2^k sign vectors of one group of vertices and
+owns the sign-mask layout, which the sweep's witness masks follow too.
+Each non-loop arrow owns a bit, and the ORs of the arrows into and out
+of a mask's -1 vertices give its slice and its `signdec` two-term
+column; a walk reads those ORs off two tables, over the high and the low
+half of the mask bits.  A component that fails to classify is an
+internal bug named by its sign vector and vertices.  The engine counts
+the components the sweep gives up on and walks them to the first witness
+of `finite`, names the non-Dynkin component of the sweep's witness from
+its one slice, and gives the `signdec` rows and `sign_slice_components`
+over the whole vertex set.
 """
 
 from __future__ import annotations
@@ -93,27 +92,31 @@ class SliceEngine:
     `layout` is the one sign-mask layout: vertex i of the group (0-based, in
     increasing order) owns bit k - 1 - i of a k-bit mask, set when its sign
     is -1, so masks 0, 1, 2, ... run through `enumerate_signs(k)` in order.
-    The group's arrows other than loops are held with the mask bits of their
-    source and target and the key bit of their edge (lo, hi, unordered
-    valuation), one bit per distinct edge.  A mask's slice keeps the arrows
-    from +1 to -1; `two_term` asks that none runs from -1 to +1.  Each
-    distinct kept-edge set is split once, and each labelled component
-    classified once, its tilting count kept next to its type.  Both lookups
-    live as long as the engine, one entry per distinct slice and per
-    distinct component, and all masks of one slice get one shared tuple.
+    Arrow bit 2e of edge e (lo, hi, unordered valuation) runs from lo to hi
+    and bit 2e + 1 back.  With `into` and `out` the arrows into and out of a
+    mask's -1 vertices, the slice keeps `into & ~out`, its key folds those
+    onto even bits, and the mask is two-term when `out & ~into` is 0.
+    `rows` tables `into`, `out` and the sign text of each setting of either
+    half of the mask bits, for one walk.  Each distinct kept-edge set is
+    split, and each labelled component classified, once for the engine's
+    life; all masks of one slice share one tuple.
     """
 
     def __init__(self, quiver: ValuedQuiver, vertices: Iterable[int]):
         self.bit = bit = self.layout(vertices)
         self.vertices = tuple(sorted(bit))
         arrows = [
-            ((min(a.src, a.tgt), max(a.src, a.tgt), a.val.unordered()), bit[a.src], bit[a.tgt])
+            ((min(a.src, a.tgt), max(a.src, a.tgt), a.val.unordered()), a.src, a.tgt)
             for a in quiver.arrows
             if a.src != a.tgt and a.src in bit and a.tgt in bit
         ]
         self._edges = sorted({edge for edge, _, _ in arrows})
-        key_bit = {edge: 1 << k for k, edge in enumerate(self._edges)}
-        self._arrows = [(key_bit[edge], src, tgt) for edge, src, tgt in arrows]
+        index = {edge: e for e, edge in enumerate(self._edges)}
+        self._even = (4 ** len(self._edges) - 1) // 3  # bits 0, 2, 4, ...
+        self._ends = {b: [0, 0] for b in bit.values()}  # each vertex's [into, out]
+        for edge, src, tgt in arrows:
+            self._ends[bit[tgt]][0] |= 1 << 2 * index[edge] + (src > tgt)
+            self._ends[bit[src]][1] |= 1 << 2 * index[edge] + (src > tgt)
         self._slices: dict[int, tuple[Counted, ...]] = {}
         self._classified: dict[tuple, Counted] = {}
 
@@ -126,28 +129,48 @@ class SliceEngine:
         """The mask's signs on the group as `format_signs` writes them."""
         return format(mask, f"0{len(self.vertices)}b").replace("0", "+").replace("1", "-")
 
-    def two_term(self, mask: int) -> bool:
-        """Whether the two-term silting complexes of the mask's sign class are
-        tilting: no arrow runs from -1 to +1; such arrows span the obstruction space."""
-        return not any(mask & src and not mask & tgt for _, src, tgt in self._arrows)
+    def _sides(self, mask: int) -> tuple[int, int]:
+        """The arrows into and out of the mask's -1 vertices."""
+        into = out = 0
+        for b, (to, of) in self._ends.items():
+            if mask & b:
+                into, out = into | to, out | of
+        return into, out
+
+    def rows(self) -> Iterator[tuple[str, tuple[Counted, ...], bool]]:
+        """Every mask of the group, in order: its sign text, its counted slice
+        components and its two-term flag, read off one table per half mask."""
+        k = len(self.vertices)
+        high, low = [
+            [(*self._sides(j << at), self.signs_text(j << at)[k - at - width:k - at])
+             for j in range(1 << width)]
+            for at, width in ((k // 2, k - k // 2), (0, k // 2))
+        ]
+        for high_into, high_out, high_text in high:
+            for low_into, low_out, low_text in low:
+                into, out, text = high_into | low_into, high_out | low_out, high_text + low_text
+                yield text, self._counted(into, out, text), not out & ~into
 
     def walk(self) -> Iterator[tuple[SignVector, tuple[Counted, ...]]]:
         """Every sign vector of the group, in order, with its counted slice components."""
-        for mask, signs in enumerate(enumerate_signs(len(self.vertices))):
-            yield signs, self.slice(mask)
+        for signs, (_, parts, _) in zip(enumerate_signs(len(self.vertices)), self.rows()):
+            yield signs, parts
 
     def slice(self, mask: int) -> tuple[Counted, ...]:
         """Components of the mask's slice with their Dynkin types and tilting
         counts, by minimal vertex; one shared tuple per kept-edge set."""
-        # at most one arrow of an edge runs from +1 to -1, so the sum sets bits
-        key = sum(edge for edge, src, tgt in self._arrows if mask & tgt and not mask & src)
+        return self._counted(*self._sides(mask), self.signs_text(mask))
+
+    def _counted(self, into: int, out: int, text: str) -> tuple[Counted, ...]:
+        kept = into & ~out  # at most one arrow of an edge: fold it onto the even bit
+        key = (kept | kept >> 1) & self._even
         found = self._slices.get(key)
         if found is None:
-            found = self._slices[key] = self._split(mask, key)
+            found = self._slices[key] = self._split(key, text)
         return found
 
-    def _split(self, mask: int, key: int) -> tuple[Counted, ...]:
-        kept = [edge for k, edge in enumerate(self._edges) if key >> k & 1]
+    def _split(self, key: int, text: str) -> tuple[Counted, ...]:
+        kept = [edge for e, edge in enumerate(self._edges) if key >> 2 * e & 1]
         comps = components(neighbour_lists(self.vertices, kept))
         edges: list[list] = [[] for _ in comps]
         if kept:
@@ -164,7 +187,7 @@ class SliceEngine:
                     dynkin = classify(graph)
                 except ValueError as exc:  # QuiverError too: a slice of a valid quiver is valid
                     raise ArithmeticError(
-                        f"slice of signs {self.signs_text(mask)} on vertices {self.vertices}, "
+                        f"slice of signs {text} on vertices {self.vertices}, "
                         f"component {comp}: {exc}: internal bug"
                     ) from exc
                 count = tilting_count(dynkin) if dynkin.is_dynkin else INFINITE
@@ -260,14 +283,15 @@ def transfer_count(
     """Sum of one quiver component's sign-class counts by a vertex sweep.
 
     Returns INFINITE as soon as an open slice path closes a cycle or is not
-    Dynkin, and None when a slice branches (see the module docstring).
+    Dynkin, else None if some slice branched (see the module docstring).
     `memo` holds path counts for the length of one call.  With `witness`,
     a state holds the least `SliceEngine` mask that reaches it in place of
     its weight, and the sweep runs on past each detection: it returns the
-    least witness mask, 0 if there is none, or None on a branch.
+    least witness mask, 0 if there is none, or None at the first branch.
     """
     bit = SliceEngine.layout(group)
     best = 0  # mask 0, all +1, has an edgeless slice and is never a witness
+    branched = False
     waiting = {v: len(links[v]) for v in group}
     frontier: list[int] = []
     states: dict[tuple, int] = {((), ()): 0 if witness else 1}
@@ -299,8 +323,11 @@ def transfer_count(
                 if joined is INFINITE and witness:  # least completion: +1 on the rest
                     best = min(best or out, out)
                     continue
-                if joined is None or joined is INFINITE:
+                if joined is INFINITE or joined is None and witness:
                     return joined
+                if joined is None:  # the sum is lost, but a later cycle still decides
+                    branched = True
+                    continue
                 kept = []
                 for a, b, length, inner, special in joined:
                     a, b = remap[a], remap[b]
@@ -316,7 +343,7 @@ def transfer_count(
                 key = (carried_signs + (s,) if v_stays else carried_signs, tuple(sorted(kept)))
                 merged[key] = min(merged.get(key, out), out) if witness else merged.get(key, 0) + out
         states = merged
-    return best if witness else sum(states.values())
+    return best if witness else None if branched else sum(states.values())
 
 
 def _group_counts(

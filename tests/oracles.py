@@ -47,7 +47,8 @@ where each labelled view of `taudec.glue` flips its modules' dimension
 vectors once.  It is the reference for those g pieces and for the
 matrix identities of criterion 7.  `transposed` and `arrows_of_kind` are
 likewise called only by tests.  `two_term_tilting` scans the arrows for
-the two-term rule on a sign vector, the reference for `SliceEngine.two_term`.
+the two-term rule on a sign vector, the reference for the two-term flag
+of `SliceEngine.rows`.
 
 `g_fan_check` reads only the JSON that `hasse` prints and checks it
 against the g-vector fan (Adachi-Iyama-Reiten, Demonet-Iyama-Jasso), a

@@ -32,6 +32,7 @@ from taudec.quiver import (
     Valuation,
     ValuedQuiver,
     components,
+    format_signs,
     parse_quiver,
     quiver_file_text,
     sign_subquiver,
@@ -352,17 +353,24 @@ class TestCountsHeldByTheEngine:
 
 
 class TestTwoTerm:
-    """`SliceEngine.two_term` against the per-arrow scan, on every mask."""
+    """`SliceEngine.rows`, read off two half tables, against one mask at a
+    time: the sign text, a fresh engine's slice, and the two-term flag
+    against the per-arrow scan.  Odd n gives halves of unequal width."""
 
     def check(self, quiver):
-        engine = SliceEngine(quiver, quiver.vertices)
-        for mask, signs in enumerate(enumerate_signs(quiver.n)):
-            assert engine.two_term(mask) == two_term_tilting(quiver, signs)
+        rows = list(SliceEngine(quiver, quiver.vertices).rows())
+        assert len(rows) == 2 ** quiver.n
+        for mask, (signs, (text, parts, two_term)) in enumerate(
+            zip(enumerate_signs(quiver.n), rows)
+        ):
+            assert text == format_signs(signs)
+            assert parts == SliceEngine(quiver, quiver.vertices).slice(mask)
+            assert two_term == two_term_tilting(quiver, signs)
 
     @settings(max_examples=60, deadline=None)
     @given(SEEDS, st.sampled_from((1, 2, 3)))
     def test_random_quivers(self, seed, max_val):
-        self.check(random_quiver(random.Random(seed), max_n=7, max_val=max_val))
+        self.check(random_quiver(random.Random(seed), max_n=9, max_val=max_val))
 
     def test_loops_two_cycles_valued_arrows_and_isolated_vertices(self):
         # vertex 5 is isolated; 1 and 3 carry loops; 1 and 2 form a 2-cycle
@@ -373,6 +381,28 @@ class TestTwoTerm:
         rng = random.Random(11)
         for moved in [quiver] + [shuffled(rng, quiver) for _ in range(5)]:
             self.check(moved)
+
+    @pytest.mark.parametrize(
+        "quiver",
+        [
+            ValuedQuiver(1, ()),
+            ValuedQuiver(1, (Arrow(1, 1),)),
+            ValuedQuiver(4, ()),
+            # unequal unordered valuations: two edges on one pair, kept apart
+            ValuedQuiver(3, (Arrow(1, 2, Valuation(1, 2)), Arrow(2, 1, Valuation(1, 3)),
+                             Arrow(3, 2))),
+        ],
+        ids=["n1", "n1-loop", "edgeless-n4", "two-edges-on-a-pair"],
+    )
+    def test_small_and_two_edged_pairs(self, quiver):
+        self.check(quiver)
+
+    def test_two_edges_on_a_pair_stay_two_edges(self):
+        quiver = ValuedQuiver(2, (Arrow(1, 2, Valuation(1, 2)), Arrow(2, 1, Valuation(1, 3))))
+        rows = list(SliceEngine(quiver, quiver.vertices).rows())
+        assert [[graph.edges for graph, _, _ in parts] for _, parts, _ in rows] == [
+            [(), ()], [((1, 2, (1, 2)),)], [((1, 2, (1, 3)),)], [(), ()]
+        ]
 
 
 class TestFactoringProperties:
@@ -396,6 +426,13 @@ class TestFactoringProperties:
 
 
 STAR_D4 = parse_quiver("n 4\na 1 2\na 1 3\na 1 4\n")
+TWO_WAY_D4 = ValuedQuiver(4, tuple(Arrow(u, v) for u, v in ((1, 4), (4, 1), (2, 4), (4, 2),
+                                                            (3, 4), (4, 3))))
+# the two-way D4 star joined by a two-way edge 4 - 5 to an even Brauer 14-cycle on
+# 5..18: the sweep branches in the star before it closes the cycle
+D4_THEN_CYCLE = ValuedQuiver(
+    18, disjoint_union(TWO_WAY_D4, brauer_cycle_quiver(14)).arrows + (Arrow(4, 5), Arrow(5, 4))
+)
 # a 4-cycle of sources 1, 3 and sinks 2, 4, with tails 5 -> 1 and 3 <- 6 - 7: no slice
 # edge meets a third at any vertex, the sweep runs 5, 1, 2, 4, 3, 6, 7 and finds the
 # slice cycle of + - + - at 3, before the tail 6 - 7
@@ -533,6 +570,11 @@ class TestSweep:
         assert sweep_counts(STAR_D4) == [None]
         assert count_support_tilting(STAR_D4) == 50
 
+    def test_two_way_d4_falls_back(self):
+        # some states branch and none detects, so the sweep leaves the count to the walk
+        assert sweep_counts(TWO_WAY_D4) == [None]
+        assert count_support_tilting(TWO_WAY_D4) == count_support_tilting_scan(TWO_WAY_D4)
+
     def test_third_edge_at_the_new_vertex_falls_back(self):
         # the sweep reaches 6 after 3, 4 and 5; signs +++ on them and - on 6
         # give 6 three slice edges at once (a D6 slice with 2 and 1)
@@ -619,6 +661,10 @@ class TestSweepWithoutWalk:
                 Arrow(i, i + 1) if i % 2 else Arrow(i + 1, i) for i in range(1, n)
             )
             assert count_support_tilting(ValuedQuiver(n, arrows)) == catalan(n + 1)
+
+    def test_cycle_after_a_branch_is_infinite(self):
+        assert sweep_counts(D4_THEN_CYCLE) == [INFINITE]
+        assert count_support_tilting(D4_THEN_CYCLE) is INFINITE
 
     def test_even_brauer_cycle_witnesses(self):
         for n in range(2, 31, 2):
