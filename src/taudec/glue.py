@@ -3,7 +3,7 @@
 Each sign vector contributes the tilting poset of its hereditary slice,
 taken over the opposite of the sign subquiver, where the relevant
 endomorphism algebra lives.  The slices come, in mask order, from the
-`SliceEngine` walk that `count` and `signdec` use, and a slice component
+`SliceEngine` walk, which `signdec` reads row by row, and a slice component
 is supported when its Dynkin type is A, a unit-valued path.  Every slice
 edge joins a +1 and a -1 vertex, so the opposite arrow between path
 neighbours u, v points from u to v exactly when u is -1: the component's

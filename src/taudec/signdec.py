@@ -14,25 +14,28 @@ It sweeps the vertices in `quiver.breadth_first` order (from a vertex of
 least degree, ties and neighbours by label) and branches on both signs
 of each vertex.  A slice edge is decided when its later end gets its sign.
 The frontier is the set of swept vertices with a neighbour still to come.
-A state holds the frontier's signs and the open slice paths, those that
-still hold a frontier vertex; a path is kept as its two ends (a frontier
-vertex, or none once the end has left the frontier), its frontier
-vertices inside, its length and its non-unit edges by position.  States
-with equal keys merge by adding their exact int weights.  A path with no
-frontier vertex left is closed: the weight is multiplied by its tilting
-count, `catalan(length)` for an all-unit path and `classify` on the path
-otherwise, memoised for one call.  A connected subgraph of a Dynkin graph
-is Dynkin and every state with a weight comes from some sign vector, so
-two edges into one open path (a cycle) or a non-Dynkin open path return
-`INFINITE` at once.  An edge into a frontier vertex inside a path, or a
-third edge at the new vertex, is a branch.  A count drops that state, as
-a later detection still answers `INFINITE`; with none, that component
-falls back to the walk below.  `count`, `finite` and `brauer --verify`
-take their counts from the sweep.  For `finite` a state holds, in place
-of its weight, the least sign mask reaching it: merged states share
-their futures, so the least mask over all detections, +1 on every vertex
-not yet swept, is the first witness.  A dropped state may hide a smaller
-one, so `finite` gives up at the first branch.
+A state holds the frontier's signs and the open slice pieces, those that
+still hold a frontier vertex.  A path is kept as its two ends (a frontier
+vertex, or none once the end has left the frontier), its length, and its
+frontier vertices inside and its non-unit edges, both by position.  A
+star, a unit tree with one vertex of degree 3, is kept as its three arms,
+each an end and a length.  Its centre and the vertices inside its arms
+are kept nowhere: an edge into one of them makes a vertex of degree 4 or
+a second branch.  An edge into a vertex inside a path splits the path
+into two arms of a star, a third edge makes the new vertex a centre, and
+an edge into an arm end makes that arm longer.  States with equal keys
+merge by adding their exact int weights.  A piece with no frontier vertex
+left (for a star, no arm end) is closed: the weight is multiplied by its
+tilting count, `catalan(length)` for an all-unit path and `classify` on
+the piece built from its shape otherwise, memoised for one call.  A
+connected subgraph of a Dynkin graph is Dynkin and every state with a
+weight comes from some sign vector, so a cycle, a second branch, a
+non-unit edge on a star or an open piece that is not Dynkin returns
+`INFINITE` at once.  `count`, `finite` and `brauer --verify` take their
+counts from the sweep alone.  For `finite` a state holds, in place of its
+weight, the least sign mask reaching it: merged states share their
+futures, so the least mask over all detections, +1 on every vertex not
+yet swept, is the first witness.
 
 A `SliceEngine` walks the 2^k sign vectors of one group of vertices and
 owns the sign-mask layout, which the sweep's witness masks follow too.
@@ -40,10 +43,9 @@ Each non-loop arrow owns a bit, and the ORs of the arrows into and out
 of a mask's -1 vertices give its slice and its `signdec` two-term
 column; a walk reads those ORs off two tables, over the high and the low
 half of the mask bits.  A component that fails to classify is an
-internal bug named by its sign vector and vertices.  The engine counts
-the components the sweep gives up on and walks them to the first witness
-of `finite`, names the non-Dynkin component of the sweep's witness from
-its one slice, and gives the `signdec` rows and `sign_slice_components`
+internal bug named by its sign vector and vertices.  The engine names
+the non-Dynkin component of the sweep's witness from its one slice, and
+gives the `signdec` rows, the `hasse` walk and `sign_slice_components`
 over the whole vertex set.
 """
 
@@ -198,7 +200,8 @@ class SliceEngine:
 
 # links[v][u] = [valuation of v -> u, valuation of u -> v], None where absent
 Links = dict[int, dict[int, list]]
-Path = tuple  # (end, end, length, inner frontier vertices, non-unit edges)
+Path = tuple  # (end, end, length, inner frontier vertices and non-unit edges by position)
+Star = tuple  # its three arms, each (end, length), sorted
 _UNIT = (1, 1)
 
 
@@ -213,88 +216,121 @@ def _links(quiver: ValuedQuiver) -> Links:
     return links
 
 
-def _reversed(length: int, special: Sequence) -> tuple:
-    """Non-unit edges by position from the other end of the path."""
-    return tuple(sorted((length - 2 - p, val) for p, val in special)) if special else ()
+def _turned(path: Path) -> Path:
+    """The path read from its other end."""
+    a, b, length, inner, special = path
+    return (b, a, length, inner and tuple([(length - 1 - p, i) for p, i in reversed(inner)]),
+            special and tuple([(length - 2 - p, val) for p, val in reversed(special)]))
 
 
-def _path_count(length: int, special: tuple, memo: dict) -> int | Infinite:
-    """Tilting count of a path on `length` vertices with these non-unit edges."""
-    if special:
-        special = min(special, _reversed(length, special))
-    key = (length, special)
-    count = memo.get(key)
-    if count is None:
-        if special:
+def _piece_count(shape: tuple, memo: dict) -> int | Infinite:
+    """Tilting count of a path, shaped (length, non-unit edges by position), or
+    of a unit star, shaped as its three sorted arm lengths; memoised."""
+    count = memo.get(shape)
+    if count is None and len(shape) == 2 and not shape[1]:
+        count = memo[shape] = catalan(shape[0])  # an all-unit path is of type A
+    elif count is None:
+        if len(shape) == 2:
+            length, special = shape
             vals = dict(special)
-            graph = ValuedGraph(
-                tuple(range(1, length + 1)),
-                tuple((p + 1, p + 2, vals.get(p, _UNIT)) for p in range(length - 1)),
-            )
-            dynkin = classify(graph)
-            count = tilting_count(dynkin) if dynkin.is_dynkin else INFINITE
-        else:
-            count = catalan(length)
-        memo[key] = count
+            edges = [(p + 1, p + 2, vals.get(p, _UNIT)) for p in range(length - 1)]
+        else:  # the centre is vertex 1 and each arm runs on from it
+            edges, top = [], 1
+            for arm in shape:
+                edges += [(top + j if j else 1, top + j + 1, _UNIT) for j in range(arm)]
+                top += arm
+        dynkin = classify(ValuedGraph(tuple(range(1, len(edges) + 2)), tuple(edges)))
+        count = memo[shape] = tilting_count(dynkin) if dynkin.is_dynkin else INFINITE
     return count
 
 
 def _join(
-    paths: tuple[Path, ...], touched: list, fresh: int, memo: dict
-) -> list[Path] | Infinite | None:
-    """The open paths once the new vertex `fresh` takes its slice edges.
+    paths: tuple[Path, ...], stars: tuple[Star, ...], touched: list, fresh: int, memo: dict
+) -> tuple[list[Path], tuple[Star, ...]] | Infinite:
+    """The open paths and stars once the new vertex `fresh` takes its slice edges.
 
     `touched` lists (frontier index, valuation) of the new vertex's edges.
-    Returns INFINITE when they close a cycle or make a non-Dynkin path,
-    and None when they make a branch.
+    Edges into path ends join those paths through `fresh`; one more edge, to
+    a third path end, inside a path or to a star's arm end, makes a star.
+    Returns INFINITE when the edges close a cycle or make a non-Dynkin piece.
     """
-    if len(touched) > 2:
-        return None
     rest = list(paths)
-    a, b, length, inner, special = fresh, fresh, 1, (), []
+    a, b, length, inner, special = fresh, fresh, 1, (), ()
+    branches = []
     for i, val in touched:
-        for k, p in enumerate(rest):
+        # once `fresh` joins two paths, a third path end makes it a centre
+        for k, p in enumerate(rest if a == fresh else ()):
             if i == p[0] or i == p[1]:
                 break
         else:
-            if any(i in p[3] for p in rest):
-                return None
-            return INFINITE  # i already lies on the new vertex's path: a cycle
-        pa, pb, plength, pinner, pspecial = rest.pop(k)
+            branches.append((i, val))
+            continue
+        del rest[k]
         if b != fresh:  # the new vertex is the path's first end: turn the path round
-            a, b, special = b, a, list(_reversed(length, special))
-        if pa != i:
-            pa, pb, pspecial = pb, pa, _reversed(plength, pspecial)
-        inner += pinner + (fresh,) * (length > 1) + (i,) * (plength > 1)
+            a, b, length, inner, special = _turned((a, b, length, inner, special))
+        pa, pb, plength, pinner, pspecial = p if p[0] == i else _turned(p)
+        inner += ((length - 1, fresh),) * (length > 1) + ((length, i),) * (plength > 1)
+        if pinner:
+            inner += tuple([(length + p, j) for p, j in pinner])
         if val != _UNIT:
-            special.append((length - 1, val))
-        special += [(length + p, w) for p, w in pspecial]
+            special += ((length - 1, val),)
+        if pspecial:
+            special += tuple([(length + p, w) for p, w in pspecial])
         b, length = pb, length + plength
-    special = tuple(special)
-    if special and _path_count(length, special, memo) is INFINITE:
+    if not branches:
+        if special and _piece_count((length, special), memo) is INFINITE:
+            return INFINITE
+        rest.append((a, b, length, inner, special))
+        return rest, stars
+    # a second branch, a cycle, or a non-unit edge on a star
+    if len(branches) > 1 or special or branches[0][1] != _UNIT:
         return INFINITE
-    rest.append((a, b, length, tuple(sorted(inner)), special))
-    return rest
+    i, arms = branches[0][0], None
+    for k, (pa, pb, plength, pinner, pspecial) in enumerate(rest):
+        inside = [p for p, j in pinner if j == i]
+        if i == pa or i == pb:  # the third path end: `fresh` is the centre
+            at = next(p for p, j in inner if j == fresh)
+            arms = [(a, at), (b, length - 1 - at), (pa if i == pb else pb, plength)]
+        elif inside and a == fresh:  # i is the centre and `fresh` an arm end
+            arms = [(pa, inside[0]), (pb, plength - 1 - inside[0]), (b, length)]
+        if arms:
+            if pspecial:
+                return INFINITE
+            del rest[k]
+            break
+    for k, star in enumerate(() if arms else stars):
+        arm = next((m for end, m in star if end == i), 0)
+        if arm and a == fresh:  # the arm ending at i runs on through `fresh`
+            arms = [(end, m) for end, m in star if end != i] + [(b, arm + length)]
+            stars = stars[:k] + stars[k + 1:]
+            break
+    if not arms:
+        # i lies on the new vertex's piece already (a cycle), is a star's centre or
+        # inside an arm, or `fresh` would be a second branch
+        return INFINITE
+    star = tuple(sorted(arms))
+    if _piece_count(tuple(sorted(m for _, m in star)), memo) is INFINITE:
+        return INFINITE
+    return rest, stars + (star,)
 
 
 def transfer_count(
     links: Links, group: Sequence[int], memo: dict, witness: bool = False
-) -> int | Infinite | None:
+) -> int | Infinite:
     """Sum of one quiver component's sign-class counts by a vertex sweep.
 
-    Returns INFINITE as soon as an open slice path closes a cycle or is not
-    Dynkin, else None if some slice branched (see the module docstring).
-    `memo` holds path counts for the length of one call.  With `witness`,
-    a state holds the least `SliceEngine` mask that reaches it in place of
-    its weight, and the sweep runs on past each detection: it returns the
-    least witness mask, 0 if there is none, or None at the first branch.
+    Returns INFINITE as soon as an open slice piece closes a cycle or is not
+    Dynkin (see the module docstring).  `memo` holds piece counts for the
+    length of one call.  With `witness`, a state holds the least
+    `SliceEngine` mask that reaches it in place of its weight, and the sweep
+    runs on past each detection: it returns the least witness mask, or 0 if
+    there is none.
     """
     bit = SliceEngine.layout(group)
     best = 0  # mask 0, all +1, has an edgeless slice and is never a witness
-    branched = False
     waiting = {v: len(links[v]) for v in group}
     frontier: list[int] = []
-    states: dict[tuple, int] = {((), ()): 0 if witness else 1}
+    states: dict[tuple, int] = {((), (), ()): 0 if witness else 1}
     for v in breadth_first(links, group):
         at = {u: i for i, u in enumerate(frontier)}
         # (frontier index, valuation) of the slice edges v can take as +1 and as -1
@@ -312,43 +348,50 @@ def transfer_count(
         v_stays = bool(stay) and stay[-1] == fresh
         carried = stay[:-1] if v_stays else stay
         merged: dict[tuple, int] = {}
-        for (signs, paths), weight in states.items():
+        for (signs, paths, stars), weight in states.items():
             carried_signs = tuple(signs[i] for i in carried)
             for s, edges in ((1, plus), (-1, minus)):
                 touched = [(i, val) for i, val in edges if signs[i] != s]
-                joined = _join(paths, touched, fresh, memo) if touched else (
-                    paths + ((fresh, fresh, 1, (), ()),)
-                )
                 out = weight | bit[v] if witness and s < 0 else weight
-                if joined is INFINITE and witness:  # least completion: +1 on the rest
-                    best = min(best or out, out)
+                joined = _join(paths, stars, touched, fresh, memo) if touched else (
+                    paths + ((fresh, fresh, 1, (), ()),), stars
+                )
+                if joined is INFINITE:
+                    if not witness:
+                        return INFINITE
+                    best = min(best or out, out)  # least completion: +1 on the rest
                     continue
-                if joined is INFINITE or joined is None and witness:
-                    return joined
-                if joined is None:  # the sum is lost, but a later cycle still decides
-                    branched = True
-                    continue
+                joined, open_stars = joined
                 kept = []
                 for a, b, length, inner, special in joined:
                     a, b = remap[a], remap[b]
-                    if inner:  # sorted, and remap keeps the order
-                        inner = tuple([remap[i] for i in inner if remap[i] >= 0])
+                    if inner:  # in position order, which remap keeps
+                        inner = tuple([(p, remap[i]) for p, i in inner if remap[i] >= 0])
                     if a < 0 and b < 0 and not inner:
                         if not witness:
-                            out *= _path_count(length, special, memo)  # closed
-                    elif b < a or (a == b and special and _reversed(length, special) < special):
-                        kept.append((b, a, length, inner, _reversed(length, special)))
-                    else:
-                        kept.append((a, b, length, inner, special))
-                key = (carried_signs + (s,) if v_stays else carried_signs, tuple(sorted(kept)))
+                            out *= _piece_count((length, special), memo)  # closed
+                        continue
+                    path = (a, b, length, inner, special)
+                    if a < b or a == b and inner:  # greater end first, as `_join` grows a path
+                        path = max(path, _turned(path))
+                    kept.append(path)
+                kept_stars = ()
+                for star in open_stars:
+                    star = tuple(sorted([(remap[end], m) for end, m in star]))
+                    if star[-1][0] >= 0:
+                        kept_stars += (star,)
+                    elif not witness:  # no arm end is left on the frontier: closed
+                        out *= _piece_count(tuple(sorted(m for _, m in star)), memo)
+                signs_kept = carried_signs + (s,) if v_stays else carried_signs
+                key = (signs_kept, tuple(sorted(kept)), kept_stars and tuple(sorted(kept_stars)))
                 merged[key] = min(merged.get(key, out), out) if witness else merged.get(key, 0) + out
         states = merged
-    return best if witness else None if branched else sum(states.values())
+    return best if witness else sum(states.values())
 
 
 def _group_counts(
     quiver: ValuedQuiver, witness: bool = False
-) -> Iterator[tuple[tuple[int, ...], int | Infinite | None]]:
+) -> Iterator[tuple[tuple[int, ...], int | Infinite]]:
     """Each quiver component's vertices and its `transfer_count`, by minimal vertex."""
     links = _links(quiver)
     memo: dict = {}
@@ -386,25 +429,13 @@ def count_for_signs(quiver: ValuedQuiver, signs: Sequence[int]) -> int | Infinit
 
 def count_support_tilting(quiver: ValuedQuiver) -> int | Infinite:
     """Total number of support tilting modules: the product over the quiver's
-    components of each component's sum over its sign classes, by the sweep
-    or, where a slice branches, by the walk."""
+    components of each component's sum over its sign classes, by the sweep."""
     total = 1
-    for group, group_total in _group_counts(quiver):
-        if group_total is None:
-            group_total = 0
-            for _, parts in SliceEngine(quiver, group).walk():
-                part = slice_count(parts)
-                if part is INFINITE:
-                    return INFINITE
-                group_total += part
+    for _, group_total in _group_counts(quiver):
         if group_total is INFINITE:
             return INFINITE
         total *= group_total
     return total
-
-
-def _non_dynkin(parts: Iterable[Counted]) -> ValuedGraph | None:
-    return next((graph for graph, dynkin, _ in parts if not dynkin.is_dynkin), None)
 
 
 def finiteness_witness(
@@ -416,19 +447,15 @@ def finiteness_witness(
     component's own first witness inside it: setting signs outside the
     component to +1 keeps the witness and cannot move it later.  The sweep
     gives each component's first witness mask, whose one slice names the
-    component; only a component where the sweep gives up is walked.
+    component.
     """
     found = []
     for group, mask in _group_counts(quiver, witness=True):
         if mask == 0:
             continue
         engine = SliceEngine(quiver, group)
-        if mask is None:  # the sweep gave up: walk to the first witness, if any
-            mask = next((m for m, (_, parts) in enumerate(engine.walk()) if _non_dynkin(parts)), 0)
-            if not mask:
-                continue
         signs = tuple(-1 if mask & engine.bit.get(v, 0) else 1 for v in quiver.vertices)
-        bad = _non_dynkin(engine.slice(mask))
+        bad = next((graph for graph, dynkin, _ in engine.slice(mask) if not dynkin.is_dynkin), None)
         if bad is None:
             raise ArithmeticError(
                 f"witness {format_signs(signs)} is Dynkin on {group}: internal bug"
@@ -441,6 +468,6 @@ def finiteness_witness(
 def is_tau_tilting_finite(quiver: ValuedQuiver) -> bool:
     """Whether the presented algebra has finitely many support tilting modules.
 
-    The count stops at the first non-Dynkin slice, which decides the answer.
+    The count's sweep stops at its first detection, which decides the answer.
     """
     return count_support_tilting(quiver) is not INFINITE

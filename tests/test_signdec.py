@@ -4,7 +4,7 @@ import contextlib
 import io
 import math
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -530,8 +530,7 @@ class TestSweep:
     def test_each_component_against_its_walk(self, family, max_val, seed):
         quiver = sweep_quiver(family, max_val, seed)
         for group, count in _group_counts(quiver):
-            if count is not None:
-                assert count == walk_total(quiver, group)
+            assert count == walk_total(quiver, group)
 
     @pytest.mark.parametrize(
         "quiver, finite",
@@ -566,28 +565,6 @@ class TestSweep:
         quiver = shuffled(rng, disjoint_union(first, second))
         assert finiteness_witness(quiver) == finiteness_witness_scan(quiver)
 
-    def test_branch_falls_back_to_the_walk(self):
-        assert sweep_counts(STAR_D4) == [None]
-        assert count_support_tilting(STAR_D4) == 50
-
-    def test_two_way_d4_falls_back(self):
-        # some states branch and none detects, so the sweep leaves the count to the walk
-        assert sweep_counts(TWO_WAY_D4) == [None]
-        assert count_support_tilting(TWO_WAY_D4) == count_support_tilting_scan(TWO_WAY_D4)
-
-    def test_third_edge_at_the_new_vertex_falls_back(self):
-        # the sweep reaches 6 after 3, 4 and 5; signs +++ on them and - on 6
-        # give 6 three slice edges at once (a D6 slice with 2 and 1)
-        quiver = ValuedQuiver(
-            6,
-            tuple(
-                Arrow(u, v)
-                for u, v in ((1, 2), (2, 3), (4, 2), (2, 5), (3, 6), (4, 6), (5, 6))
-            ),
-        )
-        assert sweep_counts(quiver) == [None]
-        assert count_support_tilting(quiver) == count_support_tilting_scan(quiver) == 748
-
     def test_last_vertex_of_a_cycle_joins_two_paths(self):
         # 4, swept last, joins 2-3 and 5-1 into 2-3-4-5-1: the (1,2) edge 3-4 is inside
         arrows = [(1, 2), (2, 1), (1, 5), (5, 1), (2, 3), (3, 2), (4, 5)]
@@ -598,14 +575,6 @@ class TestSweep:
         )
         assert sweep_counts(quiver) == [INFINITE]
         assert count_support_tilting_scan(quiver) is INFINITE
-
-    def test_sweep_and_walk_in_one_call(self):
-        quiver = disjoint_union(STAR_D4, brauer_line_quiver(6))
-        assert sweep_counts(quiver) == [None, math.comb(12, 6)]
-        moved = shuffled(random.Random(3), quiver)
-        assert set(sweep_counts(moved)) == {None, math.comb(12, 6)}
-        assert count_support_tilting(quiver) == 50 * math.comb(12, 6)
-        assert count_support_tilting(moved) == 50 * math.comb(12, 6)
 
     def test_infinite_at_once(self):
         for quiver in (
@@ -626,8 +595,64 @@ def oriented_path(rng: random.Random, n: int) -> tuple[list[bool], ValuedQuiver]
     return forward, shuffled(rng, ValuedQuiver(n, arrows))
 
 
+def two_way_tree(n: int, edges) -> ValuedQuiver:
+    """Unit arrows both ways along each edge of a tree on 1..n."""
+    return ValuedQuiver(n, tuple(Arrow(x, y) for u, v in edges for x, y in ((u, v), (v, u))))
+
+
+def two_way_d(n: int) -> ValuedQuiver:
+    """The two-way D_n tree: the fork 1, 2 - 3, then the path 3 - 4 - ... - n."""
+    return two_way_tree(n, [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, n)])
+
+
+def two_way_star(arms) -> ValuedQuiver:
+    """The two-way star with centre 1 and arms of these lengths, numbered arm by arm."""
+    edges, top = [], 1
+    for arm in arms:
+        edges += [(top + j if j else 1, top + j + 1) for j in range(arm)]
+        top += arm
+    return two_way_tree(top, edges)
+
+
+def random_tree(rng: random.Random, n: int, max_val: int) -> ValuedQuiver:
+    """A tree on 1..n, often with several branch vertices: each vertex after the
+    first hangs from an earlier one, one way or both ways, a fifth of the edges
+    valued; loops at a tenth of the vertices."""
+    arrows = []
+    for v in range(2, n + 1):
+        u = rng.randint(1, v - 1) if rng.random() < 0.5 else rng.randint(max(1, v - 3), v - 1)
+        val = Valuation(rng.randint(1, max_val), rng.randint(1, max_val))
+        if rng.random() < 0.8:
+            val = Valuation(1, 1)
+        ways = rng.choice(("both", "both", "forward", "back"))
+        if ways != "back":
+            arrows.append(Arrow(u, v, val))
+        if ways != "forward":
+            arrows.append(Arrow(v, u, transposed(val)))
+    arrows += [Arrow(v, v) for v in range(1, n + 1) if rng.random() < 0.1]
+    return ValuedQuiver(n, tuple(arrows))
+
+
+def tree_quiver(seed: int) -> ValuedQuiver:
+    """A random tree (valuations up to 2), a unit tree with up to two extra
+    arrows, or a unit tree joined by a two-way edge to a Brauer cycle; relabelled."""
+    rng = random.Random(seed)
+    tree = random_tree(rng, rng.randint(1, 10), max_val=2 if seed % 3 == 0 else 1)
+    arrows = tree.arrows
+    if seed % 3 == 1:
+        for _ in range(rng.randint(1, 2)):
+            u, v = rng.sample(range(1, tree.n + 1), 2) if tree.n > 1 else (1, 1)
+            if all((a.src, a.tgt) != (u, v) for a in arrows):
+                arrows += (Arrow(u, v),)
+    if seed % 3 == 2:
+        both = disjoint_union(tree, brauer_cycle_quiver(rng.randint(1, 5)))
+        arrows = both.arrows + (Arrow(1, tree.n + 1), Arrow(tree.n + 1, 1))
+        return shuffled(rng, ValuedQuiver(both.n, arrows))
+    return shuffled(rng, ValuedQuiver(tree.n, arrows))
+
+
 class TestSweepWithoutWalk:
-    """The families the sweep claims, counted with the walk switched off."""
+    """The families the sweep claims, counted with the walk and the rows switched off."""
 
     @pytest.fixture(autouse=True)
     def no_walk(self, monkeypatch):
@@ -635,6 +660,107 @@ class TestSweepWithoutWalk:
             raise AssertionError("the sweep fell back to the walk")
 
         monkeypatch.setattr(SliceEngine, "walk", refuse)
+        monkeypatch.setattr(SliceEngine, "rows", refuse)
+
+    def test_d4_star_is_counted_by_the_sweep(self):
+        assert sweep_counts(STAR_D4) == [50]
+        assert count_support_tilting(STAR_D4) == 50
+
+    def test_two_way_d4_equals_the_scan(self):
+        want = count_support_tilting_scan(TWO_WAY_D4)
+        assert sweep_counts(TWO_WAY_D4) == [want]
+        assert count_support_tilting(TWO_WAY_D4) == want
+
+    def test_third_edge_at_the_new_vertex_makes_a_centre(self):
+        # the sweep reaches 6 after 3, 4 and 5; signs +++ on them and - on 6
+        # give 6 three slice edges at once (a D6 slice with 2 and 1)
+        quiver = ValuedQuiver(
+            6,
+            tuple(
+                Arrow(u, v)
+                for u, v in ((1, 2), (2, 3), (4, 2), (2, 5), (3, 6), (4, 6), (5, 6))
+            ),
+        )
+        assert sweep_counts(quiver) == [748]
+        assert count_support_tilting(quiver) == count_support_tilting_scan(quiver) == 748
+
+    def test_star_and_line_in_one_call(self):
+        quiver = disjoint_union(STAR_D4, brauer_line_quiver(6))
+        assert sweep_counts(quiver) == [50, math.comb(12, 6)]
+        moved = shuffled(random.Random(3), quiver)
+        assert set(sweep_counts(moved)) == {50, math.comb(12, 6)}
+        assert count_support_tilting(quiver) == 50 * math.comb(12, 6)
+        assert count_support_tilting(moved) == 50 * math.comb(12, 6)
+
+    def test_two_way_d_n(self):
+        rng = random.Random(40)
+        for n in range(4, 41):
+            quiver = two_way_d(n)
+            count = count_support_tilting(quiver)
+            if n <= 12:
+                assert count == count_support_tilting_scan(quiver)
+            for _ in range(3):
+                assert count_support_tilting(shuffled(rng, quiver)) == count
+            assert finiteness_witness(quiver) is None
+
+    @pytest.mark.parametrize(
+        "arms, count", [((1, 2, 2), 1700), ((1, 2, 3), 8872), ((1, 2, 4), 54066)],
+        ids=["E6", "E7", "E8"],
+    )
+    def test_two_way_e(self, arms, count):
+        quiver = two_way_star(arms)
+        assert count_support_tilting(quiver) == count_support_tilting_scan(quiver) == count
+        assert finiteness_witness(quiver) is None
+
+    @pytest.mark.parametrize(
+        "quiver",
+        [two_way_star((2, 2, 2)), two_way_star((1, 3, 3)), two_way_star((1, 2, 5)),
+         two_way_star((1, 1, 1, 1))]
+        + [two_way_tree(n + 1, [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, n - 1)]
+                        + [(n - 1, n), (n - 1, n + 1)]) for n in range(5, 10)],
+        ids=["affine-E6", "affine-E7", "affine-E8", "affine-D4"]
+        + [f"affine-D{n}" for n in range(5, 10)],
+    )
+    def test_affine_trees_are_infinite(self, quiver):
+        assert count_support_tilting(quiver) is INFINITE
+        assert finiteness_witness(quiver) == finiteness_witness_scan(quiver)
+
+    @pytest.mark.parametrize(
+        "arrows",
+        [
+            # a D~5 slice at +++++---: the new vertex joins two paths and then
+            # meets a vertex inside a third
+            ((1, 6), (3, 2), (3, 6), (4, 6), (4, 7), (4, 8), (5, 3), (7, 5), (8, 1), (8, 3)),
+            # a D~6 slice at +++++-+-: the new vertex joins two paths and then
+            # meets the arm end of a star
+            ((1, 8), (3, 6), (4, 6), (4, 7), (5, 3), (5, 8), (7, 6), (7, 8)),
+        ],
+        ids=["inside-a-path", "at-an-arm-end"],
+    )
+    def test_new_vertex_on_two_paths_is_a_second_branch(self, arrows):
+        quiver = ValuedQuiver(8, tuple(Arrow(u, v) for u, v in arrows))
+        assert count_support_tilting(quiver) is INFINITE
+        assert finiteness_witness(quiver) == finiteness_witness_scan(quiver)
+
+    def test_finite_finds_the_cycle_after_a_branch(self):
+        signs, component = finiteness_witness(D4_THEN_CYCLE)
+        assert format_signs(signs) == "+++++-+-+-+-+-+-+-"
+        assert component.vertices == tuple(range(5, 19))
+
+    def test_random_trees_against_the_scan(self):
+        for seed in range(300):
+            quiver = tree_quiver(seed)
+            assert count_support_tilting(quiver) == count_support_tilting_scan(quiver)
+            assert finiteness_witness(quiver) == finiteness_witness_scan(quiver)
+
+    def test_stars_joined_to_brauer_cycles(self):
+        # the D4 star, one way and both ways, joined at its leaf or its centre
+        for star, at in ((STAR_D4, 2), (TWO_WAY_D4, 1), (TWO_WAY_D4, 4)):
+            for m in range(1, 9):
+                both = disjoint_union(star, brauer_cycle_quiver(m))
+                quiver = ValuedQuiver(both.n, both.arrows + (Arrow(at, 5), Arrow(5, at)))
+                assert count_support_tilting(quiver) == count_support_tilting_scan(quiver)
+                assert finiteness_witness(quiver) == finiteness_witness_scan(quiver)
 
     def test_brauer_lines(self):
         for n in range(1, 61):
@@ -720,3 +846,65 @@ class TestSweepWithoutWalk:
         for _ in range(5):
             moved = shuffled(rng, quiver)
             assert finiteness_witness(moved) == finiteness_witness_scan(moved)
+
+
+def up_to_relabelling(n: int, choices) -> list[ValuedQuiver]:
+    """One quiver on 1..n per relabelling class, each ordered pair of distinct
+    vertices taking one of `choices`: a valuation, or None for no arrow."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    slot = {pair: k for k, pair in enumerate(pairs)}
+    moves = [[slot[image[i], image[j]] for i, j in pairs] for image in permutations(range(n))]
+    members = []
+    for code in product(range(len(choices)), repeat=len(pairs)):
+        moved = [[0] * len(pairs) for _ in moves]
+        for move, out in zip(moves, moved):
+            for k, c in zip(move, code):
+                out[k] = c
+        if list(code) == min(moved):
+            arrows = tuple(Arrow(i + 1, j + 1, choices[c]) for (i, j), c in zip(pairs, code)
+                           if choices[c] is not None)
+            members.append(ValuedQuiver(n, arrows))
+    return members
+
+
+CORPUS_VALUATIONS = (None, Valuation(1, 1), Valuation(1, 2), Valuation(2, 1), Valuation(2, 2))
+
+
+class TestCorpus:
+    """Every small quiver: `count` and `finite` by the sweep against the rows of
+    the slice engine, with the walk and the rows switched off for the sweep."""
+
+    @pytest.mark.parametrize(
+        "sizes, choices, members",
+        [((1, 2, 3), CORPUS_VALUATIONS, 1 + 15 + 2675), ((4,), (None, Valuation(1, 1)), 218)],
+        ids=["valued-on-at-most-3", "digraphs-on-4"],
+    )
+    def test_count_and_finite_against_the_rows(self, sizes, choices, members, monkeypatch):
+        corpus = [quiver for n in sizes for quiver in up_to_relabelling(n, choices)]
+        assert len(corpus) == members
+        # loops never reach a slice, so every answer stays the same
+        rng = random.Random(members)
+        corpus += [
+            ValuedQuiver(q.n, q.arrows + tuple(Arrow(v, v) for v in q.vertices))
+            for q in (shuffled(rng, quiver) for quiver in corpus)
+        ]
+        want = []
+        for quiver in corpus:
+            counts, first = [], None
+            for text, parts, _ in SliceEngine(quiver, quiver.vertices).rows():
+                counts.append(slice_count(parts))
+                bad = [graph for graph, dynkin, _ in parts if not dynkin.is_dynkin]
+                if bad and first is None:
+                    first = (tuple(1 if c == "+" else -1 for c in text), bad[0])
+            count = INFINITE if INFINITE in counts else sum(counts)
+            assert (first is None) == (count is not INFINITE)
+            want.append((quiver, count, first))
+
+        def refuse(engine):
+            raise AssertionError("the sweep fell back to the engine's rows")
+
+        monkeypatch.setattr(SliceEngine, "walk", refuse)
+        monkeypatch.setattr(SliceEngine, "rows", refuse)
+        for quiver, count, first in want:
+            assert count_support_tilting(quiver) == count
+            assert finiteness_witness(quiver) == first
