@@ -77,7 +77,7 @@ def cmd_signdec(args: argparse.Namespace) -> int:
     print("# signs  components  count  two_term_tilting")
     # component cells and row tails, by the id of the tuples the engine keeps alive
     texts: dict[int, str] = {}
-    for text, parts, two_term in SliceEngine(quiver, quiver.vertices).rows():
+    for text, parts, two_term in SliceEngine(quiver).rows():
         tail = texts.get(id(parts))
         if tail is None:
             for part in parts:

@@ -6,9 +6,13 @@ the count per type is known in closed form.  B and C are merged into one
 family "BC" because the unordered valuation pair cannot tell them apart
 and their counts agree.
 
-The classifier walks graphs only through `quiver`: `neighbour_lists` and
-`components` check connectivity, and the arms of a tree with one branch
-vertex are the components left when that vertex is removed.
+One table, `shape_type`, names the type of a path from its length and
+its non-unit edges by position, and of a unit star from its three arm
+lengths.  `classify` reduces a graph to that shape and reads the table;
+the sign sweep reads it directly.  The classifier walks graphs only
+through `quiver`: `neighbour_lists` and `components` check connectivity,
+`breadth_first` runs a path from one end, and the arms of a tree with one
+branch vertex are the components left when that vertex is removed.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quiver import ValuedGraph, components, neighbour_lists
+from .quiver import ValuedGraph, breadth_first, components, neighbour_lists
 
 _FAMILIES = ("A", "BC", "D", "E", "F", "G", "non-Dynkin")
 
@@ -47,14 +51,48 @@ class DynkinType:
 NON_DYNKIN = DynkinType("non-Dynkin")
 
 
+def shape_type(shape: tuple) -> DynkinType:
+    """The type of a path, shaped (length, non-unit edges by position), or of
+    a unit star, shaped as its three sorted arm lengths.
+
+    An all-unit path is A; a path with one {1,2} edge is BC when the edge
+    is terminal and F4 when it is the middle of a 4-path; a single {1,3}
+    edge is G2.  A star with two arms of length 1 is D, and the arms
+    (1, 2, 2), (1, 2, 3) and (1, 2, 4) are E6, E7 and E8.  Everything else
+    is non-Dynkin.
+    """
+    if len(shape) == 3:
+        short, middle, long = shape
+        if short == middle == 1:
+            return DynkinType("D", long + 3)
+        if (short, middle) == (1, 2) and long <= 4:
+            return DynkinType("E", long + 4)
+        return NON_DYNKIN
+    length, special = shape
+    if not special:
+        return DynkinType("A", length)
+    if len(special) > 1:
+        return NON_DYNKIN
+    ((at, val),) = special
+    if val == (1, 2):
+        if at in (0, length - 2):
+            return DynkinType("BC", length)
+        if length == 4:
+            return DynkinType("F", 4)  # only the middle edge of a 4-path is non-terminal
+        return NON_DYNKIN
+    if val == (1, 3) and length == 2:
+        return DynkinType("G", 2)
+    return NON_DYNKIN
+
+
 def classify(graph: ValuedGraph) -> DynkinType:
     """Classify a connected valued graph against the Dynkin list.
 
-    Simply-laced paths and the standard D/E trees are recognized with all
-    valuations (1,1); a path with one terminal {1,2} edge is BC, a 4-path
-    with the {1,2} edge in the middle is F4, a single {1,3} edge is G2.
-    Everything else (cycles, other valuations, wrong tree shapes) is
-    non-Dynkin.  Raises if the graph is disconnected.
+    A tree whose vertices all have degree at most 2 is a path and is read
+    from one end; a unit tree with one vertex of degree 3 is a star.  Both
+    are typed by `shape_type`.  Everything else (cycles, other branchings,
+    valued stars) is non-Dynkin.  Raises if the graph is empty or
+    disconnected.
     """
     verts = graph.vertices
     n = len(verts)
@@ -65,41 +103,18 @@ def classify(graph: ValuedGraph) -> DynkinType:
         raise ValueError("graph is disconnected")
     if len(graph.edges) != n - 1:
         return NON_DYNKIN  # a connected graph with >= n edges contains a cycle
-    degree = {v: len(adjacency[v]) for v in verts}
-    is_path = all(d <= 2 for d in degree.values())
+    branch = [v for v in verts if len(adjacency[v]) > 2]
     special = [e for e in graph.edges if e[2] != (1, 1)]
-
-    if not special:
-        if is_path:
-            return DynkinType("A", n)
-        branch = [v for v in verts if degree[v] >= 3]
-        if len(branch) != 1 or degree[branch[0]] != 3:
-            return NON_DYNKIN
-        hub = branch[0]  # without it, a tree with one branch vertex falls apart into its arms
-        arms = sorted(map(len, components(neighbour_lists(
-            [v for v in verts if v != hub], [e for e in graph.edges if hub not in e[:2]]))))
-        if arms[0] == 1 and arms[1] == 1:
-            return DynkinType("D", n)
-        if arms == [1, 2, 2]:
-            return DynkinType("E", 6)
-        if arms == [1, 2, 3]:
-            return DynkinType("E", 7)
-        if arms == [1, 2, 4]:
-            return DynkinType("E", 8)
+    if not branch:  # a path: breadth_first starts at one end and runs along it
+        at = {v: p for p, v in enumerate(breadth_first(adjacency, verts))} if special else {}
+        return shape_type((n, tuple(sorted((min(at[u], at[v]), val) for u, v, val in special))))
+    hub = branch[0]
+    if len(branch) > 1 or len(adjacency[hub]) > 3 or special:
         return NON_DYNKIN
-
-    if len(special) > 1 or not is_path:
-        return NON_DYNKIN
-    u, v, val = special[0]
-    if val == (1, 2):
-        if degree[u] == 1 or degree[v] == 1:
-            return DynkinType("BC", n)
-        if n == 4:
-            return DynkinType("F", 4)  # only the middle edge of a 4-path is non-terminal
-        return NON_DYNKIN
-    if val == (1, 3) and n == 2:
-        return DynkinType("G", 2)
-    return NON_DYNKIN
+    # without the hub, a tree with one branch vertex falls apart into its arms
+    arms = components(neighbour_lists(
+        [v for v in verts if v != hub], [e for e in graph.edges if hub not in e[:2]]))
+    return shape_type(tuple(sorted(map(len, arms))))
 
 
 def catalan(n: int) -> int:

@@ -159,7 +159,7 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
     compare.  A node only assembles what its views hold.
     """
     n = quiver.n
-    engine = SliceEngine(quiver, quiver.vertices)
+    engine = SliceEngine(quiver)
     tables: dict = {}
     views: dict = {}
     nodes: list[HasseNode] = []

@@ -5,48 +5,45 @@ The support tilting modules of a radical-square-zero algebra split into
 modules of a hereditary slice, which is finite exactly when every
 connected component of the slice's underlying graph is Dynkin.
 
-The sum over sign vectors and the product over slice components both
-factor over the quiver's own weakly connected components, so counts and
-finiteness handle each quiver component in turn.
+`transfer_count` sums the sign classes as a transfer matrix.  It sweeps
+the quiver's weakly connected components by minimal vertex, each in
+`quiver.breadth_first` order (from a vertex of least degree, ties and
+neighbours by label), and branches on both signs of each vertex.  A
+slice edge is decided when its later end gets its sign.  The frontier is
+the set of swept vertices with a neighbour still to come.  A state holds
+the frontier's signs and the open slice pieces, those that still hold a
+frontier vertex.  A path is kept as its two ends (a frontier vertex, or
+none once the end has left the frontier), its length, and its frontier
+vertices inside and its non-unit edges, both by position.  A star, a
+unit tree with one vertex of degree 3, is kept as its three arms, each
+an end and a length.  Its centre and the vertices inside its arms are
+kept nowhere: an edge into one of them makes a vertex of degree 4 or a
+second branch.  An edge into a vertex inside a path splits the path into
+two arms of a star, a third edge makes the new vertex a centre, and an
+edge into an arm end makes that arm longer.  States with equal keys
+merge by adding their exact int weights.  A piece with no frontier
+vertex left (for a star, no arm end) is closed: the weight is multiplied
+by its tilting count, read off `dynkin.shape_type` by its shape and
+memoised for one call.  Between components the frontier is empty and
+every state merges into the one empty key, whose weight is the product
+so far.  A connected subgraph of a Dynkin graph is Dynkin and every
+state with a weight comes from some sign vector, so a cycle, a second
+branch, a non-unit edge on a star or an open piece that is not Dynkin
+returns `INFINITE` at once.  `count`, `finite` and `brauer --verify`
+take their counts from the sweep alone.  For `finite` a state holds, in
+place of its weight, the least sign mask reaching it: merged states
+share their futures, so the least mask over all detections, +1 on every
+vertex not yet swept, is the first witness.
 
-`transfer_count` sums one component's sign classes as a transfer matrix.
-It sweeps the vertices in `quiver.breadth_first` order (from a vertex of
-least degree, ties and neighbours by label) and branches on both signs
-of each vertex.  A slice edge is decided when its later end gets its sign.
-The frontier is the set of swept vertices with a neighbour still to come.
-A state holds the frontier's signs and the open slice pieces, those that
-still hold a frontier vertex.  A path is kept as its two ends (a frontier
-vertex, or none once the end has left the frontier), its length, and its
-frontier vertices inside and its non-unit edges, both by position.  A
-star, a unit tree with one vertex of degree 3, is kept as its three arms,
-each an end and a length.  Its centre and the vertices inside its arms
-are kept nowhere: an edge into one of them makes a vertex of degree 4 or
-a second branch.  An edge into a vertex inside a path splits the path
-into two arms of a star, a third edge makes the new vertex a centre, and
-an edge into an arm end makes that arm longer.  States with equal keys
-merge by adding their exact int weights.  A piece with no frontier vertex
-left (for a star, no arm end) is closed: the weight is multiplied by its
-tilting count, `catalan(length)` for an all-unit path and `classify` on
-the piece built from its shape otherwise, memoised for one call.  A
-connected subgraph of a Dynkin graph is Dynkin and every state with a
-weight comes from some sign vector, so a cycle, a second branch, a
-non-unit edge on a star or an open piece that is not Dynkin returns
-`INFINITE` at once.  `count`, `finite` and `brauer --verify` take their
-counts from the sweep alone.  For `finite` a state holds, in place of its
-weight, the least sign mask reaching it: merged states share their
-futures, so the least mask over all detections, +1 on every vertex not
-yet swept, is the first witness.
-
-A `SliceEngine` walks the 2^k sign vectors of one group of vertices and
-owns the sign-mask layout, which the sweep's witness masks follow too.
-Each non-loop arrow owns a bit, and the ORs of the arrows into and out
-of a mask's -1 vertices give its slice and its `signdec` two-term
-column; a walk reads those ORs off two tables, over the high and the low
-half of the mask bits.  A component that fails to classify is an
-internal bug named by its sign vector and vertices.  The engine names
-the non-Dynkin component of the sweep's witness from its one slice, and
-gives the `signdec` rows, the `hasse` walk and `sign_slice_components`
-over the whole vertex set.
+A `SliceEngine` walks the 2^n sign vectors and owns the sign-mask
+layout, which the sweep's witness masks follow too.  Each non-loop arrow
+owns a bit, and the ORs of the arrows into and out of a mask's -1
+vertices give its slice and its `signdec` two-term column; a walk reads
+those ORs off two tables, over the high and the low half of the mask
+bits.  A component that fails to classify is an internal bug named by
+its sign vector and vertices.  The engine names the non-Dynkin component
+of the sweep's witness from its one slice, and gives the `signdec` rows,
+the `hasse` walk and `sign_slice_components`.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .dynkin import DynkinType, catalan, classify, tilting_count
+from .dynkin import DynkinType, classify, shape_type, tilting_count
 from .quiver import SignVector, ValuedGraph, ValuedQuiver, check_signs, format_signs
 from .quiver import breadth_first, components, neighbour_lists
 
@@ -89,11 +86,10 @@ def enumerate_signs(n: int) -> Iterator[SignVector]:
 
 
 class SliceEngine:
-    """Classified sign slices of one group of vertices.
+    """Classified sign slices of a quiver.
 
-    `layout` is the one sign-mask layout: vertex i of the group (0-based, in
-    increasing order) owns bit k - 1 - i of a k-bit mask, set when its sign
-    is -1, so masks 0, 1, 2, ... run through `enumerate_signs(k)` in order.
+    Vertex v owns bit n - v of an n-bit mask, set when its sign is -1, so
+    masks 0, 1, 2, ... run through `enumerate_signs(n)` in order.
     Arrow bit 2e of edge e (lo, hi, unordered valuation) runs from lo to hi
     and bit 2e + 1 back.  With `into` and `out` the arrows into and out of a
     mask's -1 vertices, the slice keeps `into & ~out`, its key folds those
@@ -104,13 +100,13 @@ class SliceEngine:
     life; all masks of one slice share one tuple.
     """
 
-    def __init__(self, quiver: ValuedQuiver, vertices: Iterable[int]):
-        self.bit = bit = self.layout(vertices)
-        self.vertices = tuple(sorted(bit))
+    def __init__(self, quiver: ValuedQuiver):
+        self.vertices = tuple(quiver.vertices)
+        self.bit = bit = {v: 1 << quiver.n - v for v in self.vertices}
         arrows = [
             ((min(a.src, a.tgt), max(a.src, a.tgt), a.val.unordered()), a.src, a.tgt)
             for a in quiver.arrows
-            if a.src != a.tgt and a.src in bit and a.tgt in bit
+            if a.src != a.tgt
         ]
         self._edges = sorted({edge for edge, _, _ in arrows})
         index = {edge: e for e, edge in enumerate(self._edges)}
@@ -122,13 +118,8 @@ class SliceEngine:
         self._slices: dict[int, tuple[Counted, ...]] = {}
         self._classified: dict[tuple, Counted] = {}
 
-    @staticmethod
-    def layout(vertices: Iterable[int]) -> dict[int, int]:
-        """Each vertex's mask bit: the greatest vertex owns bit 0."""
-        return {v: 1 << i for i, v in enumerate(sorted(vertices, reverse=True))}
-
     def signs_text(self, mask: int) -> str:
-        """The mask's signs on the group as `format_signs` writes them."""
+        """The mask's signs as `format_signs` writes them."""
         return format(mask, f"0{len(self.vertices)}b").replace("0", "+").replace("1", "-")
 
     def _sides(self, mask: int) -> tuple[int, int]:
@@ -140,8 +131,8 @@ class SliceEngine:
         return into, out
 
     def rows(self) -> Iterator[tuple[str, tuple[Counted, ...], bool]]:
-        """Every mask of the group, in order: its sign text, its counted slice
-        components and its two-term flag, read off one table per half mask."""
+        """Every mask, in order: its sign text, its counted slice components
+        and its two-term flag, read off one table per half mask."""
         k = len(self.vertices)
         high, low = [
             [(*self._sides(j << at), self.signs_text(j << at)[k - at - width:k - at])
@@ -154,7 +145,7 @@ class SliceEngine:
                 yield text, self._counted(into, out, text), not out & ~into
 
     def walk(self) -> Iterator[tuple[SignVector, tuple[Counted, ...]]]:
-        """Every sign vector of the group, in order, with its counted slice components."""
+        """Every sign vector, in order, with its counted slice components."""
         for signs, (_, parts, _) in zip(enumerate_signs(len(self.vertices)), self.rows()):
             yield signs, parts
 
@@ -227,19 +218,8 @@ def _piece_count(shape: tuple, memo: dict) -> int | Infinite:
     """Tilting count of a path, shaped (length, non-unit edges by position), or
     of a unit star, shaped as its three sorted arm lengths; memoised."""
     count = memo.get(shape)
-    if count is None and len(shape) == 2 and not shape[1]:
-        count = memo[shape] = catalan(shape[0])  # an all-unit path is of type A
-    elif count is None:
-        if len(shape) == 2:
-            length, special = shape
-            vals = dict(special)
-            edges = [(p + 1, p + 2, vals.get(p, _UNIT)) for p in range(length - 1)]
-        else:  # the centre is vertex 1 and each arm runs on from it
-            edges, top = [], 1
-            for arm in shape:
-                edges += [(top + j if j else 1, top + j + 1, _UNIT) for j in range(arm)]
-                top += arm
-        dynkin = classify(ValuedGraph(tuple(range(1, len(edges) + 2)), tuple(edges)))
+    if count is None:
+        dynkin = shape_type(shape)
         count = memo[shape] = tilting_count(dynkin) if dynkin.is_dynkin else INFINITE
     return count
 
@@ -314,24 +294,24 @@ def _join(
     return rest, stars + (star,)
 
 
-def transfer_count(
-    links: Links, group: Sequence[int], memo: dict, witness: bool = False
-) -> int | Infinite:
-    """Sum of one quiver component's sign-class counts by a vertex sweep.
+def transfer_count(quiver: ValuedQuiver, witness: bool = False) -> int | Infinite:
+    """Sum of the quiver's sign-class counts by one vertex sweep over all its
+    components, which makes it the product of the components' sums.
 
     Returns INFINITE as soon as an open slice piece closes a cycle or is not
-    Dynkin (see the module docstring).  `memo` holds piece counts for the
-    length of one call.  With `witness`, a state holds the least
-    `SliceEngine` mask that reaches it in place of its weight, and the sweep
-    runs on past each detection: it returns the least witness mask, or 0 if
-    there is none.
+    Dynkin (see the module docstring).  With `witness`, a state holds the
+    least `SliceEngine` mask that reaches it in place of its weight, and the
+    sweep runs on past each detection: it returns the least witness mask,
+    the quiver's first witness, or 0 if there is none.
     """
-    bit = SliceEngine.layout(group)
+    links = _links(quiver)
+    memo: dict = {}  # piece counts by shape
     best = 0  # mask 0, all +1, has an edgeless slice and is never a witness
-    waiting = {v: len(links[v]) for v in group}
+    waiting = {v: len(links[v]) for v in links}
     frontier: list[int] = []
     states: dict[tuple, int] = {((), (), ()): 0 if witness else 1}
-    for v in breadth_first(links, group):
+    for v in (v for group in components(links) for v in breadth_first(links, group)):
+        bit = 1 << quiver.n - v
         at = {u: i for i, u in enumerate(frontier)}
         # (frontier index, valuation) of the slice edges v can take as +1 and as -1
         plus = [(at[u], out) for u, (out, _) in links[v].items() if u in at and out]
@@ -352,7 +332,7 @@ def transfer_count(
             carried_signs = tuple(signs[i] for i in carried)
             for s, edges in ((1, plus), (-1, minus)):
                 touched = [(i, val) for i, val in edges if signs[i] != s]
-                out = weight | bit[v] if witness and s < 0 else weight
+                out = weight | bit if witness and s < 0 else weight
                 joined = _join(paths, stars, touched, fresh, memo) if touched else (
                     paths + ((fresh, fresh, 1, (), ()),), stars
                 )
@@ -389,19 +369,9 @@ def transfer_count(
     return best if witness else sum(states.values())
 
 
-def _group_counts(
-    quiver: ValuedQuiver, witness: bool = False
-) -> Iterator[tuple[tuple[int, ...], int | Infinite]]:
-    """Each quiver component's vertices and its `transfer_count`, by minimal vertex."""
-    links = _links(quiver)
-    memo: dict = {}
-    for group in components(links):
-        yield group, transfer_count(links, group, memo, witness)
-
-
 def _sign_slice(quiver: ValuedQuiver, signs: Sequence[int]) -> tuple[Counted, ...]:
     signs = check_signs(signs, quiver.n)
-    engine = SliceEngine(quiver, quiver.vertices)
+    engine = SliceEngine(quiver)
     return engine.slice(sum(b for v, b in engine.bit.items() if signs[v - 1] == -1))
 
 
@@ -428,14 +398,9 @@ def count_for_signs(quiver: ValuedQuiver, signs: Sequence[int]) -> int | Infinit
 
 
 def count_support_tilting(quiver: ValuedQuiver) -> int | Infinite:
-    """Total number of support tilting modules: the product over the quiver's
-    components of each component's sum over its sign classes, by the sweep."""
-    total = 1
-    for _, group_total in _group_counts(quiver):
-        if group_total is INFINITE:
-            return INFINITE
-        total *= group_total
-    return total
+    """Total number of support tilting modules: the sum over all sign classes,
+    by one sweep of the whole quiver."""
+    return transfer_count(quiver)
 
 
 def finiteness_witness(
@@ -443,26 +408,20 @@ def finiteness_witness(
 ) -> tuple[SignVector, ValuedGraph] | None:
     """First sign vector whose slice has a non-Dynkin component, with that component.
 
-    The first witness is +1 outside one quiver component and that
-    component's own first witness inside it: setting signs outside the
-    component to +1 keeps the witness and cannot move it later.  The sweep
-    gives each component's first witness mask, whose one slice names the
-    component.
+    The sweep's least detection mask is the first witness; it is +1 outside
+    one quiver component, and its one slice names the non-Dynkin component.
     """
-    found = []
-    for group, mask in _group_counts(quiver, witness=True):
-        if mask == 0:
-            continue
-        engine = SliceEngine(quiver, group)
-        signs = tuple(-1 if mask & engine.bit.get(v, 0) else 1 for v in quiver.vertices)
-        bad = next((graph for graph, dynkin, _ in engine.slice(mask) if not dynkin.is_dynkin), None)
-        if bad is None:
-            raise ArithmeticError(
-                f"witness {format_signs(signs)} is Dynkin on {group}: internal bug"
-            )
-        found.append((signs, bad))
-    # negated vectors compare in enumerate_signs order, +1 before -1
-    return min(found, key=lambda w: tuple(-s for s in w[0]), default=None)
+    mask = transfer_count(quiver, witness=True)
+    if not mask:
+        return None
+    engine = SliceEngine(quiver)
+    signs = tuple(-1 if mask & engine.bit[v] else 1 for v in quiver.vertices)
+    bad = next((graph for graph, dynkin, _ in engine.slice(mask) if not dynkin.is_dynkin), None)
+    if bad is None:
+        first = quiver.n + 1 - mask.bit_length()  # the witness's first -1 vertex
+        group = next(group for group in components(_links(quiver)) if first in group)
+        raise ArithmeticError(f"witness {format_signs(signs)} is Dynkin on {group}: internal bug")
+    return signs, bad
 
 
 def is_tau_tilting_finite(quiver: ValuedQuiver) -> bool:

@@ -68,7 +68,7 @@ from itertools import product
 from operator import attrgetter, mul
 from typing import Iterable, Iterator, Sequence
 
-from taudec.dynkin import DynkinType, catalan, classify, tilting_count
+from taudec.dynkin import NON_DYNKIN, DynkinType, catalan, classify, tilting_count
 from taudec.glue import GLUING, INTERNAL, GluedHasse, HasseNode
 from taudec.quiver import (
     UNIT,
@@ -85,7 +85,14 @@ from taudec.quiver import (
     sign_subquiver,
 )
 from taudec.repa import RigidityTable, Span, UnsupportedComponentError
-from taudec.signdec import INFINITE, Classified, Infinite, enumerate_signs
+from taudec.signdec import (
+    INFINITE,
+    Classified,
+    Infinite,
+    count_support_tilting,
+    enumerate_signs,
+    finiteness_witness,
+)
 
 
 def _paths_of(
@@ -277,8 +284,12 @@ class LabelledTable:
     the labels: the order a table built on the labels would hold.  Its
     complements scan is independent of the table's own mutation graph."""
 
-    def __init__(self, path: tuple[int, ...], arrows: Iterable[tuple[int, int]]) -> None:
-        table = RigidityTable(path_word(path, arrows))
+    def __init__(
+        self, path: tuple[int, ...], arrows: Iterable[tuple[int, int]],
+        table: RigidityTable | None = None,
+    ) -> None:
+        # `table`, when given, is the prebuilt table of the path's orientation word
+        table = table or RigidityTable(path_word(path, arrows))
         labelled = [interval_module(path, span) for span in table.spans]
         order = sorted(range(len(labelled)), key=lambda i: labelled[i].key)
         rank = {i: r for r, i in enumerate(order)}
@@ -601,6 +612,45 @@ def finiteness_witness_scan(
     return None
 
 
+def component_quivers(quiver: ValuedQuiver) -> Iterator[tuple[list[int], ValuedQuiver]]:
+    """Each weakly connected component's vertices, by union-find and by minimal
+    vertex, with the sub-quiver on them relabelled 1..k in increasing order."""
+    for group in union_find_groups(quiver.vertices, ((a.src, a.tgt) for a in quiver.arrows)):
+        label = {v: k for k, v in enumerate(group, 1)}
+        arrows = tuple(Arrow(label[a.src], label[a.tgt], a.val)
+                       for a in quiver.arrows if a.src in label)
+        yield group, ValuedQuiver(len(group), arrows)
+
+
+def count_by_components(quiver: ValuedQuiver) -> int | Infinite:
+    """The count as the product of each component's sub-quiver count: the
+    per-component reference that the one-pass sweep replaced."""
+    total = 1
+    for _, sub in component_quivers(quiver):
+        count = count_support_tilting(sub)
+        if count is INFINITE:
+            return INFINITE
+        total *= count
+    return total
+
+
+def witness_by_components(quiver: ValuedQuiver) -> tuple[SignVector, ValuedGraph] | None:
+    """The first witness as the least of the components' own first witnesses,
+    each with +1 outside its component: the per-component reference that the
+    one-pass sweep replaced."""
+    found = []
+    for group, sub in component_quivers(quiver):
+        witness = finiteness_witness(sub)
+        if witness is not None:
+            signs, graph = [1] * quiver.n, witness[1]
+            for v, s in zip(group, witness[0]):
+                signs[v - 1] = s
+            edges = tuple((group[u - 1], group[v - 1], val) for u, v, val in graph.edges)
+            found.append((tuple(signs), ValuedGraph(tuple(group[v - 1] for v in graph.vertices), edges)))
+    # negated vectors compare in enumerate_signs order, +1 before -1
+    return min(found, key=lambda w: tuple(-s for s in w[0]), default=None)
+
+
 def oriented_path_count(forward: Sequence[bool]) -> int:
     """The count of the path 1 - 2 - ... - n, edge k pointing right when forward[k].
 
@@ -823,6 +873,86 @@ def slice_count_scan(parts: Iterable[Classified]) -> int | Infinite:
             return INFINITE
         total *= tilting_count(dynkin)
     return total
+
+
+def matching_determinant(size: int, edges: Sequence[tuple[int, int, tuple[int, int]]]) -> int:
+    """det(2I - A) of a forest on `size` vertices with A_uv^2 = lo * hi on each
+    edge (u, v, (lo, hi)).  Only fixed points and transpositions along edges
+    survive in the permutation sum, so it is the sum over matchings M of
+    (-1)^|M| 2^(size - 2|M|) times the product of lo * hi over M."""
+    total = 0
+
+    def extend(start: int, used: frozenset, pairs: int, weight: int) -> None:
+        nonlocal total
+        total += (-1) ** pairs * 2 ** (size - 2 * pairs) * weight
+        for i in range(start, len(edges)):
+            u, v, (lo, hi) = edges[i]
+            if u not in used and v not in used:
+                extend(i + 1, used | {u, v}, pairs + 1, weight * lo * hi)
+
+    extend(0, frozenset(), 0, 1)
+    return total
+
+
+def dynkin_by_minors(graph: ValuedGraph) -> DynkinType:
+    """The type of a connected valued graph from determinants alone, calling
+    neither `classify` nor `tilting_count`.
+
+    A connected graph is Dynkin exactly when it has no cycle and 2I - A is
+    positive definite, that is when every leading minor in breadth-first
+    order is positive (Sylvester); on a tree each minor is a
+    `matching_determinant`.  The rank, the determinant and whether every
+    edge is unit then fix the type: det is n + 1 for A_n, 4 for D_n, 3, 2
+    and 1 for E6, E7 and E8, 2 for BC_n, and 1 for F4 and G2.
+    """
+    verts, edges = graph.vertices, graph.edges
+    if len(edges) != len(verts) - 1:
+        return NON_DYNKIN
+    neighbours: dict[int, list[int]] = {v: [] for v in verts}
+    for u, v, _ in edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    order = [verts[0]]
+    for v in order:
+        order += [u for u in neighbours[v] if u not in order]
+    for size in range(1, len(verts) + 1):
+        inside = set(order[:size])
+        det = matching_determinant(size, [e for e in edges if e[0] in inside and e[1] in inside])
+        if det <= 0:
+            return NON_DYNKIN
+    if all(val == (1, 1) for *_, val in edges):
+        family = "A" if det == len(verts) + 1 else "D" if det == 4 else "E"
+    else:
+        family = "BC" if det == 2 else "F" if len(verts) == 4 else "G"
+    return DynkinType(family, len(verts))
+
+
+# exponents of the exceptional types (Bourbaki's tables)
+EXCEPTIONAL_EXPONENTS = {
+    "E6": (1, 4, 5, 7, 8, 11), "E7": (1, 5, 7, 9, 11, 13, 17),
+    "E8": (1, 7, 11, 13, 17, 19, 23, 29), "F4": (1, 5, 7, 11), "G2": (1, 5),
+}
+
+
+def positive_catalan(dynkin: DynkinType) -> int:
+    """The positive Catalan number, the product of (h + e - 1) / (e + 1) over
+    the exponents e, with Coxeter number h one more than the largest
+    (Fomin-Zelevinsky 2003): the number of tilting modules of the type."""
+    family, rank = dynkin.family, dynkin.rank
+    if family == "A":
+        exponents = tuple(range(1, rank + 1))
+    elif family == "BC":
+        exponents = tuple(range(1, 2 * rank, 2))
+    elif family == "D":
+        exponents = tuple(range(1, 2 * rank - 2, 2)) + (rank - 1,)
+    else:
+        exponents = EXCEPTIONAL_EXPONENTS[str(dynkin)]
+    h = max(exponents) + 1
+    value = Fraction(1)
+    for e in exponents:
+        value *= Fraction(h + e - 1, e + 1)
+    assert value.denominator == 1, dynkin
+    return value.numerator
 
 
 # Label-keyed rigidity tables shared between calls: (path, arrows) -> table.

@@ -140,3 +140,11 @@ class TestIdentities:
         from taudec.brauer import IdentityCheck
 
         assert not IdentityCheck("x", 1, 2, 3).passed
+
+
+@pytest.mark.parametrize(
+    "build", [brauer_cycle_quiver, brauer_line_count, brauer_cycle_count, composition_sums],
+)
+def test_rejects_fewer_than_one(build):
+    with pytest.raises(ValueError, match="need n"):
+        build(0)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import runpy
 import sys
 import types
 
@@ -69,7 +70,7 @@ class TestFinite:
         self, quiver_file, capsys, monkeypatch
     ):
         # mask 1 puts -1 on vertex 4 alone: its slice is the path 3 - 4 - 1
-        monkeypatch.setattr(signdec, "transfer_count", lambda links, group, memo, witness: 1)
+        monkeypatch.setattr(signdec, "transfer_count", lambda quiver, witness=False: 1)
         path = quiver_file(quiver_file_text(brauer_cycle_quiver(4)))
         code, out, err = run(capsys, "finite", path)
         assert (code, out) == (4, "")
@@ -578,6 +579,15 @@ class TestBrauer:
         code, out, _ = run(capsys, "brauer", "cycle", "4", "--verify")
         assert (code, out) == (0, "infinite (expected: not tau-tilting-finite)\n")
 
+    @pytest.mark.parametrize(
+        "kind, edges, line",
+        [("cycle", "4", "MISMATCH 7 infinite\n"), ("line", "3", "MISMATCH 7 20\n")],
+    )
+    def test_wrong_count_fails_verification(self, kind, edges, line, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "count_support_tilting", lambda quiver: 7)
+        code, out, _ = run(capsys, "brauer", kind, edges, "--verify")
+        assert (code, out) == (1, line)
+
     def test_emit_quiver_round_trips(self, capsys):
         from taudec.brauer import brauer_cycle_quiver
         from taudec.quiver import parse_quiver
@@ -589,6 +599,14 @@ class TestBrauer:
     def test_bad_n_is_input_error(self, capsys):
         code, _, err = run(capsys, "brauer", "line", "0", "--verify")
         assert code == 2
+
+
+@pytest.mark.filterwarnings("ignore:'taudec.cli' found in sys.modules:RuntimeWarning")
+def test_module_runs_as_a_script(quiver_file, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["taudec", "count", quiver_file("n 2\n")])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("taudec.cli", run_name="__main__")
+    assert (stop.value.code, capsys.readouterr().out) == (0, "4\n")
 
 
 class TestIdentities:

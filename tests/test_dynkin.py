@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import dynkin_by_minors, positive_catalan
 from taudec import dynkin
 from taudec.dynkin import (
     NON_DYNKIN,
@@ -86,6 +87,11 @@ CATALOG = [
 @pytest.mark.parametrize("g,expected", CATALOG)
 def test_classify_catalog(g, expected):
     assert classify(g) == expected
+
+
+def test_classify_rejects_the_empty_graph():
+    with pytest.raises(ValueError, match="empty graph"):
+        classify(ValuedGraph(()))
 
 
 def test_classify_requires_connected():
@@ -198,3 +204,77 @@ class TestTiltingCount:
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         DynkinType("Z", 3)
+
+
+def prufer_trees(n: int):
+    """Every labelled unit tree on 1..n, decoded from its Prüfer code."""
+    for code in itertools.product(range(1, n + 1), repeat=max(0, n - 2)):
+        degree = [0] + [1] * n
+        for v in code:
+            degree[v] += 1
+        edges = []
+        for v in code:
+            leaf = degree.index(1)
+            edges.append((min(leaf, v), max(leaf, v), (1, 1)))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        ends = [u for u in range(1, n + 1) if degree[u] == 1]
+        edges += [(ends[0], ends[1], (1, 1))] if n > 1 else []
+        yield ValuedGraph(tuple(range(1, n + 1)), tuple(edges))
+
+
+def cycle_graph(n: int) -> ValuedGraph:
+    return ValuedGraph(tuple(range(1, n + 1)),
+                       tuple((k, k + 1, (1, 1)) for k in range(1, n)) + ((1, n, (1, 1)),))
+
+
+class TestAgainstMinors:
+    """`classify` and `tilting_count` against determinants and exponents, an
+    oracle that calls neither."""
+
+    def test_every_unit_tree_up_to_six_vertices(self):
+        seen = 0
+        for n in range(1, 7):
+            for tree in prufer_trees(n):
+                assert classify(tree) == dynkin_by_minors(tree), tree
+                seen += 1
+        assert seen == sum(n ** (n - 2) for n in range(2, 7)) + 1
+
+    def test_stars_up_to_nine_vertices(self):
+        dynkin_arms = []
+        for count in (3, 4):
+            for arms in itertools.combinations_with_replacement(range(1, 7), count):
+                if 1 + sum(arms) <= 9:
+                    g = star(arms)
+                    assert classify(g) == dynkin_by_minors(g), arms
+                    if classify(g).is_dynkin:
+                        dynkin_arms.append(arms)
+        assert dynkin_arms == [(1, 1, k) for k in range(1, 7)] + [(1, 2, 2), (1, 2, 3), (1, 2, 4)]
+
+    def test_trees_with_one_or_two_valued_edges_up_to_five_vertices(self):
+        values = ((1, 2), (1, 3), (2, 2))
+        seen = set()
+        for n in range(2, 6):
+            for tree in prufer_trees(n):
+                for count in (1, 2):
+                    for at in itertools.combinations(range(n - 1), count):
+                        for vals in itertools.product(values, repeat=count):
+                            chosen = dict(zip(at, vals))
+                            g = ValuedGraph(tree.vertices, tuple(
+                                (u, v, chosen.get(k, val)) for k, (u, v, val) in enumerate(tree.edges)
+                            ))
+                            assert classify(g) == dynkin_by_minors(g), g
+                            seen.add(str(classify(g)))
+        assert seen == {"BC2", "BC3", "BC4", "BC5", "F4", "G2", "non-Dynkin"}
+
+    def test_unit_cycles(self):
+        for n in range(3, 10):
+            assert classify(cycle_graph(n)) == dynkin_by_minors(cycle_graph(n)) == NON_DYNKIN
+
+    def test_tilting_count_is_the_positive_catalan_number(self):
+        types = [DynkinType("A", n) for n in range(1, 13)]
+        types += [DynkinType("BC", n) for n in range(2, 13)]
+        types += [DynkinType("D", n) for n in range(4, 13)]
+        types += [DynkinType("E", n) for n in (6, 7, 8)] + [DynkinType("F", 4), DynkinType("G", 2)]
+        for dynkin_type in types:
+            assert tilting_count(dynkin_type) == positive_catalan(dynkin_type), dynkin_type

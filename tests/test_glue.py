@@ -534,7 +534,7 @@ def slice_readings(quiver):
     pieces follow, and its word is `signs[v] == -1` along it."""
     tables, views, out = {}, {}, []
     try:
-        for signs, parts in SliceEngine(quiver, quiver.vertices).walk():
+        for signs, parts in SliceEngine(quiver).walk():
             readings = []
             for (graph, _, _), view in zip(parts, component_views(signs, parts, tables, views)):
                 neighbours = neighbour_lists(graph.vertices, graph.edges)

@@ -20,6 +20,7 @@ from taudec.quiver import (
     Arrow,
     QuiverError,
     Valuation,
+    ValuedGraph,
     ValuedQuiver,
     breadth_first,
     check_signs,
@@ -310,3 +311,23 @@ def test_separated_quiver():
 def test_duplicate_ordered_pair_rejected():
     with pytest.raises(QuiverError):
         ValuedQuiver(2, (Arrow(1, 2), Arrow(1, 2, Valuation(2, 2))))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Valuation(0, 1), "valuation entries must be positive"),
+        (lambda: ValuedQuiver(0), "vertex count must be positive"),
+        (lambda: ValuedQuiver(2, (Arrow(1, 3),)), "outside vertex range 1..2"),
+        (lambda: normalize(2, [(1, 2, 1)]), "must have 2 or 4 fields"),
+        (lambda: parse_quiver("n 1 2\n"), "line 1: 'n' takes exactly one integer"),
+        (lambda: ValuedGraph((1, 2), ((1, 1, (1, 1)),)), "self-edge at vertex 1"),
+        (lambda: ValuedGraph((1, 2), ((2, 1, (1, 1)),)), "bad edge"),
+        (lambda: ValuedGraph((1, 2), ((1, 2, (1, 1)), (1, 2, (1, 2)))), "duplicate edge"),
+    ],
+    ids=["valuation", "vertex-count", "arrow-range", "raw-arrow-fields", "n-line-fields",
+         "self-edge", "reversed-edge", "duplicate-edge"],
+)
+def test_malformed_data_raises_quiver_error(build, message):
+    with pytest.raises(QuiverError, match=message):
+        build()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     IntervalModule,
+    LabelledTable,
     PathQuiver,
     TiltingModule,
     all_orientations,
@@ -191,10 +192,10 @@ class TestEulerMatrix:
                 [span_euler_form(word, x, y) for y in spans] for x in spans
             ], word
 
-    def test_tables_equal_the_pairwise_tables_up_to_eight_vertices(self):
+    def test_tables_equal_the_pairwise_tables_up_to_eight_vertices(self, rigidity_tables):
         digests = {size: hashlib.sha256() for size in PAIRWISE_TABLE_DIGESTS}
         for word, spans in every_word():
-            table = RigidityTable(word)
+            table = rigidity_tables[word]
             euler = [[span_euler_form(word, x, y) for y in spans] for x in spans]
             assert table.spans == tuple(spans)
             assert table.ext_out == tuple(
@@ -287,10 +288,13 @@ class TestTiltingModules:
             for quiver in all_orientations(m):
                 assert len(tilting_modules(quiver)) == catalan(m)
 
-    def test_catalan_counts_up_to_eight_vertices(self):
+    def test_catalan_counts_up_to_eight_vertices(self, rigidity_tables):
         for m in (6, 7, 8):
             for quiver in all_orientations(m):
-                assert len(tilting_modules(quiver)) == catalan(m)
+                (path,) = quiver.paths
+                table = rigidity_tables[path_word(path, quiver.arrows)]
+                tables = {(path, quiver.arrows): LabelledTable(path, quiver.arrows, table)}
+                assert len(tilting_modules(quiver, tables)) == catalan(m)
 
     def test_product_over_components(self):
         quiver = PathQuiver((1, 2, 3, 4, 5), ((1, 2), (4, 5)))

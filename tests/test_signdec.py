@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    component_quivers,
+    count_by_components,
     count_support_tilting_scan,
     disjoint_union,
     finite_by_separated_quiver,
@@ -23,6 +25,7 @@ from oracles import (
     slice_count_scan,
     transposed,
     two_term_tilting,
+    witness_by_components,
 )
 from taudec import cli, signdec
 from taudec.dynkin import catalan, tilting_count
@@ -45,7 +48,6 @@ from taudec.signdec import (
     count_support_tilting,
     enumerate_signs,
     finiteness_witness,
-    _group_counts,
     is_tau_tilting_finite,
     sign_slice_components,
     slice_count,
@@ -56,6 +58,11 @@ THREE_CYCLE = ValuedQuiver(3, (Arrow(1, 2), Arrow(2, 3), Arrow(3, 1)))
 
 def doubled_arrow():
     return ValuedQuiver(2, (Arrow(1, 2, Valuation(2, 2)),))
+
+
+def test_infinite_prints_as_infinite():
+    assert repr(INFINITE) == "infinite"
+    assert Infinite() is INFINITE
 
 
 class TestEnumerateSigns:
@@ -265,7 +272,7 @@ class TestAgainstScan:
     @given(FAMILIES, SEEDS)
     def test_slice_rows(self, family, seed):
         quiver = sample_quiver(family, seed)
-        rows = list(SliceEngine(quiver, quiver.vertices).walk())
+        rows = list(SliceEngine(quiver).walk())
         assert [signs for signs, _ in rows] == list(enumerate_signs(quiver.n))
         for signs, parts in rows:
             want = sign_slice_components_scan(quiver, signs)
@@ -329,7 +336,7 @@ class TestCountsHeldByTheEngine:
             return components(neighbours)
 
         monkeypatch.setattr(signdec, "components", counted)
-        rows = list(SliceEngine(quiver, quiver.vertices).walk())
+        rows = list(SliceEngine(quiver).walk())
         assert len(calls) <= len({kept_edges(quiver, signs) for signs, _ in rows})
         for signs, parts in rows:
             want = sign_slice_components_scan(quiver, signs)
@@ -344,7 +351,7 @@ class TestCountsHeldByTheEngine:
             return tilting_count(dynkin)
 
         monkeypatch.setattr(signdec, "tilting_count", counted)
-        rows = list(SliceEngine(quiver, quiver.vertices).walk())
+        rows = list(SliceEngine(quiver).walk())
         counts = [slice_count(parts) for _, parts in rows]
         distinct = {(graph.vertices, graph.edges) for _, parts in rows for graph, _, _ in parts}
         assert len(calls) <= len(distinct)
@@ -358,13 +365,13 @@ class TestTwoTerm:
     against the per-arrow scan.  Odd n gives halves of unequal width."""
 
     def check(self, quiver):
-        rows = list(SliceEngine(quiver, quiver.vertices).rows())
+        rows = list(SliceEngine(quiver).rows())
         assert len(rows) == 2 ** quiver.n
         for mask, (signs, (text, parts, two_term)) in enumerate(
             zip(enumerate_signs(quiver.n), rows)
         ):
             assert text == format_signs(signs)
-            assert parts == SliceEngine(quiver, quiver.vertices).slice(mask)
+            assert parts == SliceEngine(quiver).slice(mask)
             assert two_term == two_term_tilting(quiver, signs)
 
     @settings(max_examples=60, deadline=None)
@@ -399,7 +406,7 @@ class TestTwoTerm:
 
     def test_two_edges_on_a_pair_stay_two_edges(self):
         quiver = ValuedQuiver(2, (Arrow(1, 2, Valuation(1, 2)), Arrow(2, 1, Valuation(1, 3))))
-        rows = list(SliceEngine(quiver, quiver.vertices).rows())
+        rows = list(SliceEngine(quiver).rows())
         assert [[graph.edges for graph, _, _ in parts] for _, parts, _ in rows] == [
             [(), ()], [((1, 2, (1, 2)),)], [((1, 2, (1, 3)),)], [(), ()]
         ]
@@ -476,10 +483,10 @@ def sweep_quiver(family: str, max_val: int, seed: int) -> ValuedQuiver:
     return shuffled(rng, ValuedQuiver(base.n + rng.randint(1, 3), base.arrows))
 
 
-def walk_total(quiver: ValuedQuiver, group) -> int | Infinite:
-    """One quiver component's sum over its sign classes, by the slice engine."""
+def walk_total(quiver: ValuedQuiver) -> int | Infinite:
+    """The quiver's sum over its sign classes, by the slice engine."""
     total = 0
-    for _, parts in SliceEngine(quiver, group).walk():
+    for _, parts in SliceEngine(quiver).walk():
         part = slice_count(parts)
         if part is INFINITE:
             return INFINITE
@@ -488,7 +495,8 @@ def walk_total(quiver: ValuedQuiver, group) -> int | Infinite:
 
 
 def sweep_counts(quiver: ValuedQuiver) -> list:
-    return [count for _, count in _group_counts(quiver)]
+    """The sweep's count of each quiver component's sub-quiver, by minimal vertex."""
+    return [count_support_tilting(sub) for _, sub in component_quivers(quiver)]
 
 
 def valued_path(vals) -> ValuedQuiver:
@@ -512,12 +520,33 @@ def infinite_quiver(rng: random.Random, max_val: int) -> ValuedQuiver:
             return quiver
 
 
+def interleaved_union(seed: int) -> ValuedQuiver:
+    """Two to four random valued quivers with loops, and up to three isolated
+    vertices, side by side with their labels shuffled together."""
+    rng = random.Random(seed)
+    quiver = random_quiver(rng, max_n=4, max_val=rng.randint(1, 3))
+    for _ in range(rng.randint(1, 3)):
+        quiver = disjoint_union(quiver, random_quiver(rng, max_n=4, max_val=rng.randint(1, 3)))
+    return shuffled(rng, ValuedQuiver(quiver.n + rng.randint(0, 3), quiver.arrows))
+
+
 SWEEP_FAMILIES = st.sampled_from(("plain", "union", "isolated", "cycle"))
 VALUATIONS = st.sampled_from((1, 2, 3))
 
 
 class TestSweep:
     """The transfer-matrix sweep against the plain scan and against the walk."""
+
+    def test_one_pass_against_the_per_component_reference(self):
+        infinite_parts = []
+        for seed in range(300):
+            quiver = interleaved_union(seed)
+            assert count_support_tilting(quiver) == count_by_components(quiver)
+            assert finiteness_witness(quiver) == witness_by_components(quiver)
+            infinite_parts.append(sum(finiteness_witness(sub) is not None
+                                      for _, sub in component_quivers(quiver)))
+        # finite unions, and unions whose first witness is the least of several
+        assert infinite_parts.count(0) >= 30 and sum(k > 1 for k in infinite_parts) >= 30
 
     @settings(max_examples=80, deadline=None)
     @given(SWEEP_FAMILIES, VALUATIONS, SEEDS)
@@ -529,8 +558,8 @@ class TestSweep:
     @given(SWEEP_FAMILIES, VALUATIONS, SEEDS)
     def test_each_component_against_its_walk(self, family, max_val, seed):
         quiver = sweep_quiver(family, max_val, seed)
-        for group, count in _group_counts(quiver):
-            assert count == walk_total(quiver, group)
+        for _, sub in component_quivers(quiver):
+            assert count_support_tilting(sub) == walk_total(sub)
 
     @pytest.mark.parametrize(
         "quiver, finite",
@@ -807,7 +836,7 @@ class TestSweepWithoutWalk:
             f"infinite\nwitness: signs={'+-' * 6} component={{{component}}}\n"
         )
 
-    def test_one_slice_per_infinite_component(self, monkeypatch):
+    def test_one_slice_for_the_first_witness(self, monkeypatch):
         built = []
         original = SliceEngine.slice
 
@@ -818,7 +847,7 @@ class TestSweepWithoutWalk:
         monkeypatch.setattr(SliceEngine, "slice", counted)
         quiver = disjoint_union(brauer_cycle_quiver(12), brauer_cycle_quiver(4))
         assert finiteness_witness(quiver)[0] == (1,) * 12 + (1, -1, 1, -1)
-        assert built == [0b010101010101, 0b0101]
+        assert built == [0b0101]
 
     @pytest.mark.parametrize(
         "quiver",
@@ -891,7 +920,7 @@ class TestCorpus:
         want = []
         for quiver in corpus:
             counts, first = [], None
-            for text, parts, _ in SliceEngine(quiver, quiver.vertices).rows():
+            for text, parts, _ in SliceEngine(quiver).rows():
                 counts.append(slice_count(parts))
                 bad = [graph for graph, dynkin, _ in parts if not dynkin.is_dynkin]
                 if bad and first is None:
