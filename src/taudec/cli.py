@@ -74,7 +74,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_signdec(args: argparse.Namespace) -> int:
     quiver = _load_quiver(args.path)
-    print("# signs  components  count  two_term_tilting")
+    write = sys.stdout.write
+    write("# signs  components  count  two_term_tilting\n")
     # component cells and row tails, by the id of the tuples the engine keeps alive
     texts: dict[int, str] = {}
     for text, parts, two_term in SliceEngine(quiver).rows():
@@ -85,7 +86,7 @@ def cmd_signdec(args: argparse.Namespace) -> int:
                     texts[id(part)] = f"{part[1]}{{{','.join(map(str, part[0].vertices))}}}"
             row = ",".join([texts[id(part)] for part in parts])
             tail = texts[id(parts)] = f"  {row}  {_count_text(slice_count(parts))}  "
-        print(text + tail + ("true" if two_term else "false"))
+        write(text + tail + ("true\n" if two_term else "false\n"))
     return 0
 
 

@@ -40,10 +40,13 @@ layout, which the sweep's witness masks follow too.  Each non-loop arrow
 owns a bit, and the ORs of the arrows into and out of a mask's -1
 vertices give its slice and its `signdec` two-term column; a walk reads
 those ORs off two tables, over the high and the low half of the mask
-bits.  A component that fails to classify is an internal bug named by
-its sign vector and vertices.  The engine names the non-Dynkin component
-of the sweep's witness from its one slice, and gives the `signdec` rows,
-the `hasse` walk and `sign_slice_components`.
+bits.  Each distinct slice is split by one union pass over its edge bits,
+merging vertex groups by size, and each distinct component, keyed by its
+vertex and edge bits, is classified once.  A component that fails to
+classify is an internal bug named by its sign vector and vertices.  The
+engine names the non-Dynkin component of the sweep's witness from its one
+slice, and gives the `signdec` rows, the `hasse` walk and
+`sign_slice_components`.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .dynkin import DynkinType, classify, shape_type, tilting_count
 from .quiver import SignVector, ValuedGraph, ValuedQuiver, check_signs, format_signs
-from .quiver import breadth_first, components, neighbour_lists
+from .quiver import breadth_first, components
 
 Classified = tuple[ValuedGraph, DynkinType]
 
@@ -85,6 +88,14 @@ def enumerate_signs(n: int) -> Iterator[SignVector]:
     return product((1, -1), repeat=n)
 
 
+def _set_bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 class SliceEngine:
     """Classified sign slices of a quiver.
 
@@ -96,8 +107,13 @@ class SliceEngine:
     onto even bits, and the mask is two-term when `out & ~into` is 0.
     `rows` tables `into`, `out` and the sign text of each setting of either
     half of the mask bits, for one walk.  Each distinct kept-edge set is
-    split, and each labelled component classified, once for the engine's
-    life; all masks of one slice share one tuple.
+    split once for the engine's life, and all masks of one slice share one
+    tuple.  The split walks the set key bits once; each edge bit names its
+    two vertex bits, and a group [vertex mask, edge mask, member bits]
+    absorbs the smaller group it meets (union by size).  Components come
+    out by minimal vertex, from the highest vertex bit down.  A component is
+    decoded from its bits and classified once per (vertex mask, edge mask);
+    a lone vertex is A1 without `classify`.
     """
 
     def __init__(self, quiver: ValuedQuiver):
@@ -115,8 +131,11 @@ class SliceEngine:
         for edge, src, tgt in arrows:
             self._ends[bit[tgt]][0] |= 1 << 2 * index[edge] + (src > tgt)
             self._ends[bit[src]][1] |= 1 << 2 * index[edge] + (src > tgt)
+        # each edge's key bit -> its two vertex bits; each vertex bit -> its label
+        self._pair = {1 << 2 * e: (bit[lo], bit[hi]) for e, (lo, hi, _) in enumerate(self._edges)}
+        self._label = {b: v for v, b in bit.items()}
         self._slices: dict[int, tuple[Counted, ...]] = {}
-        self._classified: dict[tuple, Counted] = {}
+        self._classified: dict[tuple[int, int], Counted] = {}
 
     def signs_text(self, mask: int) -> str:
         """The mask's signs as `format_signs` writes them."""
@@ -163,30 +182,61 @@ class SliceEngine:
         return found
 
     def _split(self, key: int, text: str) -> tuple[Counted, ...]:
-        kept = [edge for e, edge in enumerate(self._edges) if key >> 2 * e & 1]
-        comps = components(neighbour_lists(self.vertices, kept))
-        edges: list[list] = [[] for _ in comps]
-        if kept:
-            owner = {v: k for k, comp in enumerate(comps) for v in comp}
-            for edge in kept:
-                edges[owner[edge[0]]].append(edge)
+        # union by size over the kept edges: a group is [vertex mask, edge mask, member bits]
+        pair, classified = self._pair, self._classified
+        owner: dict[int, list] = {}
+        while key:
+            e = key & -key
+            key ^= e
+            u, w = pair[e]
+            g, h = owner.get(u), owner.get(w)
+            if g is h:
+                if g is None:
+                    owner[u] = owner[w] = [u | w, e, [u, w]]
+                else:
+                    g[1] |= e  # an edge inside one group closes a cycle and is kept too
+                continue
+            if g is None or h is not None and len(g[2]) < len(h[2]):
+                g, h, w = h, g, u  # g is the larger group, w the other end
+            if h is None:
+                g[0] |= w
+                g[1] |= e
+                g[2].append(w)
+                owner[w] = g
+            else:
+                g[0] |= h[0]
+                g[1] |= h[1] | e
+                g[2] += h[2]
+                for b in h[2]:
+                    owner[b] = g
         parts = []
-        for comp, es in zip(comps, edges):
-            labelled = (comp, tuple(es))
-            found = self._classified.get(labelled)
-            if found is None:
-                try:
-                    graph = ValuedGraph(*labelled)
-                    dynkin = classify(graph)
-                except ValueError as exc:  # QuiverError too: a slice of a valid quiver is valid
-                    raise ArithmeticError(
-                        f"slice of signs {text} on vertices {self.vertices}, "
-                        f"component {comp}: {exc}: internal bug"
-                    ) from exc
-                count = tilting_count(dynkin) if dynkin.is_dynkin else INFINITE
-                found = self._classified[labelled] = (graph, dynkin, count)
-            parts.append(found)
+        for b in self._label:  # vertex bits from the highest: by minimal vertex
+            g = owner.get(b)
+            if g is None:
+                bits = (b, 0)
+            elif g[0] < b << 1:  # b is the group's highest bit, its minimal vertex
+                bits = (g[0], g[1])
+            else:
+                continue
+            parts.append(classified.get(bits) or self._component(bits, text))
         return tuple(parts)
+
+    def _component(self, bits: tuple[int, int], text: str) -> Counted:
+        """Build, classify and keep the component on these vertex and key bits,
+        decoded from their set bits alone."""
+        comp = tuple(sorted(self._label[b] for b in _set_bits(bits[0])))
+        es = tuple(self._edges[e.bit_length() >> 1] for e in _set_bits(bits[1]))
+        try:
+            graph = ValuedGraph(comp, es)
+            dynkin = classify(graph) if es else shape_type((1, ()))  # a lone vertex is A1
+        except ValueError as exc:  # QuiverError too: a slice of a valid quiver is valid
+            raise ArithmeticError(
+                f"slice of signs {text} on vertices {self.vertices}, "
+                f"component {comp}: {exc}: internal bug"
+            ) from exc
+        count = tilting_count(dynkin) if dynkin.is_dynkin else INFINITE
+        found = self._classified[bits] = (graph, dynkin, count)
+        return found
 
 
 # links[v][u] = [valuation of v -> u, valuation of u -> v], None where absent

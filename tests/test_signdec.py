@@ -34,7 +34,6 @@ from taudec.quiver import (
     Arrow,
     Valuation,
     ValuedQuiver,
-    components,
     format_signs,
     parse_quiver,
     quiver_file_text,
@@ -330,14 +329,16 @@ class TestCountsHeldByTheEngine:
     @ENGINE_QUIVERS
     def test_one_split_per_distinct_slice(self, quiver, monkeypatch):
         calls = []
+        original = SliceEngine._split
 
-        def counted(neighbours):
-            calls.append(neighbours)
-            return components(neighbours)
+        def counted(engine, key, text):
+            calls.append(key)
+            return original(engine, key, text)
 
-        monkeypatch.setattr(signdec, "components", counted)
+        monkeypatch.setattr(SliceEngine, "_split", counted)
         rows = list(SliceEngine(quiver).walk())
-        assert len(calls) <= len({kept_edges(quiver, signs) for signs, _ in rows})
+        assert len(calls) == len(set(calls))
+        assert len(calls) == len({kept_edges(quiver, signs) for signs, _ in rows})
         for signs, parts in rows:
             want = sign_slice_components_scan(quiver, signs)
             assert [(graph, dynkin) for graph, dynkin, _ in parts] == list(want)
@@ -357,6 +358,84 @@ class TestCountsHeldByTheEngine:
         assert len(calls) <= len(distinct)
         assert counts == [slice_count_scan(sign_slice_components_scan(quiver, signs))
                           for signs, _ in rows]
+
+
+def wide_quiver(rng: random.Random) -> tuple[ValuedQuiver, list[int]]:
+    """A quiver on more than 64 vertices, relabelled so that its pieces'
+    labels interleave, with the images of its even Brauer 4-cycle in cycle
+    order and of its pair 1, 2 that carries two edges of unequal valuations.
+
+    Besides those, it holds a loop, isolated vertices and random valued
+    pieces with loops and 2-cycles.
+    """
+    pieces = [
+        brauer_cycle_quiver(4),
+        ValuedQuiver(2, (Arrow(1, 2, Valuation(1, 2)), Arrow(2, 1, Valuation(1, 3)))),
+        ValuedQuiver(1, (Arrow(1, 1),)),
+        ValuedQuiver(rng.randint(1, 4)),
+    ]
+    quiver = pieces[0]
+    for piece in pieces[1:]:
+        quiver = disjoint_union(quiver, piece)
+    while quiver.n <= 64:
+        quiver = disjoint_union(quiver, random_quiver(rng, max_n=6, max_val=3))
+    images = rng.sample(range(1, quiver.n + 1), quiver.n)
+    return relabelled(quiver, images), images[:6]
+
+
+def witness_quiver() -> ValuedQuiver:
+    """Brauer line 8 beside 200 Brauer four-cycles: 808 vertices."""
+    quiver = brauer_line_quiver(8)
+    for _ in range(200):
+        quiver = disjoint_union(quiver, brauer_cycle_quiver(4))
+    return quiver
+
+
+class TestPastAMachineWord:
+    """`SliceEngine.slice` on masks wider than 64 bits against the scan,
+    which builds each slice as a quiver and splits it by a neighbour walk."""
+
+    @staticmethod
+    def check(engine: SliceEngine, quiver: ValuedQuiver, signs) -> tuple:
+        parts = engine.slice(sum(engine.bit[v] for v in quiver.vertices if signs[v - 1] == -1))
+        want = sign_slice_components_scan(quiver, signs)
+        assert [(graph, dynkin) for graph, dynkin, _ in parts] == list(want)
+        assert slice_count(parts) == slice_count_scan(want)
+        return parts
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_masks(self, seed):
+        rng = random.Random(seed)
+        quiver, (*cycle, a, b) = wide_quiver(rng)
+        assert quiver.n > 64
+        engine = SliceEngine(quiver)
+        for k in range(8):
+            signs = [rng.choice((1, -1)) for _ in quiver.vertices]
+            # the pair keeps one of its two edges, each way in turn
+            signs[a - 1], signs[b - 1] = (1, -1) if k % 2 else (-1, 1)
+            if k < 2:  # alternating signs keep the whole even cycle
+                for i, v in enumerate(cycle):
+                    signs[v - 1] = (-1) ** (i + k)
+            parts = self.check(engine, quiver, signs)
+            pair = next(graph for graph, _, _ in parts if a in graph.vertices)
+            assert pair.edges == ((min(a, b), max(a, b), (1, 2) if k % 2 else (1, 3)),)
+            if k < 2:
+                ring = next((graph, dynkin) for graph, dynkin, _ in parts
+                            if cycle[0] in graph.vertices)
+                assert ring[0].vertices == tuple(sorted(cycle)) and len(ring[0].edges) == 4
+                assert not ring[1].is_dynkin
+
+    def test_witness_slice_of_808_vertices(self):
+        quiver = witness_quiver()
+        engine = SliceEngine(quiver)
+        mask = signdec.transfer_count(quiver, witness=True)
+        witness = [-1 if mask & engine.bit[v] else 1 for v in quiver.vertices]
+        parts = self.check(engine, quiver, witness)
+        assert len(parts) == 805
+        assert [str(dynkin) for _, dynkin, _ in parts].count("A1") == 804
+        rng = random.Random(808)
+        for _ in range(3):
+            self.check(engine, quiver, [rng.choice((1, -1)) for _ in quiver.vertices])
 
 
 class TestTwoTerm:
