@@ -9,10 +9,10 @@ and their counts agree.
 One table, `shape_type`, names the type of a path from its length and
 its non-unit edges by position, and of a unit star from its three arm
 lengths.  `classify` reduces a graph to that shape and reads the table;
-the sign sweep reads it directly.  The classifier walks graphs only
-through `quiver`: `neighbour_lists` and `components` check connectivity,
-`breadth_first` runs a path from one end, and the arms of a tree with one
-branch vertex are the components left when that vertex is removed.
+the sign sweep reads it directly.  The classifier walks graphs only by
+`quiver.breadth_first`: one walk checks connectivity and runs a path from
+one end, and the arms of a tree with one branch vertex are what each of
+its neighbours reaches once that vertex is removed.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quiver import ValuedGraph, breadth_first, components, neighbour_lists
+from .quiver import ValuedGraph, breadth_first, neighbour_lists
 
 _FAMILIES = ("A", "BC", "D", "E", "F", "G", "non-Dynkin")
+_EXCEPTIONAL = (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
 
 
 class NonDynkinError(ValueError):
@@ -37,6 +38,8 @@ class DynkinType:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if self.family in ("E", "F", "G") and (self.family, self.rank) not in _EXCEPTIONAL:
+            raise ValueError(f"no Dynkin type {self.family}{self.rank}")
 
     @property
     def is_dynkin(self) -> bool:
@@ -99,22 +102,23 @@ def classify(graph: ValuedGraph) -> DynkinType:
     if n == 0:
         raise ValueError("cannot classify the empty graph")
     adjacency = neighbour_lists(verts, graph.edges)
-    if len(components(adjacency)) != 1:
+    order = breadth_first(adjacency, verts)
+    if len(order) != n:
         raise ValueError("graph is disconnected")
     if len(graph.edges) != n - 1:
         return NON_DYNKIN  # a connected graph with >= n edges contains a cycle
     branch = [v for v in verts if len(adjacency[v]) > 2]
     special = [e for e in graph.edges if e[2] != (1, 1)]
     if not branch:  # a path: breadth_first starts at one end and runs along it
-        at = {v: p for p, v in enumerate(breadth_first(adjacency, verts))} if special else {}
+        at = {v: p for p, v in enumerate(order)} if special else {}
         return shape_type((n, tuple(sorted((min(at[u], at[v]), val) for u, v, val in special))))
     hub = branch[0]
     if len(branch) > 1 or len(adjacency[hub]) > 3 or special:
         return NON_DYNKIN
     # without the hub, a tree with one branch vertex falls apart into its arms
-    arms = components(neighbour_lists(
-        [v for v in verts if v != hub], [e for e in graph.edges if hub not in e[:2]]))
-    return shape_type(tuple(sorted(map(len, arms))))
+    rest = neighbour_lists(
+        [v for v in verts if v != hub], [e for e in graph.edges if hub not in e[:2]])
+    return shape_type(tuple(sorted(len(breadth_first(rest, (u,))) for u in adjacency[hub])))
 
 
 def catalan(n: int) -> int:

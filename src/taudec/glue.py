@@ -191,12 +191,13 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
         pairs.sort()
         arrows.extend((i, j, INTERNAL) if ahead else (j, i, INTERNAL) for i, j, ahead in pairs)
 
-    for (upper, v, _), pair in sorted(ends.items()):
+    for (_, v, _), pair in sorted(ends.items()):
         pair.sort(reverse=True)
         if [side for side, _ in pair] != [1, -1]:
+            signs = nodes[pair[0][1]].signs  # the upper signs are +1 at v
             raise ArithmeticError(
-                f"open mutation ends below {engine.signs_text(upper)} at vertex {v} "
-                "do not pair up: internal bug"
+                f"open mutation ends below {format_signs(signs[:v - 1] + (1,) + signs[v:])} "
+                f"at vertex {v} do not pair up: internal bug"
             )
         (_, top), (_, bottom) = pair
         arrows.append((top, bottom, GLUING))

@@ -5,9 +5,9 @@ Vertices are numbered 1..n.  Every arrow carries a valuation, a pair
 parallel arrows into a single arrow valued (m, m).  After normalization a
 quiver holds at most one arrow per ordered vertex pair; loops are allowed.
 
-The package's two graph walks live here: `components` splits a graph into
-connected components and `breadth_first` orders one from a vertex of least
-degree.  Both take neighbour lists, which `neighbour_lists` builds.
+The package's one graph walk lives here: `breadth_first` orders the
+connected component of a group's vertex of least degree, breadth first
+from that vertex.  It takes neighbour lists, which `neighbour_lists` builds.
 
 All values are immutable and every operation is a pure function, so shared
 instances are safe to use concurrently.
@@ -205,34 +205,10 @@ def sign_subquiver(quiver: ValuedQuiver, signs: Sequence[int]) -> ValuedQuiver:
     return ValuedQuiver(quiver.n, kept)
 
 
-def components(neighbours: Mapping[int, Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """Connected components of an undirected graph given by neighbour lists.
-
-    Every vertex is a key of `neighbours` and every edge is listed at both
-    ends.  Returns sorted vertex tuples, ordered by minimal vertex.
-    """
-    seen: set[int] = set()
-    out = []
-    for start in sorted(neighbours):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        stack = [start]
-        while stack:
-            for w in neighbours[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comp.sort()
-        out.append(tuple(comp))
-    return tuple(out)
-
-
 def breadth_first(neighbours: Mapping[int, Collection[int]], group: Iterable[int]) -> list[int]:
-    """Breadth-first order of a connected group from a vertex of least degree;
-    ties and neighbours by label.  On a path it starts at the smaller end."""
+    """Breadth-first order of the component of a group's vertex of least
+    degree, from that vertex; ties and neighbours by label.  On a path it
+    starts at the smaller end."""
     order = [min(group, key=lambda v: (len(neighbours[v]), v))]
     seen = set(order)
     for v in order:

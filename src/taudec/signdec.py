@@ -6,9 +6,9 @@ modules of a hereditary slice, which is finite exactly when every
 connected component of the slice's underlying graph is Dynkin.
 
 `transfer_count` sums the sign classes as a transfer matrix.  It sweeps
-the quiver's weakly connected components by minimal vertex, each in
-`quiver.breadth_first` order (from a vertex of least degree, ties and
-neighbours by label), and branches on both signs of each vertex.  A
+the quiver's weakly connected components by minimal vertex, each found
+and ordered by `quiver.breadth_first` (from a vertex of least degree, ties
+and neighbours by label), and branches on both signs of each vertex.  A
 slice edge is decided when its later end gets its sign.  The frontier is
 the set of swept vertices with a neighbour still to come.  A state holds
 the frontier's signs and the open slice pieces, those that still hold a
@@ -46,7 +46,7 @@ vertex and edge bits, is classified once.  A component that fails to
 classify is an internal bug named by its sign vector and vertices.  The
 engine names the non-Dynkin component of the sweep's witness from its one
 slice, and gives the `signdec` rows, the `hasse` walk and
-`sign_slice_components`.
+`sign_slice_components`.  Sign text is always `quiver.format_signs`.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .dynkin import DynkinType, classify, shape_type, tilting_count
-from .quiver import SignVector, ValuedGraph, ValuedQuiver, check_signs, format_signs
-from .quiver import breadth_first, components
+from .quiver import SignVector, ValuedGraph, ValuedQuiver, breadth_first, check_signs
+from .quiver import format_signs
 
 Classified = tuple[ValuedGraph, DynkinType]
 
@@ -105,15 +105,15 @@ class SliceEngine:
     and bit 2e + 1 back.  With `into` and `out` the arrows into and out of a
     mask's -1 vertices, the slice keeps `into & ~out`, its key folds those
     onto even bits, and the mask is two-term when `out & ~into` is 0.
-    `rows` tables `into`, `out` and the sign text of each setting of either
-    half of the mask bits, for one walk.  Each distinct kept-edge set is
-    split once for the engine's life, and all masks of one slice share one
-    tuple.  The split walks the set key bits once; each edge bit names its
-    two vertex bits, and a group [vertex mask, edge mask, member bits]
-    absorbs the smaller group it meets (union by size).  Components come
-    out by minimal vertex, from the highest vertex bit down.  A component is
-    decoded from its bits and classified once per (vertex mask, edge mask);
-    a lone vertex is A1 without `classify`.
+    `rows` tables `into`, `out` and the `format_signs` text of each setting
+    of either half of the mask bits, for one walk.  Each distinct kept-edge
+    set is split once for the engine's life, and all masks of one slice
+    share one tuple.  The split walks the set key bits once; each edge bit
+    names its two vertex bits, and a group [vertex mask, edge mask, member
+    bits] absorbs the smaller group it meets (union by size).  Components
+    come out by minimal vertex, from the highest vertex bit down.  A
+    component is decoded from its bits and classified once per (vertex
+    mask, edge mask); a lone vertex is A1 without `classify`.
     """
 
     def __init__(self, quiver: ValuedQuiver):
@@ -137,10 +137,6 @@ class SliceEngine:
         self._slices: dict[int, tuple[Counted, ...]] = {}
         self._classified: dict[tuple[int, int], Counted] = {}
 
-    def signs_text(self, mask: int) -> str:
-        """The mask's signs as `format_signs` writes them."""
-        return format(mask, f"0{len(self.vertices)}b").replace("0", "+").replace("1", "-")
-
     def _sides(self, mask: int) -> tuple[int, int]:
         """The arrows into and out of the mask's -1 vertices."""
         into = out = 0
@@ -154,8 +150,8 @@ class SliceEngine:
         and its two-term flag, read off one table per half mask."""
         k = len(self.vertices)
         high, low = [
-            [(*self._sides(j << at), self.signs_text(j << at)[k - at - width:k - at])
-             for j in range(1 << width)]
+            [(*self._sides(j << at), format_signs(signs))
+             for j, signs in enumerate(product((1, -1), repeat=width))]
             for at, width in ((k // 2, k - k // 2), (0, k // 2))
         ]
         for high_into, high_out, high_text in high:
@@ -168,10 +164,11 @@ class SliceEngine:
         for signs, (_, parts, _) in zip(enumerate_signs(len(self.vertices)), self.rows()):
             yield signs, parts
 
-    def slice(self, mask: int) -> tuple[Counted, ...]:
-        """Components of the mask's slice with their Dynkin types and tilting
-        counts, by minimal vertex; one shared tuple per kept-edge set."""
-        return self._counted(*self._sides(mask), self.signs_text(mask))
+    def slice(self, signs: SignVector) -> tuple[Counted, ...]:
+        """Components of the sign vector's slice with their Dynkin types and
+        tilting counts, by minimal vertex; one shared tuple per kept-edge set."""
+        mask = sum(b for v, b in self.bit.items() if signs[v - 1] == -1)
+        return self._counted(*self._sides(mask), format_signs(signs))
 
     def _counted(self, into: int, out: int, text: str) -> tuple[Counted, ...]:
         kept = into & ~out  # at most one arrow of an edge: fold it onto the even bit
@@ -360,7 +357,10 @@ def transfer_count(quiver: ValuedQuiver, witness: bool = False) -> int | Infinit
     waiting = {v: len(links[v]) for v in links}
     frontier: list[int] = []
     states: dict[tuple, int] = {((), (), ()): 0 if witness else 1}
-    for v in (v for group in components(links) for v in breadth_first(links, group)):
+    swept: set[int] = set()  # components by least vertex, each in breadth-first order
+    for v in (u for w in links if w not in swept
+              for u in breadth_first(links, breadth_first(links, (w,)))):
+        swept.add(v)
         bit = 1 << quiver.n - v
         at = {u: i for i, u in enumerate(frontier)}
         # (frontier index, valuation) of the slice edges v can take as +1 and as -1
@@ -420,9 +420,7 @@ def transfer_count(quiver: ValuedQuiver, witness: bool = False) -> int | Infinit
 
 
 def _sign_slice(quiver: ValuedQuiver, signs: Sequence[int]) -> tuple[Counted, ...]:
-    signs = check_signs(signs, quiver.n)
-    engine = SliceEngine(quiver)
-    return engine.slice(sum(b for v, b in engine.bit.items() if signs[v - 1] == -1))
+    return SliceEngine(quiver).slice(check_signs(signs, quiver.n))
 
 
 def sign_slice_components(
@@ -466,10 +464,9 @@ def finiteness_witness(
         return None
     engine = SliceEngine(quiver)
     signs = tuple(-1 if mask & engine.bit[v] else 1 for v in quiver.vertices)
-    bad = next((graph for graph, dynkin, _ in engine.slice(mask) if not dynkin.is_dynkin), None)
+    bad = next((graph for graph, dynkin, _ in engine.slice(signs) if not dynkin.is_dynkin), None)
     if bad is None:
-        first = quiver.n + 1 - mask.bit_length()  # the witness's first -1 vertex
-        group = next(group for group in components(_links(quiver)) if first in group)
+        group = tuple(sorted(breadth_first(_links(quiver), (signs.index(-1) + 1,))))
         raise ArithmeticError(f"witness {format_signs(signs)} is Dynkin on {group}: internal bug")
     return signs, bad
 

@@ -13,7 +13,9 @@ engine in `taudec.signdec`.
 The interval layer over labelled type-A quivers lives here: `PathQuiver`
 (a disjoint union of paths, split and ordered from its arrows),
 `IntervalModule`, `TiltingModule`, `intervals`, `indicator` and
-`euler_form`.  `sign_slice_path_quiver` is the old slice pipeline
+`euler_form`.  `components`, a depth-first split of neighbour lists into
+sorted components, is the reference for the walks the package makes with
+`quiver.breadth_first` alone.  `sign_slice_path_quiver` is the old slice pipeline
 (`sign_subquiver`, `opposite`, `path_quiver`), the reference for the
 paths and orientation words that `taudec.glue` reads off the slice
 engine.  The tilting enumerator, the mutation quiver and Fac membership
@@ -66,7 +68,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from operator import attrgetter, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from taudec.dynkin import NON_DYNKIN, DynkinType, catalan, classify, tilting_count
 from taudec.glue import GLUING, INTERNAL, GluedHasse, HasseNode
@@ -80,7 +82,6 @@ from taudec.quiver import (
     ValuedGraph,
     ValuedQuiver,
     check_signs,
-    components,
     format_signs,
     sign_subquiver,
 )
@@ -93,6 +94,31 @@ from taudec.signdec import (
     enumerate_signs,
     finiteness_witness,
 )
+
+
+def components(neighbours: Mapping[int, Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """Connected components of an undirected graph given by neighbour lists.
+
+    Every vertex is a key of `neighbours` and every edge is listed at both
+    ends.  Returns sorted vertex tuples, ordered by minimal vertex.
+    """
+    seen: set[int] = set()
+    out = []
+    for start in sorted(neighbours):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        stack = [start]
+        while stack:
+            for w in neighbours[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    stack.append(w)
+        comp.sort()
+        out.append(tuple(comp))
+    return tuple(out)
 
 
 def _paths_of(

@@ -99,6 +99,27 @@ def test_classify_requires_connected():
         classify(ValuedGraph((1, 2, 3), ((1, 2, (1, 1)),)))
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_classify_rejects_a_disconnected_graph_walked_from_a_path_end(seed):
+    # a path (one vertex or more) beside one or two cycles, edges valued at
+    # random and labels shuffled: every cycle vertex has degree 2, so the one
+    # walk starts on the path and must not take it for the whole graph
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, 5)] + [rng.randint(3, 5) for _ in range(rng.randint(1, 2))]
+    edges, n = [], 0
+    for k, size in enumerate(sizes):
+        val = (1, rng.randint(1, 3))
+        edges += [(n + i, n + i + 1, val) for i in range(1, size)]
+        if k:
+            edges.append((n + 1, n + size, val))
+        n += size
+    g = ValuedGraph(tuple(range(1, n + 1)), tuple(edges))
+    with pytest.raises(ValueError, match="disconnected"):
+        classify(relabelled(g, rng.sample(range(1, n + 1), n)))
+    with pytest.raises(ValueError, match="empty graph"):
+        classify(ValuedGraph(()))
+
+
 def relabelled(g: ValuedGraph, images) -> ValuedGraph:
     mapping = dict(zip(g.vertices, images))
     return ValuedGraph(
@@ -204,6 +225,15 @@ class TestTiltingCount:
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         DynkinType("Z", 3)
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("E", 5), ("E", 9), ("E", 0), ("F", 3), ("F", 5), ("G", 1), ("G", 3),
+])
+def test_exceptional_rank_outside_the_list_rejected(family, rank):
+    # the count table would answer these wrongly (F5 as 66, G3 as 5) or fail
+    with pytest.raises(ValueError, match="no Dynkin type"):
+        DynkinType(family, rank)
 
 
 def prufer_trees(n: int):

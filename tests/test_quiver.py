@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    components,
     graph_components,
     graph_components_union_find,
     opposite,
@@ -24,7 +25,6 @@ from taudec.quiver import (
     ValuedQuiver,
     breadth_first,
     check_signs,
-    components,
     neighbour_lists,
     normalize,
     parse_quiver,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     component_quivers,
+    components,
     count_by_components,
     count_support_tilting_scan,
     disjoint_union,
@@ -34,6 +35,7 @@ from taudec.quiver import (
     Arrow,
     Valuation,
     ValuedQuiver,
+    breadth_first,
     format_signs,
     parse_quiver,
     quiver_file_text,
@@ -397,7 +399,7 @@ class TestPastAMachineWord:
 
     @staticmethod
     def check(engine: SliceEngine, quiver: ValuedQuiver, signs) -> tuple:
-        parts = engine.slice(sum(engine.bit[v] for v in quiver.vertices if signs[v - 1] == -1))
+        parts = engine.slice(tuple(signs))
         want = sign_slice_components_scan(quiver, signs)
         assert [(graph, dynkin) for graph, dynkin, _ in parts] == list(want)
         assert slice_count(parts) == slice_count_scan(want)
@@ -446,11 +448,9 @@ class TestTwoTerm:
     def check(self, quiver):
         rows = list(SliceEngine(quiver).rows())
         assert len(rows) == 2 ** quiver.n
-        for mask, (signs, (text, parts, two_term)) in enumerate(
-            zip(enumerate_signs(quiver.n), rows)
-        ):
+        for signs, (text, parts, two_term) in zip(enumerate_signs(quiver.n), rows):
             assert text == format_signs(signs)
-            assert parts == SliceEngine(quiver).slice(mask)
+            assert parts == SliceEngine(quiver).slice(signs)
             assert two_term == two_term_tilting(quiver, signs)
 
     @settings(max_examples=60, deadline=None)
@@ -477,8 +477,13 @@ class TestTwoTerm:
             # unequal unordered valuations: two edges on one pair, kept apart
             ValuedQuiver(3, (Arrow(1, 2, Valuation(1, 2)), Arrow(2, 1, Valuation(1, 3)),
                              Arrow(3, 2))),
+            # a one-bit high half over a one-bit low half, or over none for n = 1
+            ValuedQuiver(1, (Arrow(1, 1, Valuation(2, 2)),)),
+            ValuedQuiver(2, (Arrow(2, 1, Valuation(1, 2)),)),
+            ValuedQuiver(2, (Arrow(1, 1), Arrow(1, 2), Arrow(2, 1), Arrow(2, 2))),
         ],
-        ids=["n1", "n1-loop", "edgeless-n4", "two-edges-on-a-pair"],
+        ids=["n1", "n1-loop", "edgeless-n4", "two-edges-on-a-pair",
+             "n1-valued-loop", "n2-valued-arrow", "n2-two-way-with-loops"],
     )
     def test_small_and_two_edged_pairs(self, quiver):
         self.check(quiver)
@@ -626,6 +631,27 @@ class TestSweep:
                                       for _, sub in component_quivers(quiver)))
         # finite unions, and unions whose first witness is the least of several
         assert infinite_parts.count(0) >= 30 and sum(k > 1 for k in infinite_parts) >= 30
+
+    def test_vertex_order_against_the_component_split(self, monkeypatch):
+        # the sweep finds each component from its least vertex with one walk
+        # and orders it with a second: the order of the sorted component split
+        calls = []
+
+        def recorded(neighbours, group):
+            calls.append((tuple(group), breadth_first(neighbours, group)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(signdec, "breadth_first", recorded)
+        for seed in range(300):
+            quiver = interleaved_union(seed)
+            links = signdec._links(quiver)
+            calls.clear()
+            signdec.transfer_count(quiver, witness=True)  # sweeps every vertex
+            found, ordered = calls[0::2], calls[1::2]
+            assert [group for group, _ in found] == [comp[:1] for comp in components(links)]
+            assert [group for group, _ in ordered] == [tuple(order) for _, order in found]
+            assert [v for _, order in ordered for v in order] == [
+                v for comp in components(links) for v in breadth_first(links, comp)]
 
     @settings(max_examples=80, deadline=None)
     @given(SWEEP_FAMILIES, VALUATIONS, SEEDS)
@@ -919,14 +945,14 @@ class TestSweepWithoutWalk:
         built = []
         original = SliceEngine.slice
 
-        def counted(engine, mask):
-            built.append(mask)
-            return original(engine, mask)
+        def counted(engine, signs):
+            built.append(signs)
+            return original(engine, signs)
 
         monkeypatch.setattr(SliceEngine, "slice", counted)
         quiver = disjoint_union(brauer_cycle_quiver(12), brauer_cycle_quiver(4))
         assert finiteness_witness(quiver)[0] == (1,) * 12 + (1, -1, 1, -1)
-        assert built == [0b0101]
+        assert built == [(1,) * 12 + (1, -1, 1, -1)]
 
     @pytest.mark.parametrize(
         "quiver",
