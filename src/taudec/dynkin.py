@@ -9,10 +9,9 @@ and their counts agree.
 One table, `shape_type`, names the type of a path from its length and
 its non-unit edges by position, and of a unit star from its three arm
 lengths.  `classify` reduces a graph to that shape and reads the table;
-the sign sweep reads it directly.  The classifier walks graphs only by
-`quiver.breadth_first`: one walk checks connectivity and runs a path from
-one end, and the arms of a tree with one branch vertex are what each of
-its neighbours reaches once that vertex is removed.
+the sign sweep reads it directly.  `classify` walks a graph once, by
+`quiver.breadth_first`: the walk checks connectivity and runs a path from
+one end, or a star from a leaf to the hub and then along both other arms.
 """
 
 from __future__ import annotations
@@ -38,7 +37,9 @@ class DynkinType:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family in ("E", "F", "G") and (self.family, self.rank) not in _EXCEPTIONAL:
+        unlisted = self.family in ("E", "F", "G") and (self.family, self.rank) not in _EXCEPTIONAL
+        # A, BC and D start at ranks 1, 2 and 3 (D3 is A3)
+        if unlisted or self.rank < 3 and self.rank < {"A": 1, "BC": 2, "D": 3}.get(self.family, 0):
             raise ValueError(f"no Dynkin type {self.family}{self.rank}")
 
     @property
@@ -115,10 +116,10 @@ def classify(graph: ValuedGraph) -> DynkinType:
     hub = branch[0]
     if len(branch) > 1 or len(adjacency[hub]) > 3 or special:
         return NON_DYNKIN
-    # without the hub, a tree with one branch vertex falls apart into its arms
-    rest = neighbour_lists(
-        [v for v in verts if v != hub], [e for e in graph.edges if hub not in e[:2]])
-    return shape_type(tuple(sorted(len(breadth_first(rest, (u,))) for u in adjacency[hub])))
+    first = order.index(hub)  # the walk runs one arm to the hub, then the others in step
+    leaf = next(p for p in range(first + 1, n) if len(adjacency[order[p]]) == 1)
+    short = (leaf - first + 1) // 2
+    return shape_type(tuple(sorted((first, short, n - 1 - first - short))))
 
 
 def catalan(n: int) -> int:

@@ -6,14 +6,16 @@ endomorphism algebra lives.  The slices come, in mask order, from the
 `SliceEngine` walk, which `signdec` reads row by row, and a slice component
 is supported when its Dynkin type is A, a unit-valued path.  Every slice
 edge joins a +1 and a -1 vertex, so the opposite arrow between path
-neighbours u, v points from u to v exactly when u is -1: the component's
-orientation word is `signs[v] == -1` read along its `breadth_first` path,
-and that word's rigidity table (see `repa`) is read on the component's
-labels through a `ComponentView`.  A slice's poset is the product of its
-components' posets, and a node's g-vector is the sign diagonal applied
-to its slice tilting module's dimension vector.  Each vertex lies in one
-slice component, so the sign law is checked once per view piece and the
-vertex cover once per slice, not per node.
+neighbours u, v points from u to v exactly when u is -1: the word along
+the component's `breadth_first` path alternates.  One rigidity table per
+path length (see `repa`), for the word with -1 at the path's start, is
+read on each labelled path through one `ComponentView`.  The opposite signs
+read the word with every arrow reversed, and their view is its dual, since
+D = Hom_k(-, k) keeps dimension vectors and turns Ext^1 around
+(Adachi-Iyama-Reiten 2014, Theorem 2.14).  A slice's poset is the product
+of its components' posets, and a node's g-vector is the sign diagonal
+applied to its slice tilting module's dimension vector.  The sign law is
+checked once per view piece and sign, and the vertex cover once per slice.
 
 An open end is a summand whose rest has no other complement in the
 slice.  Such a rest misses exactly one vertex v, so it is a tilting
@@ -28,7 +30,7 @@ the +1 side to the -1 side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import cycle, product
 from math import prod
 from operator import mul
 
@@ -61,8 +63,8 @@ class GluedHasse:
 
 
 class ComponentView:
-    """An orientation word's table read on one labelled path under one sign
-    vector: position p is path[p].
+    """A path length's table read on one labelled path, at -1 on path[0]
+    (`dual` reads the opposite signs): position p is path[p].
 
     An interval's support is its labels, sorted, and its key is (least
     label, size, support).  Intervals are re-sorted by key and tilting
@@ -77,7 +79,7 @@ class ComponentView:
     covers, so its first key starts with its minimal vertex.
     """
 
-    def __init__(self, table: RigidityTable, path: list[int], signs: SignVector) -> None:
+    def __init__(self, table: RigidityTable, path: list[int]) -> None:
         supports = [tuple(sorted(path[start:stop])) for start, stop in table.spans]
         keys = [(support[0], len(support), support) for support in supports]
         by_key = sorted(range(len(keys)), key=keys.__getitem__)
@@ -89,8 +91,7 @@ class ComponentView:
         keys = [keys[i] for i in by_key]
         self.path = path
         self.summands = tuple([tuple([keys[r] for r in ranked[t]]) for t in order])
-        flips = [signs[v - 1] for v in path]
-        self.g = tuple([tuple(zip(path, map(mul, flips, table.dims[t]))) for t in order])
+        self.g = tuple([tuple(zip(path, map(mul, cycle((-1, 1)), table.dims[t]))) for t in order])
         self.arrows: list[list[tuple[int, bool]]] = [[] for _ in order]
         for i, j, forward in table.arrows:
             a, b = where[i], where[j]
@@ -106,44 +107,53 @@ class ComponentView:
             right = tuple([keys[r] for r in ranked[t] if starts[r] > p])
             self.ends[where[t]].append((path[p], [piece for piece in (left, right) if piece]))
 
+    def dual(self) -> ComponentView:
+        """The view at the opposite signs, sharing path, summands and ends."""
+        twin = ComponentView.__new__(ComponentView)
+        twin.path, twin.summands, twin.ends = self.path, self.summands, self.ends
+        twin.g = tuple([tuple([(v, -x) for v, x in piece]) for piece in self.g])
+        twin.arrows = [[(b, not forward) for b, forward in later] for later in self.arrows]
+        twin.dual = lambda: self  # the dual's dual is this view
+        return twin
+
 
 def component_views(
     signs: SignVector,
     parts: tuple[Counted, ...],
-    tables: dict[tuple[bool, ...], RigidityTable],
+    tables: dict[int, RigidityTable],
     views: dict[tuple, ComponentView],
 ) -> tuple[ComponentView, ...]:
     """The view of each slice component of `signs`, as the slice engine
-    gives them, from one table per orientation word and one view per
-    labelled component and word; the caller's dicts decide how long they
-    live.  Raises UnsupportedComponentError unless every component has
-    Dynkin type A, and ArithmeticError (an internal bug) when a new view's
-    g piece leaves its path or breaks the sign law."""
+    gives them, from one table per path length and one view per labelled
+    component, dualised at the opposite signs; the caller's dicts decide how
+    long they live.  Raises UnsupportedComponentError unless every component
+    has Dynkin type A, and ArithmeticError (an internal bug) when a view's g
+    piece, at the signs it is read at, leaves its path or breaks the sign law."""
     out = []
     for graph, dynkin, _ in parts:
-        # the signs alternate along a slice path, so one of them fixes the word
-        key = (graph, signs[graph.vertices[0] - 1])
-        view = views.get(key)
+        # the signs alternate along a slice path, so one of them fixes the reading
+        side = signs[graph.vertices[0] - 1]
+        view = views.get((graph, side))
         if view is None:
-            if dynkin.family != "A":
+            if (twin := views.get((graph, -side))) is not None:
+                view, path = twin.dual(), twin.path
+            elif dynkin.family != "A":
                 raise UnsupportedComponentError(
                     f"sign vector {format_signs(signs)}: component {list(graph.vertices)} "
-                    f"is {dynkin}, not type A",
-                    component=graph.vertices,
-                    signs=tuple(signs),
-                )
-            path = breadth_first(neighbour_lists(graph.vertices, graph.edges), graph.vertices)
-            word = tuple(signs[v - 1] == -1 for v in path[:-1])
-            table = tables.get(word)
-            if table is None:
-                table = tables[word] = RigidityTable(word)
-            view = views[key] = ComponentView(table, path, signs)
+                    f"is {dynkin}, not type A", component=graph.vertices, signs=tuple(signs))
+            else:
+                path = breadth_first(neighbour_lists(graph.vertices, graph.edges), graph.vertices)
+                table = tables.get(size := len(path))
+                if table is None:  # the word with -1 at path[0], alternating from it
+                    table = tables[size] = RigidityTable([p % 2 == 0 for p in range(size - 1)])
+                view = ComponentView(table, path)
+                view = view if signs[path[0] - 1] == -1 else view.dual()
+            views[graph, side] = view
             for piece in view.g:  # one check per piece covers every node it is part of
                 if [v for v, _ in piece] != path or any(x * signs[v - 1] <= 0 for v, x in piece):
                     raise ArithmeticError(
                         f"g piece {piece} violates the sign law at {format_signs(signs)}: "
-                        "internal bug"
-                    )
+                        "internal bug")
         out.append(view)
     return tuple(out)
 
@@ -160,8 +170,7 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
     """
     n = quiver.n
     engine = SliceEngine(quiver)
-    tables: dict = {}
-    views: dict = {}
+    tables, views = {}, {}  # by path length; by labelled graph and the sign of its least vertex
     nodes: list[HasseNode] = []
     arrows: list[tuple[int, int, str]] = []
     ends: dict[tuple, list[tuple[int, int]]] = {}

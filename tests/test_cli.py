@@ -449,8 +449,8 @@ class TestHasse:
         # an all-zero g-vector breaks the sign law that glued_hasse checks
         original = glue.ComponentView.__init__
 
-        def zero_g(view, table, path, signs):
-            original(view, table, path, signs)
+        def zero_g(view, table, path):
+            original(view, table, path)
             view.g = tuple(tuple((v, 0) for v, _ in g) for g in view.g)
 
         monkeypatch.setattr(glue.ComponentView, "__init__", zero_g)
@@ -520,8 +520,8 @@ class TestHasse:
         # on vertex 2 comes second; the sign law is checked once per view
         original = glue.ComponentView.__init__
 
-        def zero_later_view(view, table, path, signs):
-            original(view, table, path, signs)
+        def zero_later_view(view, table, path):
+            original(view, table, path)
             if 1 not in path:
                 view.g = tuple(tuple((v, 0) for v, _ in g) for g in view.g)
 
@@ -532,13 +532,30 @@ class TestHasse:
             "error: internal: g piece ((2, 0),) violates the sign law at ++: internal bug\n"
         )
 
+    def test_dual_view_keeping_its_g_exits_four(self, quiver_file, capsys, monkeypatch):
+        # the view of vertex 1 is built at -, where its table's word is read,
+        # and first read at +++ as its dual, which must negate g
+        original = glue.ComponentView.dual
+
+        def keep_g(view):
+            twin = original(view)
+            twin.g = view.g
+            return twin
+
+        monkeypatch.setattr(glue.ComponentView, "dual", keep_g)
+        code, out, err = run(capsys, "hasse", quiver_file(THREE_CYCLE_FILE))
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: internal: g piece ((1, -1),) violates the sign law at +++: internal bug\n"
+        )
+
     def test_piece_missing_a_vertex_exits_four(self, quiver_file, capsys, monkeypatch):
         # the last module of each view of more than one vertex loses its last
         # vertex; the first such view is the path 2 - 3 at ++- of Brauer line 3
         original = glue.ComponentView.__init__
 
-        def drop_vertex(view, table, path, signs):
-            original(view, table, path, signs)
+        def drop_vertex(view, table, path):
+            original(view, table, path)
             if len(path) > 1:
                 view.g = view.g[:-1] + (view.g[-1][:-1],)
 

@@ -229,9 +229,11 @@ def test_unknown_family_rejected():
 
 @pytest.mark.parametrize("family,rank", [
     ("E", 5), ("E", 9), ("E", 0), ("F", 3), ("F", 5), ("G", 1), ("G", 3),
+    ("A", 0), ("A", -1), ("BC", 0), ("BC", 1), ("D", 0), ("D", 1), ("D", 2),
 ])
 def test_exceptional_rank_outside_the_list_rejected(family, rank):
-    # the count table would answer these wrongly (F5 as 66, G3 as 5) or fail
+    # the count table would answer these wrongly (F5 as 66, G3 as 5, A0, BC1
+    # and D2 as 1) or fail inside math.comb (BC0, D0, D1); D3 is A3 and stays
     with pytest.raises(ValueError, match="no Dynkin type"):
         DynkinType(family, rank)
 

@@ -336,14 +336,15 @@ class TestPairingCheck:
 
 class TestCollisionCheck:
     def test_colliding_g_vectors_are_an_internal_bug(self, monkeypatch):
-        # g = signs keeps the sign law but gives every node of a slice the same g
+        # the first module's g for every module keeps the sign law but gives
+        # every node of a slice the same g
         original = glue.ComponentView.__init__
 
-        def g_is_signs(view, table, path, signs):
-            original(view, table, path, signs)
-            view.g = tuple(tuple((v, signs[v - 1]) for v in path) for _ in view.g)
+        def g_is_first(view, table, path):
+            original(view, table, path)
+            view.g = view.g[:1] * len(view.g)
 
-        monkeypatch.setattr(glue.ComponentView, "__init__", g_is_signs)
+        monkeypatch.setattr(glue.ComponentView, "__init__", g_is_first)
         with pytest.raises(ArithmeticError, match="node g-vectors collide: internal bug"):
             glued_hasse(THREE_CYCLE)
 
@@ -377,7 +378,7 @@ class TestTorsionCheck:
 
 
 class TestAgainstSliceScan:
-    """Views of one table per orientation word against tables and mutation per slice."""
+    """Views of one table per path length against tables and mutation per slice."""
 
     @pytest.mark.parametrize(
         "quiver",
@@ -453,39 +454,76 @@ class TestGVectorFan:
             g_fan_check(json.dumps(payload))
 
 
+def check_views(quiver, signs, views):
+    """Views of the slice components of `signs` against the oracles: the
+    tilting modules, their g-vectors, mutation arrows and open ends."""
+    slice_quiver = sign_slice_path_quiver(quiver, signs)
+    for view, path in zip(views, slice_quiver.paths):
+        component = PathQuiver(path, tuple(a for a in slice_quiver.arrows if a[0] in path))
+        mods = tilting_modules(component)
+        assert tuple(
+            TiltingModule(tuple(IntervalModule(frozenset(s)) for _, _, s in keys))
+            for keys in view.summands
+        ) == mods
+        on = component.vertices
+        assert [dict(g) for g in view.g] == [
+            dict(zip(on, g_from_dim_vector([signs[v - 1] for v in on],
+                                           total_dim_vector(component, mod))))
+            for mod in mods
+        ]
+        arrows, ends = tilting_hasse(component, mods)
+        assert sorted(
+            (a, b) if ahead else (b, a)
+            for a, later in enumerate(view.arrows)
+            for b, ahead in later
+        ) == sorted(arrows)
+        assert [len(at) for at in view.ends] == [
+            sum(i == k for i, _ in ends) for k in range(len(mods))
+        ]
+
+
 class TestComponentViews:
     @settings(max_examples=40, deadline=None)
     @given(type_a_unions(), st.data())
     def test_views_read_word_tables_in_label_order(self, quiver, data):
         signs = tuple(data.draw(st.lists(st.sampled_from((1, -1)), min_size=quiver.n,
                                          max_size=quiver.n)))
-        try:
-            slice_quiver = sign_slice_path_quiver(quiver, signs)
-        except UnsupportedComponentError:
-            assume(False)
-        views = component_views(signs, _sign_slice(quiver, signs), {}, {})
-        for view, path in zip(views, slice_quiver.paths):
-            component = PathQuiver(path, tuple(a for a in slice_quiver.arrows if a[0] in path))
-            mods = tilting_modules(component)
-            assert tuple(
-                TiltingModule(tuple(IntervalModule(frozenset(s)) for _, _, s in keys))
-                for keys in view.summands
-            ) == mods
-            on = component.vertices
-            assert [dict(g) for g in view.g] == [
-                dict(zip(on, g_from_dim_vector([signs[v - 1] for v in on],
-                                               total_dim_vector(component, mod))))
-                for mod in mods
-            ]
-            arrows, ends = tilting_hasse(component, mods)
-            assert sorted(
-                (a, b) if ahead else (b, a)
-                for a, later in enumerate(view.arrows)
-                for b, ahead in later
-            ) == sorted(arrows)
-            assert [len(at) for at in view.ends] == [
-                sum(i == k for i, _ in ends) for k in range(len(mods))
-            ]
+        # shared dicts: a labelled component of both sign vectors is read at
+        # the second as the dual of the first's view
+        tables, views = {}, {}
+        read = 0
+        for at in (signs, tuple(-s for s in signs)):
+            try:
+                sign_slice_path_quiver(quiver, at)
+            except UnsupportedComponentError:
+                continue
+            check_views(quiver, at, component_views(at, _sign_slice(quiver, at), tables, views))
+            read += 1
+        assume(read)
+
+    @pytest.mark.parametrize(
+        "quiver", [brauer_line_quiver(4), brauer_cycle_quiver(3)], ids=["line4", "cycle3"]
+    )
+    def test_opposite_signs_read_the_duals(self, quiver, monkeypatch):
+        # every arrow of a Brauer quiver has its reverse, so a slice and the
+        # slice of the opposite signs are the same labelled graph
+        built = []
+        original = glue.ComponentView.__init__
+
+        def counted(view, table, path):
+            built.append(path)
+            original(view, table, path)
+
+        monkeypatch.setattr(glue.ComponentView, "__init__", counted)
+        for signs in enumerate_signs(quiver.n):
+            opposite = tuple(-s for s in signs)
+            tables, views = {}, {}
+            check_views(quiver, signs, component_views(
+                signs, _sign_slice(quiver, signs), tables, views))
+            first = len(built)
+            check_views(quiver, opposite, component_views(
+                opposite, _sign_slice(quiver, opposite), tables, views))
+            assert len(built) == first
 
 
 class TestWorkCount:
@@ -493,23 +531,37 @@ class TestWorkCount:
         "quiver", [brauer_line_quiver(5), brauer_cycle_quiver(5)], ids=["line5", "cycle5"]
     )
     def test_one_table_per_orientation_word(self, quiver, monkeypatch):
-        built = []
+        # one table per path length, for the alternating word that puts -1 at
+        # the path's start, and one view per labelled path whatever its word
+        built, viewed = [], []
 
         class Counted(repa.RigidityTable):
             def __init__(self, word):
-                built.append(word)
+                built.append(tuple(word))
                 super().__init__(word)
 
+        original = glue.ComponentView.__init__
+
+        def counted(view, table, path):
+            viewed.append(tuple(path))
+            original(view, table, path)
+
         monkeypatch.setattr(glue, "RigidityTable", Counted)
+        monkeypatch.setattr(glue.ComponentView, "__init__", counted)
         glued_hasse(quiver)
         labelled = set()
         for signs in enumerate_signs(quiver.n):
             slice_quiver = sign_slice_path_quiver(quiver, signs)
-            arrows = set(slice_quiver.arrows)
-            for path in slice_quiver.paths:
-                labelled.add((path, tuple((u, v) in arrows for u, v in zip(path, path[1:]))))
-        words = {word for _, word in labelled}
-        assert len(built) == len(words) < len(labelled)
+            labelled |= {(path, path_word(path, slice_quiver.arrows))
+                         for path in slice_quiver.paths}
+        paths = {path for path, _ in labelled}
+        lengths = sorted({len(path) for path in paths})
+        assert sorted(built, key=len) == [
+            tuple(p % 2 == 0 for p in range(size - 1)) for size in lengths
+        ]
+        assert len(built) < len({word for _, word in labelled})
+        assert sorted(viewed) == sorted(paths)
+        assert len(viewed) < len(labelled)
 
 
 class TestUnsupported:

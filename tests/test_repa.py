@@ -213,6 +213,23 @@ class TestEulerMatrix:
         assert {size: h.hexdigest()[:16] for size, h in digests.items()} == PAIRWISE_TABLE_DIGESTS
 
 
+class TestDuality:
+    """D = Hom_k(-, k) keeps dimension vectors and turns Ext^1 around, so the
+    table of the complementary word, every arrow reversed, is the table with
+    its mutation arrows reversed."""
+
+    def test_complementary_word_table_up_to_eight_vertices(self, rigidity_tables):
+        for word, table in rigidity_tables.items():
+            dual = rigidity_tables[tuple(not forward for forward in word)]
+            for name in ("spans", "full", "rigid", "tilting", "members", "dims", "ends"):
+                assert getattr(dual, name) == getattr(table, name), (word, name)
+            assert dual.arrows == tuple((i, j, not forward) for i, j, forward in table.arrows)
+            count = len(table.spans)
+            assert dual.ext_out == tuple(
+                sum((table.ext_out[j] >> i & 1) << j for j in range(count)) for i in range(count)
+            ), word
+
+
 class TestHomDim:
     def test_projective_onto_top(self):
         assert hom_dim_linear(A2_DOWN, iv(1, 2), iv(2)) == 1
