@@ -9,13 +9,13 @@ edge joins a +1 and a -1 vertex, so the opposite arrow between path
 neighbours u, v points from u to v exactly when u is -1: the word along
 the component's `breadth_first` path alternates.  One rigidity table per
 path length (see `repa`), for the word with -1 at the path's start, is
-read on each labelled path through one `ComponentView`.  The opposite signs
-read the word with every arrow reversed, and their view is its dual, since
-D = Hom_k(-, k) keeps dimension vectors and turns Ext^1 around
-(Adachi-Iyama-Reiten 2014, Theorem 2.14).  A slice's poset is the product
-of its components' posets, and a node's g-vector is the sign diagonal
-applied to its slice tilting module's dimension vector.  The sign law is
-checked once per view piece and sign, and the vertex cover once per slice.
+read on each labelled path through one `ComponentView`.  The opposite
+signs read the same view with every arrow reversed, since D = Hom_k(-, k)
+keeps dimension vectors and turns Ext^1 around (Adachi-Iyama-Reiten 2014,
+Theorem 2.14).  A slice's poset is the product of its components' posets,
+and a node's g-vector is its sign vector applied to its slice tilting
+module's dimension vector.  Each view's dimensions are checked to be at
+least 1, the sign law at both signs, and each slice's vertex cover.
 
 An open end is a summand whose rest has no other complement in the
 slice.  Such a rest misses exactly one vertex v, so it is a tilting
@@ -30,11 +30,11 @@ the +1 side to the -1 side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle, product
+from itertools import product
 from math import prod
 from operator import mul
 
-from .quiver import IntVector, SignVector, ValuedQuiver, format_signs
+from .quiver import IntVector, SignVector, ValuedGraph, ValuedQuiver, format_signs
 from .quiver import breadth_first, neighbour_lists
 from .repa import RigidityTable, UnsupportedComponentError
 from .signdec import Counted, SliceEngine
@@ -63,20 +63,20 @@ class GluedHasse:
 
 
 class ComponentView:
-    """A path length's table read on one labelled path, at -1 on path[0]
-    (`dual` reads the opposite signs): position p is path[p].
+    """A path length's table read on one labelled path: position p is
+    path[p], and the table's word puts -1 on path[0].
 
     An interval's support is its labels, sorted, and its key is (least
     label, size, support).  Intervals are re-sorted by key and tilting
     modules into the lexicographic order of their sorted interval
     positions, the order a table built on the labels gives.  Per tilting
-    module, in that order: `summands` (their keys, sorted), `g` (its
-    g-vector's entries on the path as (vertex, entry) pairs: the dimension
-    vector, negated at -1 vertices), `arrows` (b, forward) to each later
-    module b, and `ends` (missing vertex, pieces).  The rest of an open
-    end lies on the paths left and right of the missing vertex; each one
-    it meets is a piece, the keys of the rest's summands on it, which it
-    covers, so its first key starts with its minimal vertex.
+    module, in that order: `summands` (their keys, sorted), `dims` (its
+    dimension vector on the path as (vertex, dimension) pairs), `arrows`
+    (b, forward) to each later module b, forward as the table's word reads
+    it, and `ends` (missing vertex, pieces).  The rest of an open end lies
+    on the paths left and right of the missing vertex; each one it meets is
+    a piece, the keys of the rest's summands on it, which it covers, so its
+    first key starts with its minimal vertex.
     """
 
     def __init__(self, table: RigidityTable, path: list[int]) -> None:
@@ -91,7 +91,7 @@ class ComponentView:
         keys = [keys[i] for i in by_key]
         self.path = path
         self.summands = tuple([tuple([keys[r] for r in ranked[t]]) for t in order])
-        self.g = tuple([tuple(zip(path, map(mul, cycle((-1, 1)), table.dims[t]))) for t in order])
+        self.dims = tuple([tuple(zip(path, table.dims[t])) for t in order])
         self.arrows: list[list[tuple[int, bool]]] = [[] for _ in order]
         for i, j, forward in table.arrows:
             a, b = where[i], where[j]
@@ -107,53 +107,37 @@ class ComponentView:
             right = tuple([keys[r] for r in ranked[t] if starts[r] > p])
             self.ends[where[t]].append((path[p], [piece for piece in (left, right) if piece]))
 
-    def dual(self) -> ComponentView:
-        """The view at the opposite signs, sharing path, summands and ends."""
-        twin = ComponentView.__new__(ComponentView)
-        twin.path, twin.summands, twin.ends = self.path, self.summands, self.ends
-        twin.g = tuple([tuple([(v, -x) for v, x in piece]) for piece in self.g])
-        twin.arrows = [[(b, not forward) for b, forward in later] for later in self.arrows]
-        twin.dual = lambda: self  # the dual's dual is this view
-        return twin
-
 
 def component_views(
     signs: SignVector,
     parts: tuple[Counted, ...],
     tables: dict[int, RigidityTable],
-    views: dict[tuple, ComponentView],
+    views: dict[ValuedGraph, ComponentView],
 ) -> tuple[ComponentView, ...]:
     """The view of each slice component of `signs`, as the slice engine
     gives them, from one table per path length and one view per labelled
-    component, dualised at the opposite signs; the caller's dicts decide how
-    long they live.  Raises UnsupportedComponentError unless every component
-    has Dynkin type A, and ArithmeticError (an internal bug) when a view's g
-    piece, at the signs it is read at, leaves its path or breaks the sign law."""
+    component, read at either sign; the caller's dicts decide how long they
+    live.  Raises UnsupportedComponentError unless every component has
+    Dynkin type A, and ArithmeticError (an internal bug) when a new view's
+    piece leaves its path or has a dimension below 1."""
     out = []
     for graph, dynkin, _ in parts:
-        # the signs alternate along a slice path, so one of them fixes the reading
-        side = signs[graph.vertices[0] - 1]
-        view = views.get((graph, side))
+        view = views.get(graph)
         if view is None:
-            if (twin := views.get((graph, -side))) is not None:
-                view, path = twin.dual(), twin.path
-            elif dynkin.family != "A":
+            if dynkin.family != "A":
                 raise UnsupportedComponentError(
                     f"sign vector {format_signs(signs)}: component {list(graph.vertices)} "
                     f"is {dynkin}, not type A", component=graph.vertices, signs=tuple(signs))
-            else:
-                path = breadth_first(neighbour_lists(graph.vertices, graph.edges), graph.vertices)
-                table = tables.get(size := len(path))
-                if table is None:  # the word with -1 at path[0], alternating from it
-                    table = tables[size] = RigidityTable([p % 2 == 0 for p in range(size - 1)])
-                view = ComponentView(table, path)
-                view = view if signs[path[0] - 1] == -1 else view.dual()
-            views[graph, side] = view
-            for piece in view.g:  # one check per piece covers every node it is part of
-                if [v for v, _ in piece] != path or any(x * signs[v - 1] <= 0 for v, x in piece):
+            path = breadth_first(neighbour_lists(graph.vertices, graph.edges), graph.vertices)
+            table = tables.get(size := len(path))
+            if table is None:  # the word with -1 at path[0], alternating from it
+                table = tables[size] = RigidityTable([p % 2 == 0 for p in range(size - 1)])
+            view = views[graph] = ComponentView(table, path)
+            for piece in view.dims:  # g = signs * dims, so this is the sign law at every sign
+                if [v for v, _ in piece] != path or any(x < 1 for _, x in piece):
+                    g = tuple([(v, signs[v - 1] * x) for v, x in piece])
                     raise ArithmeticError(
-                        f"g piece {piece} violates the sign law at {format_signs(signs)}: "
-                        "internal bug")
+                        f"g piece {g} violates the sign law at {format_signs(signs)}: internal bug")
         out.append(view)
     return tuple(out)
 
@@ -170,7 +154,7 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
     """
     n = quiver.n
     engine = SliceEngine(quiver)
-    tables, views = {}, {}  # by path length; by labelled graph and the sign of its least vertex
+    tables, views = {}, {}  # by path length; by labelled graph
     nodes: list[HasseNode] = []
     arrows: list[tuple[int, int, str]] = []
     ends: dict[tuple, list[tuple[int, int]]] = {}
@@ -180,19 +164,22 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
             raise ArithmeticError(
                 f"slice {format_signs(signs)} misses or repeats a vertex: internal bug"
             )
+        turned = [signs[view.path[0] - 1] == 1 for view in parts]  # the table's word reversed
         sizes = [len(view.summands) for view in parts]
         strides = [prod(sizes[c + 1:]) for c in range(len(parts))]
         pairs = []
         for i, digits in enumerate(product(*map(range, sizes)), len(nodes)):
-            g = [0] * n
+            dims = [0] * n
             for view, d in zip(parts, digits):
-                for v, x in view.g[d]:
-                    g[v - 1] = x
+                for v, x in view.dims[d]:
+                    dims[v - 1] = x
             own = [view.summands[d] for view, d in zip(parts, digits)]
             keys = sorted([key for summands in own for key in summands])
-            nodes.append(HasseNode(signs, tuple([support for _, _, support in keys]), tuple(g)))
-            for c, (view, d) in enumerate(zip(parts, digits)):
-                pairs += [(i, i + (b - d) * strides[c], ahead) for b, ahead in view.arrows[d]]
+            nodes.append(HasseNode(signs, tuple([support for _, _, support in keys]),
+                                   tuple(map(mul, signs, dims))))
+            for c, (view, d, turn) in enumerate(zip(parts, digits, turned)):
+                pairs += [(i, i + (b - d) * strides[c], ahead != turn)
+                          for b, ahead in view.arrows[d]]
                 for v, pieces in view.ends[d]:
                     rest = tuple(sorted(own[:c] + own[c + 1:] + pieces))
                     key = (mask & ~engine.bit[v], v, rest)

@@ -39,18 +39,19 @@ table per path component, the slice's tilting modules as the product of
 their lists (`tilting_modules`), one mutation pass over that product
 (`tilting_hasse`) and dimension vectors summed over summands
 (`total_dim_vector`).  It is the reference for `taudec.glue`, which reads
-one table per orientation word through labelled views and takes products
-by index arithmetic.
+one table per path length through labelled views and takes products by
+index arithmetic.
 
 The exact integer matrix layer (Cartan matrices, sign diagonals, sink
 reflections and `g_from_dim_vector`, the sign flip from a slice tilting
 module's dimension vector to its g-vector) has no caller in the package,
-where each labelled view of `taudec.glue` flips its modules' dimension
-vectors once.  It is the reference for those g pieces and for the
-matrix identities of criterion 7.  `transposed` and `arrows_of_kind` are
-likewise called only by tests.  `two_term_tilting` scans the arrows for
-the two-term rule on a sign vector, the reference for the two-term flag
-of `SliceEngine.rows`.
+where `taudec.glue` applies each node's signs to its dimension vector.
+It is the reference for those g-vectors and for the matrix identities of
+criterion 7.  `transposed` and `arrows_of_kind` are likewise called only
+by tests, and `up_to_relabelling` lists the small corpus, one quiver per
+relabelling class.  `two_term_tilting` scans the arrows for the two-term
+rule on a sign vector, the reference for the two-term flag of
+`SliceEngine.rows`.
 
 `g_fan_check` reads only the JSON that `hasse` prints and checks it
 against the g-vector fan (Adachi-Iyama-Reiten, Demonet-Iyama-Jasso), a
@@ -66,7 +67,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 from operator import attrgetter, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -710,6 +711,28 @@ def relabelled(quiver: ValuedQuiver, images: Sequence[int]) -> ValuedQuiver:
         quiver.n,
         tuple(Arrow(images[a.src - 1], images[a.tgt - 1], a.val) for a in quiver.arrows),
     )
+
+
+def up_to_relabelling(n: int, choices) -> list[ValuedQuiver]:
+    """One quiver on 1..n per relabelling class, each ordered pair of distinct
+    vertices taking one of `choices`: a valuation, or None for no arrow."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    slot = {pair: k for k, pair in enumerate(pairs)}
+    moves = [[slot[image[i], image[j]] for i, j in pairs] for image in permutations(range(n))]
+    members = []
+    for code in product(range(len(choices)), repeat=len(pairs)):
+        moved = [[0] * len(pairs) for _ in moves]
+        for move, out in zip(moves, moved):
+            for k, c in zip(move, code):
+                out[k] = c
+        if list(code) == min(moved):
+            arrows = tuple(Arrow(i + 1, j + 1, choices[c]) for (i, j), c in zip(pairs, code)
+                           if choices[c] is not None)
+            members.append(ValuedQuiver(n, arrows))
+    return members
+
+
+CORPUS_VALUATIONS = (None, Valuation(1, 1), Valuation(1, 2), Valuation(2, 1), Valuation(2, 2))
 
 
 def finite_by_separated_quiver(quiver: ValuedQuiver) -> bool:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import math
 import random
 import runpy
 import sys
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -446,12 +448,12 @@ class TestHasse:
         assert err.startswith("error: quiver too large: ")
 
     def test_failed_self_check_exits_four(self, quiver_file, capsys, monkeypatch):
-        # an all-zero g-vector breaks the sign law that glued_hasse checks
+        # an all-zero dimension vector breaks the sign law that glued_hasse checks
         original = glue.ComponentView.__init__
 
         def zero_g(view, table, path):
             original(view, table, path)
-            view.g = tuple(tuple((v, 0) for v, _ in g) for g in view.g)
+            view.dims = tuple(tuple((v, 0) for v, _ in piece) for piece in view.dims)
 
         monkeypatch.setattr(glue.ComponentView, "__init__", zero_g)
         code, out, err = run(capsys, "hasse", quiver_file(THREE_CYCLE_FILE))
@@ -523,7 +525,7 @@ class TestHasse:
         def zero_later_view(view, table, path):
             original(view, table, path)
             if 1 not in path:
-                view.g = tuple(tuple((v, 0) for v, _ in g) for g in view.g)
+                view.dims = tuple(tuple((v, 0) for v, _ in piece) for piece in view.dims)
 
         monkeypatch.setattr(glue.ComponentView, "__init__", zero_later_view)
         code, out, err = run(capsys, "hasse", quiver_file("n 2\n"))
@@ -532,22 +534,13 @@ class TestHasse:
             "error: internal: g piece ((2, 0),) violates the sign law at ++: internal bug\n"
         )
 
-    def test_dual_view_keeping_its_g_exits_four(self, quiver_file, capsys, monkeypatch):
-        # the view of vertex 1 is built at -, where its table's word is read,
-        # and first read at +++ as its dual, which must negate g
-        original = glue.ComponentView.dual
-
-        def keep_g(view):
-            twin = original(view)
-            twin.g = view.g
-            return twin
-
-        monkeypatch.setattr(glue.ComponentView, "dual", keep_g)
+    def test_unsigned_node_g_exits_four(self, quiver_file, capsys, monkeypatch):
+        # a node's g-vector is its signs applied to its dimension vector; without
+        # them the all-+1 and all-(-1) slices of the three-cycle give the same g
+        monkeypatch.setattr(glue, "mul", lambda sign, dim: dim)
         code, out, err = run(capsys, "hasse", quiver_file(THREE_CYCLE_FILE))
         assert (code, out) == (4, "")
-        assert err == (
-            "error: internal: g piece ((1, -1),) violates the sign law at +++: internal bug\n"
-        )
+        assert err == "error: internal: node g-vectors collide: internal bug\n"
 
     def test_piece_missing_a_vertex_exits_four(self, quiver_file, capsys, monkeypatch):
         # the last module of each view of more than one vertex loses its last
@@ -557,7 +550,7 @@ class TestHasse:
         def drop_vertex(view, table, path):
             original(view, table, path)
             if len(path) > 1:
-                view.g = view.g[:-1] + (view.g[-1][:-1],)
+                view.dims = view.dims[:-1] + (view.dims[-1][:-1],)
 
         monkeypatch.setattr(glue.ComponentView, "__init__", drop_vertex)
         code, out, err = run(capsys, "hasse", quiver_file(quiver_file_text(brauer_line_quiver(3))))
@@ -648,3 +641,34 @@ class TestIdentities:
             cli.main(["identities", "--max-n", max_n])
         assert exit_info.value.code == 2
         assert "error: argument --max-n" in capsys.readouterr().err
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+class TestBenchDigests:
+    """The seed-0 commands of every benchmark workload, run through `cli.main`,
+    against the stdout digests pinned in perfbench/digests.json."""
+
+    def test_seed_zero_stdout_matches_the_pins(self, tmp_path, capsys, monkeypatch):
+        # load the workload builder by path, writing no bytecode next to it
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)
+        spec.loader.exec_module(workloads)
+        pins = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
+        assert set(pins) == set(workloads.WORKLOADS)
+        for name in workloads.WORKLOADS:
+            commands = workloads.build(name, 0)
+            paths = {}
+            for inp in workloads.inputs_of(commands).values():
+                paths[inp.name] = tmp_path / f"{inp.name}.q"
+                paths[inp.name].write_text(inp.text(), encoding="utf-8")
+            digests = {}
+            for command in commands:
+                code, out, _ = run(capsys, *command.argv(
+                    str(paths[command.input.name]) if command.input else None))
+                assert code == 0, command.label
+                digests[command.label] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+            assert digests == pins[name], name

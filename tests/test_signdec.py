@@ -4,13 +4,14 @@ import contextlib
 import io
 import math
 import random
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    CORPUS_VALUATIONS,
     component_quivers,
     components,
     count_by_components,
@@ -26,6 +27,7 @@ from oracles import (
     slice_count_scan,
     transposed,
     two_term_tilting,
+    up_to_relabelling,
     witness_by_components,
 )
 from taudec import cli, signdec
@@ -980,28 +982,6 @@ class TestSweepWithoutWalk:
         for _ in range(5):
             moved = shuffled(rng, quiver)
             assert finiteness_witness(moved) == finiteness_witness_scan(moved)
-
-
-def up_to_relabelling(n: int, choices) -> list[ValuedQuiver]:
-    """One quiver on 1..n per relabelling class, each ordered pair of distinct
-    vertices taking one of `choices`: a valuation, or None for no arrow."""
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    slot = {pair: k for k, pair in enumerate(pairs)}
-    moves = [[slot[image[i], image[j]] for i, j in pairs] for image in permutations(range(n))]
-    members = []
-    for code in product(range(len(choices)), repeat=len(pairs)):
-        moved = [[0] * len(pairs) for _ in moves]
-        for move, out in zip(moves, moved):
-            for k, c in zip(move, code):
-                out[k] = c
-        if list(code) == min(moved):
-            arrows = tuple(Arrow(i + 1, j + 1, choices[c]) for (i, j), c in zip(pairs, code)
-                           if choices[c] is not None)
-            members.append(ValuedQuiver(n, arrows))
-    return members
-
-
-CORPUS_VALUATIONS = (None, Valuation(1, 1), Valuation(1, 2), Valuation(2, 1), Valuation(2, 2))
 
 
 class TestCorpus:
