@@ -7,7 +7,7 @@ documents; everything else is reached through the submodules."""
 
 from .brauer import brauer_cycle_quiver, brauer_line_quiver
 from .dynkin import DynkinType, classify, tilting_count
-from .glue import GluedHasse, glued_hasse
+from .glue import GluedHasse, UnsupportedComponentError, glued_hasse
 from .quiver import (
     Arrow,
     QuiverError,
@@ -17,7 +17,6 @@ from .quiver import (
     quiver_file_text,
     sign_subquiver,
 )
-from .repa import UnsupportedComponentError
 from .signdec import (
     INFINITE,
     count_for_signs,

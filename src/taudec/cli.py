@@ -19,7 +19,7 @@ from .brauer import (
     catalan_checks,
     verify_identities,
 )
-from .glue import GLUING, GluedHasse, glued_hasse
+from .glue import GLUING, GluedHasse, UnsupportedComponentError, glued_hasse
 from .quiver import (
     QuiverError,
     ValuedQuiver,
@@ -27,7 +27,6 @@ from .quiver import (
     parse_quiver,
     quiver_file_text,
 )
-from .repa import UnsupportedComponentError
 from .signdec import (
     Infinite,
     SliceEngine,

@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .quiver import ValuedGraph, breadth_first, neighbour_lists
 
 _FAMILIES = ("A", "BC", "D", "E", "F", "G", "non-Dynkin")
-_EXCEPTIONAL = (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
+# the exceptional types and their tilting counts, read-only
+_EXCEPTIONAL = MappingProxyType(
+    {("E", 6): 418, ("E", 7): 2431, ("E", 8): 17342, ("F", 4): 66, ("G", 2): 5})
 
 
 class NonDynkinError(ValueError):
@@ -135,7 +138,9 @@ def catalan(n: int) -> int:
 def tilting_count(dynkin: DynkinType) -> int:
     """Number of tilting modules over a connected hereditary algebra of this type.
 
-    Raises NonDynkinError for non-Dynkin input, where the count is infinite.
+    The exceptional types read the table that also lists the ranks
+    `DynkinType` accepts.  Raises NonDynkinError for non-Dynkin input, where
+    the count is infinite.
     """
     family, rank = dynkin.family, dynkin.rank
     if family == "A":
@@ -149,10 +154,6 @@ def tilting_count(dynkin: DynkinType) -> int:
         if remainder:
             raise ArithmeticError(f"the D{rank} count is not an integer: internal bug")
         return quotient
-    if family == "E":
-        return {6: 418, 7: 2431, 8: 17342}[rank]
-    if family == "F":
-        return 66
-    if family == "G":
-        return 5
+    if (family, rank) in _EXCEPTIONAL:
+        return _EXCEPTIONAL[family, rank]
     raise NonDynkinError("tilting count is infinite for a non-Dynkin graph")

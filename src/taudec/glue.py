@@ -2,29 +2,27 @@
 
 Each sign vector contributes the tilting poset of its hereditary slice,
 taken over the opposite of the sign subquiver, where the relevant
-endomorphism algebra lives.  The slices come, in mask order, from the
-`SliceEngine` walk, which `signdec` reads row by row, and a slice component
-is supported when its Dynkin type is A, a unit-valued path.  Every slice
-edge joins a +1 and a -1 vertex, so the opposite arrow between path
-neighbours u, v points from u to v exactly when u is -1: the word along
-the component's `breadth_first` path alternates.  One rigidity table per
-path length (see `repa`), for the word with -1 at the path's start, is
-read on each labelled path through one `ComponentView`.  The opposite
-signs read the same view with every arrow reversed, since D = Hom_k(-, k)
-keeps dimension vectors and turns Ext^1 around (Adachi-Iyama-Reiten 2014,
-Theorem 2.14).  A slice's poset is the product of its components' posets,
-and a node's g-vector is its sign vector applied to its slice tilting
-module's dimension vector.  Each view's dimensions are checked to be at
-least 1, the sign law at both signs, and each slice's vertex cover.
+endomorphism algebra lives.  The slices come in mask order from the
+`SliceEngine` walk, and each component must have Dynkin type A, a
+unit-valued path.  Its slice edges join +1 to -1 vertices, so the word
+along its `breadth_first` path alternates: one rigidity table per path
+length (see `repa`), for the word with -1 first, is read on each labelled
+path through one `ComponentView`, and at the opposite signs with every
+arrow reversed, since D = Hom_k(-, k) keeps dimension vectors and turns
+Ext^1 around (Adachi-Iyama-Reiten 2014, Theorem 2.14).  A slice's poset
+is the product of its components' posets, and a node's g-vector is its
+sign vector applied to its dimension vector.
 
-An open end is a summand whose rest has no other complement in the
-slice.  Such a rest misses exactly one vertex v, so it is a tilting
-module of the slice without v, which both signs at v share, and it has
-one completion on each side (Adachi-Iyama-Reiten 2014, Theorem 2.18).
-Each open end is keyed once, by (upper, v, rest): the mask with +1 at v,
-then v, then the rest's summand keys on each path of the slice without
-v, by minimal vertex.  The two ends of a key are one gluing arrow from
-the +1 side to the -1 side.
+Every arrow is written once, in output order.  A node's internal arrows
+run to later nodes of its slice and are written as the node is built.  An
+open end is a summand whose rest has no other complement in the slice;
+such a rest misses exactly one vertex v, so it is a tilting module of the
+slice without v, which both signs at v share, with one completion on each
+side (Adachi-Iyama-Reiten 2014, Theorem 2.18).  Each open end is keyed by
+(upper, v, rest): the mask with +1 at v, then v, then the rest's summand
+keys on each path of the slice without v, by minimal vertex.  The +1 side
+has the lesser mask, so its end arrives first, and the two ends of a key
+make one gluing arrow from the +1 side to the -1 side.
 """
 
 from __future__ import annotations
@@ -36,11 +34,21 @@ from operator import mul
 
 from .quiver import IntVector, SignVector, ValuedGraph, ValuedQuiver, format_signs
 from .quiver import breadth_first, neighbour_lists
-from .repa import RigidityTable, UnsupportedComponentError
+from .repa import RigidityTable
 from .signdec import Counted, SliceEngine
 
 INTERNAL = "internal"
 GLUING = "gluing"
+
+
+class UnsupportedComponentError(ValueError):
+    """A quiver component falls outside simply-laced type A."""
+
+    def __init__(self, message: str, component: tuple[int, ...] | None = None,
+                 signs: tuple[int, ...] | None = None):
+        super().__init__(message)
+        self.component = component
+        self.signs = signs
 
 
 @dataclass(frozen=True)
@@ -66,45 +74,38 @@ class ComponentView:
     """A path length's table read on one labelled path: position p is
     path[p], and the table's word puts -1 on path[0].
 
-    An interval's support is its labels, sorted, and its key is (least
-    label, size, support).  Intervals are re-sorted by key and tilting
-    modules into the lexicographic order of their sorted interval
-    positions, the order a table built on the labels gives.  Per tilting
-    module, in that order: `summands` (their keys, sorted), `dims` (its
-    dimension vector on the path as (vertex, dimension) pairs), `arrows`
-    (b, forward) to each later module b, forward as the table's word reads
-    it, and `ends` (missing vertex, pieces).  The rest of an open end lies
-    on the paths left and right of the missing vertex; each one it meets is
-    a piece, the keys of the rest's summands on it, which it covers, so its
-    first key starts with its minimal vertex.
+    An interval's key is (least label, size, sorted labels).  Each tilting
+    module's summands are sorted by key, and the modules by those key lists,
+    the order a table built on the labels gives.  Per module, in that order:
+    `summands` (their keys), `dims` ((vertex, dimension) pairs along the
+    path), `arrows` (b, forward) to each later module b, by b, forward as
+    the table's word reads it, and `ends` (missing vertex, pieces): a piece
+    holds the keys of the rest's summands on the path left or right of the
+    missing vertex, which it covers, so its first key starts with its
+    minimal vertex.
     """
 
     def __init__(self, table: RigidityTable, path: list[int]) -> None:
         supports = [tuple(sorted(path[start:stop])) for start, stop in table.spans]
         keys = [(support[0], len(support), support) for support in supports]
-        by_key = sorted(range(len(keys)), key=keys.__getitem__)
-        rank = sorted(range(len(keys)), key=by_key.__getitem__)  # the inverse permutation
-        # each tilting module's summands as ranks, ascending; modules in their order
-        ranked = [sorted([rank[i] for i in members]) for members in table.members]
-        order = sorted(range(len(ranked)), key=ranked.__getitem__)
-        where = sorted(range(len(order)), key=order.__getitem__)
-        keys = [keys[i] for i in by_key]
+        members = [sorted(indices, key=keys.__getitem__) for indices in table.members]
+        summands = [tuple([keys[i] for i in indices]) for indices in members]
+        order = sorted(range(len(summands)), key=summands.__getitem__)
+        where = sorted(range(len(order)), key=order.__getitem__)  # the inverse permutation
         self.path = path
-        self.summands = tuple([tuple([keys[r] for r in ranked[t]]) for t in order])
+        self.summands = tuple([summands[t] for t in order])
         self.dims = tuple([tuple(zip(path, table.dims[t])) for t in order])
         self.arrows: list[list[tuple[int, bool]]] = [[] for _ in order]
         for i, j, forward in table.arrows:
             a, b = where[i], where[j]
-            if a < b:
-                self.arrows[a].append((b, forward))
-            else:
-                self.arrows[b].append((a, not forward))
+            self.arrows[min(a, b)].append((max(a, b), forward == (a < b)))  # from the earlier one
+        for later in self.arrows:
+            later.sort()
         self.ends: list[list[tuple[int, list]]] = [[] for _ in order]
-        starts, stops = zip(*[table.spans[i] for i in by_key])
         for t, _, p in table.ends:
             # the rest's summands end before p or start after it; X alone covers p
-            left = tuple([keys[r] for r in ranked[t] if stops[r] <= p])
-            right = tuple([keys[r] for r in ranked[t] if starts[r] > p])
+            left = tuple([keys[i] for i in members[t] if table.spans[i][1] <= p])
+            right = tuple([keys[i] for i in members[t] if table.spans[i][0] > p])
             self.ends[where[t]].append((path[p], [piece for piece in (left, right) if piece]))
 
 
@@ -143,21 +144,21 @@ def component_views(
 
 
 def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
-    """Nodes, internal mutation arrows, and cross-sign gluing arrows.
+    """Nodes, internal mutation arrows, and cross-sign gluing arrows, each
+    arrow appended once, in output order.
 
-    Nodes and internal arrows run slice by slice in mask order, internal
-    arrows by their index pair within a slice.  Gluing arrows come last,
-    by their ends' sorted keys: the upper sign vector in enumeration order,
-    then v, then the rest in the tilting order of the slice without v,
-    since a view orders its tilting modules as their sorted summand keys
-    compare.  A node only assembles what its views hold.
+    Nodes run slice by slice in mask order, and internal arrows by their
+    node, then by the later node they join.  Gluing arrows come last, by
+    their ends' sorted keys: the upper sign vector in enumeration order,
+    then v, then the rest in the tilting order of the slice without v, as
+    views order tilting modules by their sorted summand keys.
     """
     n = quiver.n
     engine = SliceEngine(quiver)
     tables, views = {}, {}  # by path length; by labelled graph
     nodes: list[HasseNode] = []
     arrows: list[tuple[int, int, str]] = []
-    ends: dict[tuple, list[tuple[int, int]]] = {}
+    ends: dict[tuple, list[int]] = {}
     for mask, (signs, counted) in enumerate(engine.walk()):
         parts = component_views(signs, counted, tables, views)
         if sorted(v for view in parts for v in view.path) != list(range(1, n + 1)):
@@ -167,7 +168,6 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
         turned = [signs[view.path[0] - 1] == 1 for view in parts]  # the table's word reversed
         sizes = [len(view.summands) for view in parts]
         strides = [prod(sizes[c + 1:]) for c in range(len(parts))]
-        pairs = []
         for i, digits in enumerate(product(*map(range, sizes)), len(nodes)):
             dims = [0] * n
             for view, d in zip(parts, digits):
@@ -177,26 +177,24 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
             keys = sorted([key for summands in own for key in summands])
             nodes.append(HasseNode(signs, tuple([support for _, _, support in keys]),
                                    tuple(map(mul, signs, dims))))
-            for c, (view, d, turn) in enumerate(zip(parts, digits, turned)):
-                pairs += [(i, i + (b - d) * strides[c], ahead != turn)
-                          for b, ahead in view.arrows[d]]
+            for c in range(len(parts) - 1, -1, -1):  # least stride first: targets ascend
+                view, d, stride, turn = parts[c], digits[c], strides[c], turned[c]
+                for b, ahead in view.arrows[d]:
+                    j = i + (b - d) * stride
+                    arrows.append((i, j, INTERNAL) if ahead != turn else (j, i, INTERNAL))
                 for v, pieces in view.ends[d]:
                     rest = tuple(sorted(own[:c] + own[c + 1:] + pieces))
-                    key = (mask & ~engine.bit[v], v, rest)
-                    ends.setdefault(key, []).append((signs[v - 1], i))
-        pairs.sort()
-        arrows.extend((i, j, INTERNAL) if ahead else (j, i, INTERNAL) for i, j, ahead in pairs)
+                    ends.setdefault((mask & ~engine.bit[v], v, rest), []).append(i)
 
     for (_, v, _), pair in sorted(ends.items()):
-        pair.sort(reverse=True)
-        if [side for side, _ in pair] != [1, -1]:
-            signs = nodes[pair[0][1]].signs  # the upper signs are +1 at v
+        # the +1 end lies in the lesser mask, so the walk meets it first
+        if [nodes[i].signs[v - 1] for i in pair] != [1, -1]:
+            signs = nodes[pair[0]].signs
             raise ArithmeticError(
                 f"open mutation ends below {format_signs(signs[:v - 1] + (1,) + signs[v:])} "
                 f"at vertex {v} do not pair up: internal bug"
             )
-        (_, top), (_, bottom) = pair
-        arrows.append((top, bottom, GLUING))
+        arrows.append((*pair, GLUING))
 
     if len({node.g for node in nodes}) != len(nodes):
         raise ArithmeticError("node g-vectors collide: internal bug")

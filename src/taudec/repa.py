@@ -30,16 +30,6 @@ from typing import Sequence
 Span = tuple[int, int]  # the positions [start, stop) of an interval module
 
 
-class UnsupportedComponentError(ValueError):
-    """A quiver component falls outside simply-laced type A."""
-
-    def __init__(self, message: str, component: tuple[int, ...] | None = None,
-                 signs: tuple[int, ...] | None = None):
-        super().__init__(message)
-        self.component = component
-        self.signs = signs
-
-
 def _euler_matrix(word: Sequence[bool], spans: Sequence[Span]) -> list[list[int]]:
     """<dim x, dim y> for every pair of spans: the shared positions minus the
     arrows from x into y, each a bit count.  Arrow p joins positions p and

@@ -72,7 +72,7 @@ from operator import attrgetter, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from taudec.dynkin import NON_DYNKIN, DynkinType, catalan, classify, tilting_count
-from taudec.glue import GLUING, INTERNAL, GluedHasse, HasseNode
+from taudec.glue import GLUING, INTERNAL, GluedHasse, HasseNode, UnsupportedComponentError
 from taudec.quiver import (
     UNIT,
     Arrow,
@@ -86,11 +86,12 @@ from taudec.quiver import (
     format_signs,
     sign_subquiver,
 )
-from taudec.repa import RigidityTable, Span, UnsupportedComponentError
+from taudec.repa import RigidityTable, Span
 from taudec.signdec import (
     INFINITE,
     Classified,
     Infinite,
+    SliceEngine,
     count_support_tilting,
     enumerate_signs,
     finiteness_witness,
@@ -733,6 +734,22 @@ def up_to_relabelling(n: int, choices) -> list[ValuedQuiver]:
 
 
 CORPUS_VALUATIONS = (None, Valuation(1, 1), Valuation(1, 2), Valuation(2, 1), Valuation(2, 2))
+
+
+@cache
+def small_corpus(sizes: tuple[int, ...] = (1, 2, 3, 4)) -> tuple[ValuedQuiver, ...]:
+    """The small corpus on each of `sizes` vertices, in that order, one quiver
+    per relabelling class: valued by CORPUS_VALUATIONS on at most 3 vertices
+    (1 + 15 + 2675 members), digraphs on 4 (218)."""
+    return tuple([quiver for n in sizes
+                  for quiver in up_to_relabelling(n, CORPUS_VALUATIONS if n <= 3 else (None, UNIT))])
+
+
+def first_non_a_row(quiver: ValuedQuiver) -> str | None:
+    """The signs text of the first `SliceEngine.rows()` row with a component
+    not of type A, where `glued_hasse` stops; None if there is none."""
+    return next((text for text, parts, _ in SliceEngine(quiver).rows()
+                 if any(dynkin.family != "A" for _, dynkin, _ in parts)), None)
 
 
 def finite_by_separated_quiver(quiver: ValuedQuiver) -> bool:

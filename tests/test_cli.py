@@ -17,16 +17,18 @@ from hypothesis import strategies as st
 from oracles import (
     count_support_tilting_scan,
     disjoint_union,
+    first_non_a_row,
     finiteness_witness_scan,
     random_quiver,
     random_type_a,
     relabelled,
+    small_corpus,
 )
 from taudec import cli, dynkin, glue, repa, signdec
 from taudec.brauer import IdentityCheck, brauer_cycle_quiver, brauer_line_quiver
 from taudec.glue import GluedHasse, glued_hasse
-from taudec.quiver import QuiverError, format_signs, parse_quiver, quiver_file_text
-from taudec.signdec import INFINITE, count_support_tilting
+from taudec.quiver import QuiverError, Valuation, format_signs, parse_quiver, quiver_file_text
+from taudec.signdec import INFINITE, count_support_tilting, finiteness_witness
 
 THREE_CYCLE_FILE = "n 3\na 1 2\na 2 3\na 3 1\n"
 STAR_D4_FILE = "n 4\na 1 4\na 2 4\na 3 4\n"
@@ -167,6 +169,39 @@ def test_count_and_finite_stdout_match_the_scan(quiver_file, capsys):
         path = quiver_file(quiver_file_text(quiver))
         assert run(capsys, "count", path) == (0, scan_count_text(quiver), "")
         assert run(capsys, "finite", path) == (0, scan_finite_text(quiver), "")
+
+
+def test_corpus_members_through_main(quiver_file, capsys):
+    """Every 248th member of `small_corpus` (12 of 2,909) through
+    `cli.main`: `count`, `finite` and `hasse --format json` print what the
+    library gives, and `hasse` exits 3 naming the signs of the engine's
+    first row with a component not of type A."""
+    seen = set()
+    for quiver in small_corpus()[::248]:
+        path = quiver_file(quiver_file_text(quiver))
+        count = count_support_tilting(quiver)
+        count_text = "infinite\n" if count is INFINITE else f"{count}\n"
+        assert run(capsys, "count", path) == (0, count_text, "")
+        witness = finiteness_witness(quiver)
+        finite = "finite\n"
+        if witness is not None:
+            signs, component = witness
+            verts = ",".join(map(str, component.vertices))
+            finite = f"infinite\nwitness: signs={format_signs(signs)} component={{{verts}}}\n"
+        assert run(capsys, "finite", path) == (0, finite, "")
+        unsupported = first_non_a_row(quiver)
+        code, out, err = run(capsys, "hasse", path, "--format", "json")
+        if unsupported is None:
+            assert (code, out, err) == (0, cli.hasse_json(glued_hasse(quiver)), "")
+        else:
+            assert (code, out) == (3, "")
+            assert err.startswith(f"error: unsupported component type: sign vector {unsupported}:")
+        valued = any(arrow.val != Valuation(1, 1) for arrow in quiver.arrows)
+        seen.add((code, valued, count is INFINITE))
+    # the rule draws exit-0 and exit-3, valued and unit, finite and infinite members
+    assert {code for code, _, _ in seen} == {0, 3}
+    assert {valued for _, valued, _ in seen} == {True, False}
+    assert {infinite for _, _, infinite in seen} == {True, False}
 
 
 def relabelled_file(text: str):

@@ -9,12 +9,12 @@ from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    CORPUS_VALUATIONS,
     IntervalModule,
     arrows_of_kind,
     PathQuiver,
     TiltingModule,
     disjoint_union,
+    first_non_a_row,
     g_fan_check,
     glued_hasse_scan,
     gluing_arrows,
@@ -23,18 +23,17 @@ from oracles import (
     random_quiver,
     relabelled,
     sign_slice_path_quiver,
+    small_corpus,
     tilting_hasse,
     tilting_hasse_pairs,
     tilting_modules,
     total_dim_vector,
-    up_to_relabelling,
 )
 from taudec import cli, glue, quiver as quiver_module, repa
 from taudec.brauer import brauer_cycle_quiver, brauer_line_quiver
-from taudec.glue import GLUING, INTERNAL, component_views, glued_hasse
-from taudec.quiver import Arrow, Valuation, ValuedQuiver, breadth_first, format_signs
+from taudec.glue import GLUING, INTERNAL, UnsupportedComponentError, component_views, glued_hasse
+from taudec.quiver import Arrow, ValuedQuiver, breadth_first, format_signs
 from taudec.quiver import neighbour_lists
-from taudec.repa import UnsupportedComponentError
 from taudec.signdec import INFINITE, SliceEngine, _sign_slice, count_support_tilting, enumerate_signs
 
 THREE_CYCLE = ValuedQuiver(3, (Arrow(1, 2), Arrow(2, 3), Arrow(3, 1)))
@@ -335,6 +334,13 @@ class TestPairingCheck:
         with pytest.raises(ArithmeticError, match="do not pair up: internal bug"):
             glued_hasse(THREE_CYCLE)
 
+    def test_walk_out_of_mask_order_is_an_internal_bug(self, monkeypatch):
+        # reversed, the walk still pairs every key, but its -1 end arrives first
+        original = SliceEngine.walk
+        monkeypatch.setattr(SliceEngine, "walk", lambda engine: reversed(list(original(engine))))
+        with pytest.raises(ArithmeticError, match="do not pair up: internal bug"):
+            glued_hasse(THREE_CYCLE)
+
 
 class TestCollisionCheck:
     def test_colliding_g_vectors_are_an_internal_bug(self, monkeypatch):
@@ -598,12 +604,10 @@ class TestCorpus:
     and passes the g-vector fan check."""
 
     def test_hasse_relation(self):
-        corpus = [quiver for n in (1, 2, 3) for quiver in up_to_relabelling(n, CORPUS_VALUATIONS)]
-        corpus += up_to_relabelling(4, (None, Valuation(1, 1)))
+        corpus = small_corpus()
         built = 0
         for quiver in corpus:
-            unsupported = next((text for text, parts, _ in SliceEngine(quiver).rows()
-                                if any(dynkin.family != "A" for _, dynkin, _ in parts)), None)
+            unsupported = first_non_a_row(quiver)
             try:
                 hasse = glued_hasse(quiver)
             except UnsupportedComponentError as exc:

@@ -38,8 +38,9 @@ from oracles import (
 )
 from taudec import repa
 from taudec.dynkin import catalan
+from taudec.glue import UnsupportedComponentError
 from taudec.quiver import Arrow, Valuation, ValuedQuiver
-from taudec.repa import RigidityTable, UnsupportedComponentError
+from taudec.repa import RigidityTable
 
 # path 2 -> 1 together with an isolated vertex 3
 A2_DOWN = PathQuiver((1, 2), ((2, 1),))
