@@ -3,13 +3,15 @@
 Exit codes: 0 success, 1 verification failure, 2 input error, 3
 unsupported structure, 4 internal error (a self-check found an
 inconsistency).  All output is byte-deterministic for fixed input.
+When the first argument names a command, `main` parses with that command's
+parser alone; everything else goes through the full parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .brauer import (
     brauer_cycle_count,
@@ -185,6 +187,43 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _commands() -> dict[str, tuple[Callable[[argparse.Namespace], int], str]]:
+    """Each command's handler and help line, in help order.  Built per call, so
+    a wrapper rebound over a `cmd_*` function is the handler that runs."""
+    return {
+        "finite": (cmd_finite, "decide tau-tilting-finiteness"),
+        "count": (cmd_count, "count support tilting modules"),
+        "signdec": (cmd_signdec, "per-sign-vector decomposition table"),
+        "hasse": (cmd_hasse, "emit the glued Hasse quiver"),
+        "brauer": (cmd_brauer, "Brauer line/cycle generators and checks"),
+        "identities": (cmd_identities, "verify the combinatorial identities"),
+    }
+
+
+def _command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Command `name`'s arguments and handler, added to its lone parser or its subparser."""
+    if name in ("finite", "count", "signdec", "hasse"):
+        parser.add_argument("path", help="quiver file")
+    if name == "signdec":
+        parser.add_argument(
+            "--per-epsilon",
+            action="store_true",
+            help="emit one row per sign vector (the default and only mode)",
+        )
+    elif name == "hasse":
+        parser.add_argument("--format", choices=("dot", "json"), default="json")
+    elif name == "brauer":
+        parser.add_argument("kind", choices=("line", "cycle"))
+        parser.add_argument("edges", type=int, metavar="n")
+        group = parser.add_mutually_exclusive_group(required=True)
+        group.add_argument("--emit-quiver", action="store_true")
+        group.add_argument("--verify", action="store_true")
+    elif name == "identities":
+        parser.add_argument("--max-n", type=_positive_int, default=12, dest="max_n")
+    parser.set_defaults(func=_commands()[name][0])
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="taudec",
@@ -192,46 +231,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "radical-square-zero quiver algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("finite", help="decide tau-tilting-finiteness")
-    p.add_argument("path", help="quiver file")
-    p.set_defaults(func=cmd_finite)
-
-    p = sub.add_parser("count", help="count support tilting modules")
-    p.add_argument("path", help="quiver file")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("signdec", help="per-sign-vector decomposition table")
-    p.add_argument("path", help="quiver file")
-    p.add_argument(
-        "--per-epsilon",
-        action="store_true",
-        help="emit one row per sign vector (the default and only mode)",
-    )
-    p.set_defaults(func=cmd_signdec)
-
-    p = sub.add_parser("hasse", help="emit the glued Hasse quiver")
-    p.add_argument("path", help="quiver file")
-    p.add_argument("--format", choices=("dot", "json"), default="json")
-    p.set_defaults(func=cmd_hasse)
-
-    p = sub.add_parser("brauer", help="Brauer line/cycle generators and checks")
-    p.add_argument("kind", choices=("line", "cycle"))
-    p.add_argument("edges", type=int, metavar="n")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--emit-quiver", action="store_true")
-    group.add_argument("--verify", action="store_true")
-    p.set_defaults(func=cmd_brauer)
-
-    p = sub.add_parser("identities", help="verify the combinatorial identities")
-    p.add_argument("--max-n", type=_positive_int, default=12, dest="max_n")
-    p.set_defaults(func=cmd_identities)
-
+    for name, (_, text) in _commands().items():
+        _command(sub.add_parser(name, help=text), name)
     return parser
 
 
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """One command's parser alone; the full parser for no command or arguments left over."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _commands():
+        parser = _command(argparse.ArgumentParser(prog=f"taudec {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except (QuiverError, OSError, UnicodeDecodeError) as exc:

@@ -15,7 +15,8 @@ alike.  BENCH_<label>.json, written at the root of the repository holding
 this script, stores each run's last JSON line, the median and quartiles of
 `wall_s`, `setup_s` and `peak_rss_mb` per workload, and the interpreter, CPU
 count, git commit (and whether `src/` differed from it), a sha256 of the
-checkout's `src/` files and the sha256 of `perfbench/digests.json`.  Pytest
+checkout's `src/` files, the line count of each `src/taudec/*.py` and their
+total, and the sha256 of `perfbench/digests.json`.  Pytest
 does not collect this file.  Stdlib only.
 """
 
@@ -49,6 +50,13 @@ def src_sha256(root: Path) -> str:
     for path in sorted((root / "src").rglob("*.py")):
         digest.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
+
+
+def src_lines(root: Path) -> dict:
+    """Lines per `src/taudec/*.py` file, by file name, and their total."""
+    lines = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+             for path in sorted((root / "src" / "taudec").glob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
 
 
 def one_run(root: Path, workload: str) -> dict:
@@ -93,6 +101,7 @@ def main() -> int:
             "commit": git(root, "rev-parse", "HEAD"),
             "src_differs_from_commit": bool(git(root, "status", "--porcelain", "--", "src")),
             "src_sha256": src_sha256(root),
+            "src_lines": src_lines(root),
             "digests_sha256": hashlib.sha256(
                 (root / "perfbench" / "digests.json").read_bytes()).hexdigest(),
             "alternated_with": [other for other, _ in sides if other != label],

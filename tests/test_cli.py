@@ -678,6 +678,103 @@ class TestIdentities:
         assert "error: argument --max-n" in capsys.readouterr().err
 
 
+QUIVER = "QUIVER"  # stands for a quiver file in an argv shape
+# a valid argument list per command
+VALID = {
+    "finite": [QUIVER],
+    "count": [QUIVER],
+    "signdec": [QUIVER],
+    "hasse": [QUIVER],
+    "brauer": ["line", "3", "--verify"],
+    "identities": ["--max-n", "3"],
+}
+ARGV_SHAPES = [
+    [command, *rest]
+    for command, valid in VALID.items()
+    for rest in (
+        ["-h"], ["--help"], [], valid, [*valid, "extra"], ["--bogus", *valid],
+        [*valid, "--bogus"], ["--", *valid], ["-"],
+    )
+] + [
+    ["hasse", QUIVER, "--format", "xml"], ["brauer", "ring", "3", "--verify"],
+    ["brauer", "line", "x", "--verify"], ["identities", "--max-n", "x"],
+    ["identities", "--max-n", "0"], ["signdec", QUIVER, "--per"],
+    ["signdec", QUIVER, "--per-epsilon"], ["hasse", QUIVER, "--form", "dot"],
+    ["brauer", "line", "3", "--ver"], ["identities", "--max", "3"],
+    ["brauer", "line", "3"], ["brauer", "line", "3", "--verify", "--emit-quiver"],
+    [], ["-h"], ["bogus"], ["-h", "count"], ["count", "a", "b"], ["--", "count", QUIVER],
+]
+
+
+def shape_id(shape):
+    return " ".join(shape) or "no-arguments"
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of `cli.main(argv)`, an argparse exit included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def full_parser_only(patch):
+    """Make `cli.main` parse every argv with the full parser."""
+    patch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+
+
+class TestParserDispatch:
+    """`cli.main` parses with one command's parser where it can; it must behave
+    as when the full parser takes every argv."""
+
+    @pytest.fixture(autouse=True)
+    def help_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("shape", ARGV_SHAPES, ids=shape_id)
+    def test_same_as_the_full_parser(self, shape, quiver_file, capsys, monkeypatch):
+        argv = [quiver_file(THREE_CYCLE_FILE) if arg == QUIVER else arg for arg in shape]
+        got = outcome(capsys, argv)
+        full_parser_only(monkeypatch)
+        assert outcome(capsys, argv) == got
+
+    @pytest.mark.parametrize(
+        "shape", [[], ["count", QUIVER], ["count", QUIVER, "extra"], ["signdec", "-h"]],
+        ids=shape_id,
+    )
+    def test_argv_from_sys_argv(self, shape, quiver_file, capsys, monkeypatch):
+        argv = [quiver_file(THREE_CYCLE_FILE) if arg == QUIVER else arg for arg in shape]
+        monkeypatch.setattr(sys, "argv", ["taudec", *argv])
+        got = outcome(capsys, None)
+        full_parser_only(monkeypatch)
+        assert outcome(capsys, None) == got
+
+    def test_commands_build_no_full_parser(self, quiver_file, capsys, monkeypatch):
+        path = quiver_file(THREE_CYCLE_FILE)
+        runs = [
+            ["count", path], ["finite", path], ["signdec", path], ["signdec", path, "--per"],
+            ["hasse", path, "--format", "dot"], ["hasse", path, "--format", "json"],
+            ["brauer", "cycle", "9", "--verify"], ["identities", "--max-n", "3"],
+        ]
+        with monkeypatch.context() as patch:
+            full_parser_only(patch)
+            want = [outcome(capsys, argv) for argv in runs]
+        assert [code for code, _, _ in want] == [0] * len(runs)
+
+        class FullParserBuilt(Exception):
+            pass
+
+        def refuse():
+            raise FullParserBuilt
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        assert [outcome(capsys, argv) for argv in runs] == want
+        with pytest.raises(FullParserBuilt):
+            cli.main(["count", "a", "b"])
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
