@@ -5,12 +5,11 @@ tilting enumeration with g-vectors, and the glued Hasse quiver.
 The names below are the public API that README's Library section
 documents; everything else is reached through the submodules."""
 
-from .brauer import brauer_cycle_quiver, brauer_line_quiver
 from .dynkin import DynkinType, classify, tilting_count
-from .glue import GluedHasse, UnsupportedComponentError, glued_hasse
 from .quiver import (
     Arrow,
     QuiverError,
+    UnsupportedComponentError,
     Valuation,
     ValuedQuiver,
     parse_quiver,
@@ -49,3 +48,18 @@ __all__ = [
     "sign_subquiver",
     "tilting_count",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """A name of `glue` or `brauer`, read from its module, which loads on first use."""
+    if name in ("GluedHasse", "glued_hasse"):
+        from . import glue as module
+    elif name in ("brauer_cycle_quiver", "brauer_line_quiver"):
+        from . import brauer as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

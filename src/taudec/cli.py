@@ -4,26 +4,20 @@ Exit codes: 0 success, 1 verification failure, 2 input error, 3
 unsupported structure, 4 internal error (a self-check found an
 inconsistency).  All output is byte-deterministic for fixed input.
 When the first argument names a command, `main` parses with that command's
-parser alone; everything else goes through the full parser.
+parser alone; everything else goes through the full parser.  The `hasse`
+command imports `glue` (and with it `repa`), and `brauer` and `identities`
+import `brauer`, when they run, so the other commands never load them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .brauer import (
-    brauer_cycle_count,
-    brauer_cycle_quiver,
-    brauer_line_count,
-    brauer_line_quiver,
-    catalan_checks,
-    verify_identities,
-)
-from .glue import GLUING, GluedHasse, UnsupportedComponentError, glued_hasse
 from .quiver import (
     QuiverError,
+    UnsupportedComponentError,
     ValuedQuiver,
     format_signs,
     parse_quiver,
@@ -36,6 +30,9 @@ from .signdec import (
     finiteness_witness,
     slice_count,
 )
+
+if TYPE_CHECKING:
+    from .glue import GluedHasse
 
 
 def _load_quiver(path: str) -> ValuedQuiver:
@@ -124,6 +121,7 @@ def hasse_json(hasse: GluedHasse) -> str:
 
 
 def hasse_dot(hasse: GluedHasse) -> str:
+    from .glue import GLUING
     lines = ["digraph glued_hasse {"]
     labels = {signs: format_signs(signs) for signs in {node.signs for node in hasse.nodes}}
     for k, node in enumerate(hasse.nodes):
@@ -137,6 +135,7 @@ def hasse_dot(hasse: GluedHasse) -> str:
 
 
 def cmd_hasse(args: argparse.Namespace) -> int:
+    from .glue import glued_hasse
     hasse = glued_hasse(_load_quiver(args.path))
     text = hasse_dot(hasse) if args.format == "dot" else hasse_json(hasse)
     print(text, end="")
@@ -144,6 +143,8 @@ def cmd_hasse(args: argparse.Namespace) -> int:
 
 
 def cmd_brauer(args: argparse.Namespace) -> int:
+    from .brauer import brauer_cycle_count, brauer_cycle_quiver
+    from .brauer import brauer_line_count, brauer_line_quiver
     build = brauer_line_quiver if args.kind == "line" else brauer_cycle_quiver
     quiver = build(args.edges)
     if args.emit_quiver:
@@ -169,6 +170,7 @@ def cmd_brauer(args: argparse.Namespace) -> int:
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
+    from .brauer import catalan_checks, verify_identities
     checks = verify_identities(args.max_n) + catalan_checks(args.max_n)
     failed = 0
     for check in checks:

@@ -33,22 +33,12 @@ from math import prod
 from operator import mul
 
 from .quiver import IntVector, SignVector, ValuedGraph, ValuedQuiver, format_signs
-from .quiver import breadth_first, neighbour_lists
+from .quiver import UnsupportedComponentError, breadth_first, neighbour_lists
 from .repa import RigidityTable
 from .signdec import Counted, SliceEngine
 
 INTERNAL = "internal"
 GLUING = "gluing"
-
-
-class UnsupportedComponentError(ValueError):
-    """A quiver component falls outside simply-laced type A."""
-
-    def __init__(self, message: str, component: tuple[int, ...] | None = None,
-                 signs: tuple[int, ...] | None = None):
-        super().__init__(message)
-        self.component = component
-        self.signs = signs
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,16 @@ class QuiverError(ValueError):
         self.line = line
 
 
+class UnsupportedComponentError(ValueError):
+    """A quiver component falls outside simply-laced type A."""
+
+    def __init__(self, message: str, component: tuple[int, ...] | None = None,
+                 signs: tuple[int, ...] | None = None):
+        super().__init__(message)
+        self.component = component
+        self.signs = signs
+
+
 def check_signs(signs: Sequence[int], n: int) -> SignVector:
     """Validate a +/-1 vector of length n and return it as a tuple."""
     out = tuple(signs)

@@ -16,8 +16,11 @@ this script, stores each run's last JSON line, the median and quartiles of
 `wall_s`, `setup_s` and `peak_rss_mb` per workload, and the interpreter, CPU
 count, git commit (and whether `src/` differed from it), a sha256 of the
 checkout's `src/` files, the line count of each `src/taudec/*.py` and their
-total, and the sha256 of `perfbench/digests.json`.  Pytest
-does not collect this file.  Stdlib only.
+total, and the sha256 of `perfbench/digests.json`.  With two checkouts,
+run k of one and run k of the other make a pair, and each side's file also
+stores, per workload and metric, in how many pairs that side read lower
+(`"lower_in": {"setup_s": "5/5", ...}`); the first side's counts are
+printed.  Pytest does not collect this file.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -72,6 +75,15 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
 
 
+def lower_in(mine: list[dict], theirs: list[dict]) -> dict:
+    """Per metric, how many of the paired runs read lower on this side, as "k/RUNS"."""
+    counts = {}
+    for m in METRICS:
+        lower = sum(a["metrics"][m]["value"] < b["metrics"][m]["value"] for a, b in zip(mine, theirs))
+        counts[m] = f"{lower}/{len(mine)}"
+    return counts
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("sides", nargs="+", metavar="LABEL[=ROOT]")
@@ -114,6 +126,13 @@ def main() -> int:
                 **{m: spread([r["metrics"][m]["value"] for r in results]) for m in METRICS},
                 "runs": results,
             }
+            if len(sides) == 2:
+                other = record["alternated_with"][0]
+                wins = lower_in(results, runs[other][workload])
+                record["workloads"][workload]["lower_in"] = wins
+                if label == sides[0][0]:
+                    print(f"{workload}: {label} lower than {other} in "
+                          + ", ".join(f"{m} {k}" for m, k in wins.items()), flush=True)
         out = HERE / f"BENCH_{label}.json"
         out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {out.name}")

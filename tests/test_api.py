@@ -23,11 +23,15 @@ def test_every_export_is_documented_in_readme():
     assert not missing, f"exported but not listed in README's Library section: {missing}"
 
 
+# a module's own attribute hooks (PEP 562), which the import system calls
+_MODULE_HOOKS = ("__getattr__", "__dir__")
+
+
 def _definitions(tree: ast.Module):
-    """Top-level functions and classes, and the non-dunder methods of those
-    classes, as (qualified name, name) pairs."""
+    """Top-level functions and classes other than the PEP 562 hooks, and the
+    non-dunder methods of those classes, as (qualified name, name) pairs."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in _MODULE_HOOKS:
             yield node.name, node.name
         if isinstance(node, ast.ClassDef):
             for item in node.body:

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import runpy
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -24,7 +25,8 @@ from oracles import (
     relabelled,
     small_corpus,
 )
-from taudec import cli, dynkin, glue, repa, signdec
+import taudec
+from taudec import brauer, cli, dynkin, glue, repa, signdec
 from taudec.brauer import IdentityCheck, brauer_cycle_quiver, brauer_line_quiver
 from taudec.glue import GluedHasse, glued_hasse
 from taudec.quiver import QuiverError, Valuation, format_signs, parse_quiver, quiver_file_text
@@ -654,6 +656,55 @@ def test_module_runs_as_a_script(quiver_file, capsys, monkeypatch):
     assert (stop.value.code, capsys.readouterr().out) == (0, "4\n")
 
 
+# Run in a new interpreter, since this test process has loaded every module.
+FRESH_PROCESS = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[2])
+import taudec.cli, taudec.quiver
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "taudec" or m.startswith("taudec."))
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = taudec.cli.main(list(argv))
+    return code, out.getvalue()
+
+path = sys.argv[1]
+report = {"import": loaded(), "dir": dir(taudec)}
+report["codes"] = [run(command, path)[0] for command in ("count", "finite", "signdec")]
+report["count"] = loaded()
+report["hasse"] = run("hasse", path)
+report["after_hasse"] = loaded()
+report["brauer"] = run("brauer", "line", "3", "--verify")
+report["after_brauer"] = loaded()
+namespace = {}
+exec("from taudec import *", namespace)
+report["star"] = sorted(name for name in namespace if name != "__builtins__")
+print(json.dumps(report))
+"""
+
+
+def test_commands_load_only_the_modules_they_run(quiver_file, capsys):
+    path = quiver_file(THREE_CYCLE_FILE)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", FRESH_PROCESS, path, src],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    eager = ["taudec", "taudec.cli", "taudec.dynkin", "taudec.quiver", "taudec.signdec"]
+    assert report["import"] == eager
+    assert set(taudec.__all__) <= set(report["dir"])
+    assert report["codes"] == [0, 0, 0]
+    assert report["count"] == eager
+    assert report["hasse"] == list(run(capsys, "hasse", path)[:2])
+    assert report["after_hasse"] == sorted(eager + ["taudec.glue", "taudec.repa"])
+    assert report["brauer"] == [0, "OK 20\n"]
+    assert report["after_brauer"] == sorted(eager + ["taudec.brauer", "taudec.glue", "taudec.repa"])
+    assert report["star"] == sorted(taudec.__all__)
+
+
 class TestIdentities:
     def test_all_pass(self, capsys):
         code, out, _ = run(capsys, "identities", "--max-n", "6")
@@ -664,7 +715,7 @@ class TestIdentities:
 
     def test_sabotaged_table_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "verify_identities", lambda n: [IdentityCheck("total-sum", 1, 0, 1)]
+            brauer, "verify_identities", lambda n: [IdentityCheck("total-sum", 1, 0, 1)]
         )
         code, out, _ = run(capsys, "identities", "--max-n", "1")
         assert code == 1
