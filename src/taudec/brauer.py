@@ -10,10 +10,9 @@ closed formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .dynkin import catalan
-from .quiver import QuiverError, ValuedQuiver, normalize
+from .quiver import QuiverError, Record, ValuedQuiver, normalize
 
 
 def brauer_line_quiver(n: int) -> ValuedQuiver:
@@ -82,12 +81,14 @@ def composition_sums(n_max: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in table)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    n: int
-    got: int
-    want: int
+class IdentityCheck(Record):
+    __slots__ = ("name", "n", "got", "want")
+
+    def __init__(self, name: str, n: int, got: int, want: int) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "got", got)
+        object.__setattr__(self, "want", want)
 
     @property
     def passed(self) -> bool:

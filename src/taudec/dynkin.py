@@ -17,10 +17,9 @@ one end, or a star from a leaf to the hub and then along both other arms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 
-from .quiver import ValuedGraph, breadth_first, neighbour_lists
+from .quiver import Record, ValuedGraph, breadth_first, neighbour_lists
 
 _FAMILIES = ("A", "BC", "D", "E", "F", "G", "non-Dynkin")
 # the exceptional types and their tilting counts, read-only
@@ -32,18 +31,18 @@ class NonDynkinError(ValueError):
     """Requested a finite count for a non-Dynkin graph."""
 
 
-@dataclass(frozen=True)
-class DynkinType:
-    family: str
-    rank: int = 0
+class DynkinType(Record):
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        unlisted = self.family in ("E", "F", "G") and (self.family, self.rank) not in _EXCEPTIONAL
+    def __init__(self, family: str, rank: int = 0) -> None:
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        unlisted = family in ("E", "F", "G") and (family, rank) not in _EXCEPTIONAL
         # A, BC and D start at ranks 1, 2 and 3 (D3 is A3)
-        if unlisted or self.rank < 3 and self.rank < {"A": 1, "BC": 2, "D": 3}.get(self.family, 0):
-            raise ValueError(f"no Dynkin type {self.family}{self.rank}")
+        if unlisted or rank < 3 and rank < {"A": 1, "BC": 2, "D": 3}.get(family, 0):
+            raise ValueError(f"no Dynkin type {family}{rank}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def is_dynkin(self) -> bool:

@@ -27,12 +27,11 @@ make one gluing arrow from the +1 side to the -1 side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import mul
 
-from .quiver import IntVector, SignVector, ValuedGraph, ValuedQuiver, format_signs
+from .quiver import IntVector, Record, SignVector, ValuedGraph, ValuedQuiver, format_signs
 from .quiver import UnsupportedComponentError, breadth_first, neighbour_lists
 from .repa import RigidityTable
 from .signdec import Counted, SliceEngine
@@ -41,23 +40,29 @@ INTERNAL = "internal"
 GLUING = "gluing"
 
 
-@dataclass(frozen=True)
-class HasseNode:
+class HasseNode(Record):
     """One support tilting module: sign class, the supports of its slice
     tilting module's summands (sorted vertex tuples in interval-key order),
     g-vector."""
 
-    signs: SignVector
-    supports: tuple[tuple[int, ...], ...]
-    g: IntVector
+    __slots__ = ("signs", "supports", "g")
+
+    def __init__(self, signs: SignVector, supports: tuple[tuple[int, ...], ...],
+                 g: IntVector) -> None:
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "supports", supports)
+        object.__setattr__(self, "g", g)
 
 
-@dataclass(frozen=True)
-class GluedHasse:
+class GluedHasse(Record):
     """Hasse quiver: nodes plus (from, to, kind) arrows indexing into nodes."""
 
-    nodes: tuple[HasseNode, ...]
-    arrows: tuple[tuple[int, int, str], ...]
+    __slots__ = ("nodes", "arrows")
+
+    def __init__(self, nodes: tuple[HasseNode, ...],
+                 arrows: tuple[tuple[int, int, str], ...]) -> None:
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "arrows", arrows)
 
 
 class ComponentView:

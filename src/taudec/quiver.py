@@ -10,12 +10,14 @@ connected component of a group's vertex of least degree, breadth first
 from that vertex.  It takes neighbour lists, which `neighbour_lists` builds.
 
 All values are immutable and every operation is a pure function, so shared
-instances are safe to use concurrently.
+instances are safe to use concurrently.  The package's value classes derive
+from `Record`: slotted and immutable, compared, hashed, printed and pickled
+by their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Collection, Iterable, Mapping, Sequence
 
 SignVector = tuple[int, ...]
@@ -55,22 +57,86 @@ def format_signs(signs: Sequence[int]) -> str:
     return "".join("+" if s == 1 else "-" for s in signs)
 
 
-@dataclass(frozen=True, order=True)
-class Valuation:
+class Record:
+    """An immutable value whose fields, two or more, are its `__slots__`.
+
+    Two records are equal when they are of one class and their field tuples
+    are equal; the hash, `repr` and pickle are read from that tuple too, and
+    a record never equals a plain tuple.  A subclass lists its fields in
+    `__slots__` and sets them in `__init__` with `object.__setattr__`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if cls.__slots__:
+            cls._values = attrgetter(*cls.__slots__)  # an instance's field tuple
+            cls.__match_args__ = cls.__slots__
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Ordered(Record):
+    """A record ordered by its field tuple."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values(self) < self._values(other)
+        return NotImplemented
+
+    def __le__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values(self) <= self._values(other)
+        return NotImplemented
+
+    def __gt__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values(self) > self._values(other)
+        return NotImplemented
+
+    def __ge__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values(self) >= self._values(other)
+        return NotImplemented
+
+
+class Valuation(Ordered):
     """Arrow valuation (d', d'').
 
     d' counts the multiplicity of the target simple in the radical of the
     source projective; d'' is the dimension on the other side.
     """
 
-    d_prime: int
-    d_dprime: int
+    __slots__ = ("d_prime", "d_dprime")
 
-    def __post_init__(self) -> None:
-        if self.d_prime < 1 or self.d_dprime < 1:
-            raise QuiverError(
-                f"valuation entries must be positive, got ({self.d_prime}, {self.d_dprime})"
-            )
+    def __init__(self, d_prime: int, d_dprime: int) -> None:
+        if d_prime < 1 or d_dprime < 1:
+            raise QuiverError(f"valuation entries must be positive, got ({d_prime}, {d_dprime})")
+        object.__setattr__(self, "d_prime", d_prime)
+        object.__setattr__(self, "d_dprime", d_dprime)
 
     def unordered(self) -> tuple[int, int]:
         lo, hi = sorted((self.d_prime, self.d_dprime))
@@ -80,33 +146,35 @@ class Valuation:
 UNIT = Valuation(1, 1)
 
 
-@dataclass(frozen=True, order=True)
-class Arrow:
-    src: int
-    tgt: int
-    val: Valuation = UNIT
+class Arrow(Ordered):
+    __slots__ = ("src", "tgt", "val")
+
+    def __init__(self, src: int, tgt: int, val: Valuation = UNIT) -> None:
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
+        object.__setattr__(self, "val", val)
 
 
-@dataclass(frozen=True)
-class ValuedQuiver:
+class ValuedQuiver(Record):
     """Finite valued quiver on vertices 1..n, at most one arrow per ordered pair."""
 
-    n: int
-    arrows: tuple[Arrow, ...] = ()
+    __slots__ = ("n", "arrows")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise QuiverError(f"vertex count must be positive, got {self.n}")
-        object.__setattr__(self, "arrows", tuple(sorted(self.arrows)))
+    def __init__(self, n: int, arrows: Iterable[Arrow] = ()) -> None:
+        if n < 1:
+            raise QuiverError(f"vertex count must be positive, got {n}")
+        arrows = tuple(sorted(arrows))
         seen: set[tuple[int, int]] = set()
-        for a in self.arrows:
-            if not (1 <= a.src <= self.n and 1 <= a.tgt <= self.n):
-                raise QuiverError(f"arrow {a.src}->{a.tgt} outside vertex range 1..{self.n}")
+        for a in arrows:
+            if not (1 <= a.src <= n and 1 <= a.tgt <= n):
+                raise QuiverError(f"arrow {a.src}->{a.tgt} outside vertex range 1..{n}")
             if (a.src, a.tgt) in seen:
                 raise QuiverError(
                     f"two arrows on the ordered pair ({a.src}, {a.tgt}); merge with normalize()"
                 )
             seen.add((a.src, a.tgt))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arrows", arrows)
 
     @property
     def vertices(self) -> range:
@@ -241,19 +309,17 @@ def neighbour_lists(vertices: Iterable[int], edges: Iterable[Edge]) -> dict[int,
     return neighbours
 
 
-@dataclass(frozen=True)
-class ValuedGraph:
+class ValuedGraph(Record):
     """Undirected valued graph; each edge carries an unordered valuation pair."""
 
-    vertices: tuple[int, ...]
-    edges: tuple[Edge, ...] = ()
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        vset = set(self.vertices)
+    def __init__(self, vertices: Iterable[int], edges: Iterable[Edge] = ()) -> None:
+        vertices = tuple(sorted(vertices))
+        edges = tuple(sorted(edges))
+        vset = set(vertices)
         seen: set[tuple[int, int]] = set()
-        for u, v, _ in self.edges:
+        for u, v, _ in edges:
             if u == v:
                 raise QuiverError(f"self-edge at vertex {u} is not allowed in a valued graph")
             if not (u < v and u in vset and v in vset):
@@ -261,3 +327,5 @@ class ValuedGraph:
             if (u, v) in seen:
                 raise QuiverError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)

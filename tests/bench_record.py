@@ -7,8 +7,9 @@ script).  For every workload of BENCHMARK.json, each checkout runs
 
     python3 perfbench/run.py --workload W --seed 0 --seconds 30 --trace 0
 
-RUNS = 5 times from its own root.  RUNS and SECONDS are constants, so every
-BENCH file follows one protocol.  With several checkouts the runs
+RUNS = 10 times from its own root.  RUNS and SECONDS are constants, so every
+BENCH file follows one protocol; ten pairs are enough to show a claimed gain
+as a win in at least 9 of 10 pairs.  With several checkouts the runs
 alternate between them, and the side that runs first alternates from one
 round to the next, so a slow phase of a shared host falls on both sides
 alike.  BENCH_<label>.json, written at the root of the repository holding
@@ -19,7 +20,7 @@ checkout's `src/` files, the line count of each `src/taudec/*.py` and their
 total, and the sha256 of `perfbench/digests.json`.  With two checkouts,
 run k of one and run k of the other make a pair, and each side's file also
 stores, per workload and metric, in how many pairs that side read lower
-(`"lower_in": {"setup_s": "5/5", ...}`); the first side's counts are
+(`"lower_in": {"setup_s": "10/10", ...}`); the first side's counts are
 printed.  Pytest does not collect this file.  Stdlib only.
 """
 
@@ -37,7 +38,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
-RUNS = 5
+RUNS = 10
 SECONDS = 30
 COMMAND = f"python3 perfbench/run.py --workload W --seed 0 --seconds {SECONDS} --trace 0"
 

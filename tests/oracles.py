@@ -59,6 +59,11 @@ gate that does not go through the sign decomposition or the Euler form:
 the fan's walls give every arrow, and its c-vectors give each arrow's
 direction.  Its matrices are inverted over the integers by
 `unimodular_inverse`.
+
+The package's eight value classes are kept as the frozen dataclasses they
+were (`ValuationTwin` and the rest, in `TWINS`), the reference for the
+equality, hash, order, repr, field checks and immutability that
+`taudec.quiver.Record` gives them; `twin_of` turns a value into its twin.
 """
 from __future__ import annotations
 
@@ -71,6 +76,9 @@ from itertools import permutations, product
 from operator import attrgetter, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from taudec.brauer import IdentityCheck
+from taudec.dynkin import _EXCEPTIONAL as EXCEPTIONAL
+from taudec.dynkin import _FAMILIES as FAMILIES
 from taudec.dynkin import NON_DYNKIN, DynkinType, catalan, classify, tilting_count
 from taudec.glue import GLUING, INTERNAL, GluedHasse, HasseNode, UnsupportedComponentError
 from taudec.quiver import (
@@ -1453,3 +1461,121 @@ def g_fan_check(json_text: str) -> None:
             if not indegree[b]:
                 queue.append(b)
     assert len(queue) == len(nodes), "the arrows have a cycle"
+
+
+# The package's value classes as the frozen dataclasses they were before
+# `quiver.Record`: the reference for its equality, hash, order, repr, match
+# arguments, field checks and immutability.  Each twin prints under the
+# name of its class.
+
+
+@dataclass(frozen=True, order=True)
+class ValuationTwin:
+    d_prime: int
+    d_dprime: int
+
+    def __post_init__(self) -> None:
+        if self.d_prime < 1 or self.d_dprime < 1:
+            raise QuiverError(
+                f"valuation entries must be positive, got ({self.d_prime}, {self.d_dprime})"
+            )
+
+
+@dataclass(frozen=True, order=True)
+class ArrowTwin:
+    src: int
+    tgt: int
+    val: ValuationTwin = ValuationTwin(1, 1)
+
+
+@dataclass(frozen=True)
+class ValuedQuiverTwin:
+    n: int
+    arrows: tuple[ArrowTwin, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise QuiverError(f"vertex count must be positive, got {self.n}")
+        object.__setattr__(self, "arrows", tuple(sorted(self.arrows)))
+        seen: set[tuple[int, int]] = set()
+        for a in self.arrows:
+            if not (1 <= a.src <= self.n and 1 <= a.tgt <= self.n):
+                raise QuiverError(f"arrow {a.src}->{a.tgt} outside vertex range 1..{self.n}")
+            if (a.src, a.tgt) in seen:
+                raise QuiverError(
+                    f"two arrows on the ordered pair ({a.src}, {a.tgt}); merge with normalize()"
+                )
+            seen.add((a.src, a.tgt))
+
+
+@dataclass(frozen=True)
+class ValuedGraphTwin:
+    vertices: tuple[int, ...]
+    edges: tuple[tuple[int, int, tuple[int, int]], ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
+        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        vset = set(self.vertices)
+        seen: set[tuple[int, int]] = set()
+        for u, v, _ in self.edges:
+            if u == v:
+                raise QuiverError(f"self-edge at vertex {u} is not allowed in a valued graph")
+            if not (u < v and u in vset and v in vset):
+                raise QuiverError(f"bad edge ({u}, {v})")
+            if (u, v) in seen:
+                raise QuiverError(f"duplicate edge ({u}, {v})")
+            seen.add((u, v))
+
+
+@dataclass(frozen=True)
+class DynkinTypeTwin:
+    family: str
+    rank: int = 0
+
+    def __post_init__(self) -> None:
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        unlisted = self.family in ("E", "F", "G") and (self.family, self.rank) not in EXCEPTIONAL
+        if unlisted or self.rank < 3 and self.rank < {"A": 1, "BC": 2, "D": 3}.get(self.family, 0):
+            raise ValueError(f"no Dynkin type {self.family}{self.rank}")
+
+
+@dataclass(frozen=True)
+class HasseNodeTwin:
+    signs: SignVector
+    supports: tuple[tuple[int, ...], ...]
+    g: IntVector
+
+
+@dataclass(frozen=True)
+class GluedHasseTwin:
+    nodes: tuple[HasseNodeTwin, ...]
+    arrows: tuple[tuple[int, int, str], ...]
+
+
+@dataclass(frozen=True)
+class IdentityCheckTwin:
+    name: str
+    n: int
+    got: int
+    want: int
+
+
+TWINS = {
+    Valuation: ValuationTwin, Arrow: ArrowTwin, ValuedQuiver: ValuedQuiverTwin,
+    ValuedGraph: ValuedGraphTwin, DynkinType: DynkinTypeTwin, HasseNode: HasseNodeTwin,
+    GluedHasse: GluedHasseTwin, IdentityCheck: IdentityCheckTwin,
+}
+for _cls, _twin in TWINS.items():
+    _twin.__qualname__ = _cls.__qualname__
+
+
+def twin_of(value):
+    """A value with every record in it, nested in tuples or fields too,
+    replaced by its dataclass twin."""
+    if isinstance(value, tuple):
+        return tuple([twin_of(item) for item in value])
+    if type(value) in TWINS:
+        return TWINS[type(value)](*[twin_of(getattr(value, name)) for name in value.__slots__])
+    return value

@@ -665,6 +665,10 @@ import taudec.cli, taudec.quiver
 def loaded():
     return sorted(m for m in sys.modules if m == "taudec" or m.startswith("taudec."))
 
+def unneeded():
+    # standard-library modules that no command needs, each costly to import
+    return [m for m in ("dataclasses", "inspect") if m in sys.modules]
+
 def run(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -672,13 +676,16 @@ def run(*argv):
     return code, out.getvalue()
 
 path = sys.argv[1]
-report = {"import": loaded(), "dir": dir(taudec)}
+report = {"import": loaded(), "dir": dir(taudec), "unneeded": [unneeded()]}
 report["codes"] = [run(command, path)[0] for command in ("count", "finite", "signdec")]
 report["count"] = loaded()
+report["unneeded"].append(unneeded())
 report["hasse"] = run("hasse", path)
 report["after_hasse"] = loaded()
+report["unneeded"].append(unneeded())
 report["brauer"] = run("brauer", "line", "3", "--verify")
 report["after_brauer"] = loaded()
+report["unneeded"].append(unneeded())
 namespace = {}
 exec("from taudec import *", namespace)
 report["star"] = sorted(name for name in namespace if name != "__builtins__")
@@ -702,6 +709,7 @@ def test_commands_load_only_the_modules_they_run(quiver_file, capsys):
     assert report["after_hasse"] == sorted(eager + ["taudec.glue", "taudec.repa"])
     assert report["brauer"] == [0, "OK 20\n"]
     assert report["after_brauer"] == sorted(eager + ["taudec.brauer", "taudec.glue", "taudec.repa"])
+    assert report["unneeded"] == [[], [], [], []]  # after the import and each command
     assert report["star"] == sorted(taudec.__all__)
 
 
