@@ -8,7 +8,11 @@ connected component of the slice's underlying graph is Dynkin.
 `transfer_count` sums the sign classes as a transfer matrix.  It sweeps
 the quiver's weakly connected components by minimal vertex, each found
 and ordered by `quiver.breadth_first` (from a vertex of least degree, ties
-and neighbours by label), and branches on both signs of each vertex.  A
+and neighbours by label), and branches on both signs of each vertex but
+one.  On a mirrored component, each link an arrow both ways with equal
+unordered valuations (a lone vertex too), the slice at -e keeps the
+reverses of the arrows kept at e, the same valued graph, so count(e) =
+count(-e): its least vertex takes +1 alone and the sum is doubled.  A
 slice edge is decided when its later end gets its sign.  The frontier is
 the set of swept vertices with a neighbour still to come.  A state holds
 the frontier's signs and the open slice pieces, those that still hold a
@@ -33,7 +37,9 @@ returns `INFINITE` at once.  `count`, `finite` and `brauer --verify`
 take their counts from the sweep alone.  For `finite` a state holds, in
 place of its weight, the least sign mask reaching it: merged states
 share their futures, so the least mask over all detections, +1 on every
-vertex not yet swept, is the first witness.
+vertex not yet swept, is the first witness.  It is +1 outside one
+component, and on a mirrored one its negation there is a witness too, so
+it has +1 at the least vertex, which owns the highest mask bit there.
 
 A `SliceEngine` walks the 2^n sign vectors and owns the sign-mask
 layout, which the sweep's witness masks follow too.  Each non-loop arrow
@@ -349,7 +355,9 @@ def transfer_count(quiver: ValuedQuiver, witness: bool = False) -> int | Infinit
     Dynkin (see the module docstring).  With `witness`, a state holds the
     least `SliceEngine` mask that reaches it in place of its weight, and the
     sweep runs on past each detection: it returns the least witness mask,
-    the quiver's first witness, or 0 if there is none.
+    the quiver's first witness, or 0 if there is none.  The least vertex of a
+    mirrored component takes +1 alone: there count(e) = count(-e), so each
+    such component doubles the count, and the least witness has +1 there.
     """
     links = _links(quiver)
     memo: dict = {}  # piece counts by shape
@@ -358,9 +366,13 @@ def transfer_count(quiver: ValuedQuiver, witness: bool = False) -> int | Infinit
     frontier: list[int] = []
     states: dict[tuple, int] = {((), (), ()): 0 if witness else 1}
     swept: set[int] = set()  # components by least vertex, each in breadth-first order
-    for v in (u for w in links if w not in swept
-              for u in breadth_first(links, breadth_first(links, (w,)))):
+    halved = 0  # mirrored components, whose least vertex takes +1 only
+    for v, fixed in ((u, u == w and all(o == i for x in group for o, i in links[x].values()))
+                     for w in links if w not in swept
+                     for group in [breadth_first(links, (w,))]
+                     for u in breadth_first(links, group)):
         swept.add(v)
+        halved += fixed
         bit = 1 << quiver.n - v
         at = {u: i for i, u in enumerate(frontier)}
         # (frontier index, valuation) of the slice edges v can take as +1 and as -1
@@ -380,7 +392,7 @@ def transfer_count(quiver: ValuedQuiver, witness: bool = False) -> int | Infinit
         merged: dict[tuple, int] = {}
         for (signs, paths, stars), weight in states.items():
             carried_signs = tuple(signs[i] for i in carried)
-            for s, edges in ((1, plus), (-1, minus)):
+            for s, edges in ((1, plus),) if fixed else ((1, plus), (-1, minus)):
                 touched = [(i, val) for i, val in edges if signs[i] != s]
                 out = weight | bit if witness and s < 0 else weight
                 joined = _join(paths, stars, touched, fresh, memo) if touched else (
@@ -416,7 +428,7 @@ def transfer_count(quiver: ValuedQuiver, witness: bool = False) -> int | Infinit
                 key = (signs_kept, tuple(sorted(kept)), kept_stars and tuple(sorted(kept_stars)))
                 merged[key] = min(merged.get(key, out), out) if witness else merged.get(key, 0) + out
         states = merged
-    return best if witness else sum(states.values())
+    return best if witness else sum(states.values()) << halved
 
 
 def _sign_slice(quiver: ValuedQuiver, signs: Sequence[int]) -> tuple[Counted, ...]:

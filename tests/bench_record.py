@@ -21,7 +21,12 @@ total, and the sha256 of `perfbench/digests.json`.  With two checkouts,
 run k of one and run k of the other make a pair, and each side's file also
 stores, per workload and metric, in how many pairs that side read lower
 (`"lower_in": {"setup_s": "10/10", ...}`); the first side's counts are
-printed.  Pytest does not collect this file.  Stdlib only.
+printed.  Each side's file also stores `in_process`: uncalibrated seconds,
+best of 3, of `count_support_tilting` and `finiteness_witness` on Brauer
+line 200, cycle 51 and cycle 50, inputs larger than perfbench's, timed by
+`perf_counter` in a fresh interpreter that imports the checkout's `src/`,
+each with a sha256 of the result's text.  Pytest does not collect this
+file.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -41,6 +46,24 @@ METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 RUNS = 10
 SECONDS = 30
 COMMAND = f"python3 perfbench/run.py --workload W --seed 0 --seconds {SECONDS} --trace 0"
+# run from a checkout's root with PYTHONPATH=src; prints one JSON object
+IN_PROCESS = """
+import hashlib, json, time
+from taudec.brauer import brauer_cycle_quiver, brauer_line_quiver
+from taudec.signdec import count_support_tilting, finiteness_witness
+seconds, results = {}, {}
+for name, quiver in (("line 200", brauer_line_quiver(200)), ("cycle 51", brauer_cycle_quiver(51)),
+                     ("cycle 50", brauer_cycle_quiver(50))):
+    for call in (count_support_tilting, finiteness_witness):
+        key, times = f"{call.__name__} {name}", []
+        for _ in range(3):
+            start = time.perf_counter()
+            result = call(quiver)
+            times.append(time.perf_counter() - start)
+        seconds[key] = min(times)
+        results[key] = hashlib.sha256(str(result).encode()).hexdigest()
+print(json.dumps({"uncalibrated": True, "best_of": 3, "seconds": seconds, "results_sha256": results}))
+"""
 
 
 def git(root: Path, *argv: str) -> str:
@@ -69,6 +92,14 @@ def one_run(root: Path, workload: str) -> dict:
             "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def in_process(root: Path) -> dict:
+    """The IN_PROCESS figures of the checkout, from a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": "0"}
+    done = subprocess.run([sys.executable, "-c", IN_PROCESS], cwd=root, env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
 
 
 def spread(values: list[float]) -> dict:
@@ -105,6 +136,7 @@ def main() -> int:
                 print(f"{label} {workload} run {k + 1}: wall_s {wall:.4f} "
                       f"correct {result['correct']} failed {result['failed']}", flush=True)
 
+    figures = {label: in_process(root) for label, root in sides}
     for label, root in sides:
         record = {
             "label": label,
@@ -118,6 +150,7 @@ def main() -> int:
             "digests_sha256": hashlib.sha256(
                 (root / "perfbench" / "digests.json").read_bytes()).hexdigest(),
             "alternated_with": [other for other, _ in sides if other != label],
+            "in_process": figures[label],
             "workloads": {},
         }
         for workload, results in runs[label].items():

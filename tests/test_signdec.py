@@ -7,7 +7,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -730,23 +730,40 @@ def oriented_path(rng: random.Random, n: int) -> tuple[list[bool], ValuedQuiver]
     return forward, shuffled(rng, ValuedQuiver(n, arrows))
 
 
+def mirrored(n: int, edges, vals) -> ValuedQuiver:
+    """Each edge (u, v) as an arrow u -> v with its valuation and v -> u with the
+    transposed one: a quiver equal to its opposite."""
+    return ValuedQuiver(n, tuple(arrow for (u, v), val in zip(edges, vals)
+                                 for arrow in (Arrow(u, v, val), Arrow(v, u, transposed(val)))))
+
+
 def two_way_tree(n: int, edges) -> ValuedQuiver:
     """Unit arrows both ways along each edge of a tree on 1..n."""
-    return ValuedQuiver(n, tuple(Arrow(x, y) for u, v in edges for x, y in ((u, v), (v, u))))
+    return mirrored(n, edges, [Valuation(1, 1)] * len(edges))
+
+
+def d_edges(n: int) -> list[tuple[int, int]]:
+    """The D_n tree: the fork 1, 2 - 3, then the path 3 - 4 - ... - n."""
+    return [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, n)]
 
 
 def two_way_d(n: int) -> ValuedQuiver:
-    """The two-way D_n tree: the fork 1, 2 - 3, then the path 3 - 4 - ... - n."""
-    return two_way_tree(n, [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, n)])
+    """The two-way D_n tree."""
+    return two_way_tree(n, d_edges(n))
 
 
-def two_way_star(arms) -> ValuedQuiver:
-    """The two-way star with centre 1 and arms of these lengths, numbered arm by arm."""
+def star_edges(arms) -> list[tuple[int, int]]:
+    """The star with centre 1 and arms of these lengths, numbered arm by arm."""
     edges, top = [], 1
     for arm in arms:
         edges += [(top + j if j else 1, top + j + 1) for j in range(arm)]
         top += arm
-    return two_way_tree(top, edges)
+    return edges
+
+
+def two_way_star(arms) -> ValuedQuiver:
+    """The two-way star with centre 1 and arms of these lengths."""
+    return two_way_tree(1 + sum(arms), star_edges(arms))
 
 
 def random_tree(rng: random.Random, n: int, max_val: int) -> ValuedQuiver:
@@ -851,8 +868,8 @@ class TestSweepWithoutWalk:
         "quiver",
         [two_way_star((2, 2, 2)), two_way_star((1, 3, 3)), two_way_star((1, 2, 5)),
          two_way_star((1, 1, 1, 1))]
-        + [two_way_tree(n + 1, [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, n - 1)]
-                        + [(n - 1, n), (n - 1, n + 1)]) for n in range(5, 10)],
+        + [two_way_tree(n + 1, d_edges(n - 1) + [(n - 1, n), (n - 1, n + 1)])
+           for n in range(5, 10)],
         ids=["affine-E6", "affine-E7", "affine-E8", "affine-D4"]
         + [f"affine-D{n}" for n in range(5, 10)],
     )
@@ -981,6 +998,79 @@ class TestSweepWithoutWalk:
         for _ in range(5):
             moved = shuffled(rng, quiver)
             assert finiteness_witness(moved) == finiteness_witness_scan(moved)
+
+
+# D4 to D8, E6 to E8, and the affine D4 and E6 stars
+MIRRORED_TREES = [d_edges(n) for n in range(4, 9)] + [
+    star_edges(arms) for arms in ((1, 2, 2), (1, 2, 3), (1, 2, 4), (1, 1, 1, 1), (2, 2, 2))]
+MIRRORED_VALUATIONS = st.sampled_from(
+    [Valuation(1, 1)] * 8 + [Valuation(1, 2), Valuation(2, 1), Valuation(1, 3), Valuation(2, 2)])
+
+
+@st.composite
+def mirrored_quivers(draw) -> ValuedQuiver:
+    """A two-way path, D or E tree, or odd or even cycle on up to 8 vertices,
+    valued, each arrow paired with its reverse under the transposed valuation."""
+    shape = draw(st.sampled_from(("path", "tree", "cycle")))
+    if shape == "tree":
+        edges = draw(st.sampled_from(MIRRORED_TREES))
+        n = max(v for _, v in edges)
+    else:
+        n = draw(st.integers(3 if shape == "cycle" else 1, 8))
+        edges = [(i, i + 1) for i in range(1, n)] + [(1, n)] * (shape == "cycle")
+    vals = draw(st.lists(MIRRORED_VALUATIONS, min_size=len(edges), max_size=len(edges)))
+    return mirrored(n, edges, vals)
+
+
+# one way 1 -> 2, unit, the other way valued (1, 2): A2 at one sign, B2 at the
+# other, so a sweep that took a link both ways as mirrored would halve it wrongly
+A2_ONE_WAY_B2_THE_OTHER = ValuedQuiver(2, (Arrow(1, 2), Arrow(2, 1, Valuation(1, 2))))
+
+
+class TestMirroredHalving:
+    """On a component equal to its opposite, count(e) = count(-e), and the sweep
+    gives its least vertex +1 alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(mirrored_quivers(), SEEDS)
+    @example(A2_ONE_WAY_B2_THE_OTHER, 0)
+    @example(two_way_star((1, 1, 1, 1)), 0)  # swept from leaf 2, first witness +----
+    def test_against_the_scans(self, quiver, seed):
+        # alone, and beside a one-way random quiver and isolated vertices
+        rng = random.Random(seed)
+        partner = random_quiver(rng, max_n=2)
+        union = disjoint_union(quiver, ValuedQuiver(
+            partner.n, tuple(a for a in partner.arrows if a.src <= a.tgt)))
+        union = shuffled(rng, ValuedQuiver(union.n + rng.randint(1, 2), union.arrows))
+        for q in (quiver, union):
+            assert count_support_tilting(q) == count_support_tilting_scan(q)
+            assert finiteness_witness(q) == finiteness_witness_scan(q)
+
+    def test_work_on_brauer_cycles(self, monkeypatch):
+        # _join calls per sweep, with the answer: a mirrored cycle sweeps its least
+        # vertex at +1 alone; without the arrow 4 -> 5 it is not mirrored, and its
+        # sweep does the same work as one that never halves
+        calls = []
+        original = signdec._join
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(signdec, "_join", counted)
+        cycle9 = brauer_cycle_quiver(9)
+        one_way = ValuedQuiver(9, tuple(a for a in cycle9.arrows if (a.src, a.tgt) != (4, 5)))
+        for quiver, witness, want, joins in [
+            (cycle9, False, 2**17, 181),
+            (cycle9, True, 0, 181),
+            (brauer_cycle_quiver(12), False, INFINITE, 488),
+            (brauer_cycle_quiver(12), True, 0b010101010101, 513),
+            (one_way, False, 89846, 221),
+            (one_way, True, 0, 221),
+        ]:
+            calls.clear()
+            assert signdec.transfer_count(quiver, witness=witness) == want
+            assert len(calls) == joins
 
 
 class TestCorpus:
