@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .quiver import (
     QuiverError,
@@ -30,9 +30,6 @@ from .signdec import (
     finiteness_witness,
     slice_count,
 )
-
-if TYPE_CHECKING:
-    from .glue import GluedHasse
 
 
 def _load_quiver(path: str) -> ValuedQuiver:

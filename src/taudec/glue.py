@@ -4,14 +4,14 @@ Each sign vector contributes the tilting poset of its hereditary slice,
 taken over the opposite of the sign subquiver, where the relevant
 endomorphism algebra lives.  The slices come in mask order from the
 `SliceEngine` walk, and each component must have Dynkin type A, a
-unit-valued path.  Its slice edges join +1 to -1 vertices, so the word
-along its `breadth_first` path alternates: one rigidity table per path
-length (see `repa`), for the word with -1 first, is read on each labelled
-path through one `ComponentView`, and at the opposite signs with every
-arrow reversed, since D = Hom_k(-, k) keeps dimension vectors and turns
-Ext^1 around (Adachi-Iyama-Reiten 2014, Theorem 2.14).  A slice's poset
-is the product of its components' posets, and a node's g-vector is its
-sign vector applied to its dimension vector.
+unit-valued path, in every slice before any node is built.  Its slice
+edges join +1 to -1 vertices, so the word along its `breadth_first` path
+alternates: one rigidity table per path length (see `repa`), for the word
+with -1 first, is read on each labelled path through one `ComponentView`,
+and at the opposite signs with every arrow reversed, since D = Hom_k(-, k)
+keeps dimension vectors and turns Ext^1 around (Adachi-Iyama-Reiten 2014,
+Theorem 2.14).  A slice's poset is the product of its components' posets,
+and a node's g-vector is its sign vector applied to its dimension vector.
 
 Every arrow is written once, in output order.  A node's internal arrows
 run to later nodes of its slice and are written as the node is built.  An
@@ -154,8 +154,9 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
     nodes: list[HasseNode] = []
     arrows: list[tuple[int, int, str]] = []
     ends: dict[tuple, list[int]] = {}
-    for mask, (signs, counted) in enumerate(engine.walk()):
-        parts = component_views(signs, counted, tables, views)
+    sliced = [(signs, component_views(signs, counted, tables, views))
+              for signs, counted in engine.walk()]
+    for mask, (signs, parts) in enumerate(sliced):
         if sorted(v for view in parts for v in view.path) != list(range(1, n + 1)):
             raise ArithmeticError(
                 f"slice {format_signs(signs)} misses or repeats a vertex: internal bug"

@@ -17,8 +17,9 @@ by their fields.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Mapping, Sequence
+from functools import total_ordering
 from operator import attrgetter
-from typing import Collection, Iterable, Mapping, Sequence
 
 SignVector = tuple[int, ...]
 IntVector = tuple[int, ...]
@@ -63,7 +64,7 @@ class Record:
     Two records are equal when they are of one class and their field tuples
     are equal; the hash, `repr` and pickle are read from that tuple too, and
     a record never equals a plain tuple.  A subclass lists its fields in
-    `__slots__` and sets them in `__init__` with `object.__setattr__`.
+    `__slots__` and sets them in its own `__init__` with `object.__setattr__`.
     """
 
     __slots__ = ()
@@ -97,29 +98,15 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+@total_ordering
 class Ordered(Record):
-    """A record ordered by its field tuple."""
+    """A record ordered by its field tuple: `total_ordering` derives <=, > and >= from <."""
 
     __slots__ = ()
 
     def __lt__(self, other: object):
         if other.__class__ is self.__class__:
             return self._values(self) < self._values(other)
-        return NotImplemented
-
-    def __le__(self, other: object):
-        if other.__class__ is self.__class__:
-            return self._values(self) <= self._values(other)
-        return NotImplemented
-
-    def __gt__(self, other: object):
-        if other.__class__ is self.__class__:
-            return self._values(self) > self._values(other)
-        return NotImplemented
-
-    def __ge__(self, other: object):
-        if other.__class__ is self.__class__:
-            return self._values(self) >= self._values(other)
         return NotImplemented
 
 

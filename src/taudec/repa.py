@@ -24,8 +24,8 @@ rest misses, where the glued Hasse quiver pairs the open ends.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import accumulate
-from typing import Sequence
 
 Span = tuple[int, int]  # the positions [start, stop) of an interval module
 

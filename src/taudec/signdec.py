@@ -6,40 +6,40 @@ modules of a hereditary slice, which is finite exactly when every
 connected component of the slice's underlying graph is Dynkin.
 
 `transfer_count` sums the sign classes as a transfer matrix.  It sweeps
-the quiver's weakly connected components by minimal vertex, each found
-and ordered by `quiver.breadth_first` (from a vertex of least degree, ties
-and neighbours by label), and branches on both signs of each vertex but
-one.  On a mirrored component, each link an arrow both ways with equal
-unordered valuations (a lone vertex too), the slice at -e keeps the
-reverses of the arrows kept at e, the same valued graph, so count(e) =
-count(-e): its least vertex takes +1 alone and the sum is doubled.  A
-slice edge is decided when its later end gets its sign.  The frontier is
-the set of swept vertices with a neighbour still to come.  A state holds
-the frontier's signs and the open slice pieces, those that still hold a
-frontier vertex.  A path is kept as its two ends (a frontier vertex, or
-none once the end has left the frontier), its length, and its frontier
-vertices inside and its non-unit edges, both by position.  A star, a
-unit tree with one vertex of degree 3, is kept as its three arms, each
-an end and a length.  Its centre and the vertices inside its arms are
-kept nowhere: an edge into one of them makes a vertex of degree 4 or a
-second branch.  An edge into a vertex inside a path splits the path into
-two arms of a star, a third edge makes the new vertex a centre, and an
-edge into an arm end makes that arm longer.  States with equal keys
-merge by adding their exact int weights.  A piece with no frontier
-vertex left (for a star, no arm end) is closed: the weight is multiplied
-by its tilting count, read off `dynkin.shape_type` by its shape and
-memoised for one call.  Between components the frontier is empty and
-every state merges into the one empty key, whose weight is the product
-so far.  A connected subgraph of a Dynkin graph is Dynkin and every
-state with a weight comes from some sign vector, so a cycle, a second
-branch, a non-unit edge on a star or an open piece that is not Dynkin
-returns `INFINITE` at once.  `count`, `finite` and `brauer --verify`
-take their counts from the sweep alone.  For `finite` a state holds, in
-place of its weight, the least sign mask reaching it: merged states
-share their futures, so the least mask over all detections, +1 on every
-vertex not yet swept, is the first witness.  It is +1 outside one
-component, and on a mirrored one its negation there is a witness too, so
-it has +1 at the least vertex, which owns the highest mask bit there.
+the quiver's weakly connected components by minimal vertex, each found and
+ordered by `quiver.breadth_first` (from a vertex of least degree, ties and
+neighbours by label), and branches on both signs of a vertex.  On a
+mirrored component, each link an arrow both ways with equal unordered
+valuations, the slice at -e keeps the reverses of the arrows kept at e,
+the same valued graph, so count(e) = count(-e): its least vertex takes +1
+alone and the sum is doubled.  A lone vertex, A1 at either sign, is not
+swept: it only doubles the sum, a shift.  A slice edge is decided when its
+later end gets its sign.  The frontier is the set of swept vertices with a
+neighbour still to come.  A state holds the frontier's signs and the open
+slice pieces, those that still hold a frontier vertex.  A path is kept as
+its two ends (a frontier vertex, or none once the end has left the
+frontier), its length, and its frontier vertices inside and its non-unit
+edges, both by position.  A star, a unit tree with one vertex of degree 3,
+is kept as its three arms, each an end and a length.  Its centre and the
+vertices inside its arms are kept nowhere: an edge into one of them makes
+a vertex of degree 4 or a second branch.  An edge into a vertex inside a
+path splits the path into two arms of a star, a third edge makes the new
+vertex a centre, and an edge into an arm end makes that arm longer. States
+with equal keys merge by adding their exact int weights.  A piece with no
+frontier vertex left (for a star, no arm end) is closed: the weight is
+multiplied by its tilting count, read off `dynkin.shape_type` by its shape
+and memoised for one call.  Between components the frontier is empty and
+every state merges into the one empty key, whose weight is the product so
+far.  A connected subgraph of a Dynkin graph is Dynkin and every state
+with a weight comes from some sign vector, so a cycle, a second branch, a
+non-unit edge on a star or an open piece that is not Dynkin returns
+`INFINITE` at once.  `count`, `finite` and `brauer --verify` take their
+counts from the sweep alone.  For `finite` a state holds, in place of its
+weight, the least sign mask reaching it: merged states share their
+futures, so the least mask over all detections, +1 on every vertex not yet
+swept, is the first witness.  It is +1 outside one component, and on a
+mirrored one its negation there is a witness too, so it has +1 at the
+least vertex, which owns the highest mask bit there.
 
 A `SliceEngine` walks the 2^n sign vectors and owns the sign-mask
 layout, which the sweep's witness masks follow too.  Each non-loop arrow
@@ -57,8 +57,8 @@ slice, and gives the `signdec` rows, the `hasse` walk and
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import product
-from typing import Iterable, Iterator, Sequence
 
 from .dynkin import DynkinType, classify, shape_type, tilting_count
 from .quiver import SignVector, ValuedGraph, ValuedQuiver, breadth_first, check_signs
@@ -250,14 +250,14 @@ _UNIT = (1, 1)
 
 
 def _links(quiver: ValuedQuiver) -> Links:
-    """The unordered valuations of the non-loop arrows, at both of their ends."""
-    links: Links = {v: {} for v in quiver.vertices}
+    """The unordered valuations of the non-loop arrows, at both ends, by end in vertex order."""
+    links: Links = {}
     for a in quiver.arrows:
         if a.src != a.tgt:
             val = a.val.unordered()
-            links[a.src].setdefault(a.tgt, [None, None])[0] = val
-            links[a.tgt].setdefault(a.src, [None, None])[1] = val
-    return links
+            links.setdefault(a.src, {}).setdefault(a.tgt, [None, None])[0] = val
+            links.setdefault(a.tgt, {}).setdefault(a.src, [None, None])[1] = val
+    return dict(sorted(links.items()))
 
 
 def _turned(path: Path) -> Path:
@@ -366,7 +366,7 @@ def transfer_count(quiver: ValuedQuiver, witness: bool = False) -> int | Infinit
     frontier: list[int] = []
     states: dict[tuple, int] = {((), (), ()): 0 if witness else 1}
     swept: set[int] = set()  # components by least vertex, each in breadth-first order
-    halved = 0  # mirrored components, whose least vertex takes +1 only
+    halved = quiver.n - len(links)  # mirrored components; lone vertices are not swept
     for v, fixed in ((u, u == w and all(o == i for x in group for o, i in links[x].values()))
                      for w in links if w not in swept
                      for group in [breadth_first(links, (w,))]
@@ -478,7 +478,8 @@ def finiteness_witness(
     signs = tuple(-1 if mask & engine.bit[v] else 1 for v in quiver.vertices)
     bad = next((graph for graph, dynkin, _ in engine.slice(signs) if not dynkin.is_dynkin), None)
     if bad is None:
-        group = tuple(sorted(breadth_first(_links(quiver), (signs.index(-1) + 1,))))
+        links = dict.fromkeys(quiver.vertices, {}) | _links(quiver)  # lone vertices too
+        group = tuple(sorted(breadth_first(links, (signs.index(-1) + 1,))))
         raise ArithmeticError(f"witness {format_signs(signs)} is Dynkin on {group}: internal bug")
     return signs, bad
 

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import random
 import runpy
 import subprocess
@@ -81,6 +82,13 @@ class TestFinite:
         code, out, err = run(capsys, "finite", path)
         assert (code, out) == (4, "")
         assert err == "error: internal: witness +++- is Dynkin on (1, 2, 3, 4): internal bug\n"
+
+    def test_lone_vertex_witness_exits_four(self, quiver_file, capsys, monkeypatch):
+        # the sweep never visits a lone vertex, yet the self-check still names it
+        monkeypatch.setattr(signdec, "transfer_count", lambda quiver, witness=False: 1)
+        code, out, err = run(capsys, "finite", quiver_file("n 2\n"))
+        assert (code, out) == (4, "")
+        assert err == "error: internal: witness +- is Dynkin on (2,): internal bug\n"
 
     def test_malformed_file(self, quiver_file, capsys):
         code, _, err = run(capsys, "finite", quiver_file("n 2\na 9 9\n"))
@@ -711,6 +719,36 @@ def test_commands_load_only_the_modules_they_run(quiver_file, capsys):
     assert report["after_brauer"] == sorted(eager + ["taudec.brauer", "taudec.glue", "taudec.repa"])
     assert report["unneeded"] == [[], [], [], []]  # after the import and each command
     assert report["star"] == sorted(taudec.__all__)
+
+
+def test_import_loads_no_typing_dataclasses_or_inspect_without_site():
+    # with no `site`, nothing else imports `typing` first: the package never does
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = ("import sys, taudec, taudec.cli; "
+              "print([m for m in ('typing', 'dataclasses', 'inspect') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("command", ["count", "finite"])
+def test_oversized_edgeless_quiver_under_a_memory_cap(quiver_file, command):
+    # lone vertices are a shift in the sweep, so nothing is kept per vertex; the
+    # address-space cap applies to the child alone
+    resource = pytest.importorskip("resource")
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "taudec.cli", command, quiver_file(OVERFLOW_FILE)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)))
+    if command == "finite":
+        assert (done.returncode, done.stdout, done.stderr) == (0, "finite\n", "")
+    else:  # 2 ** (10**20) has too many digits for an int
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: quiver too large: ")
+        assert done.stderr.count("\n") == 1
 
 
 class TestIdentities:

@@ -19,8 +19,10 @@ from oracles import (
     glued_hasse_scan,
     gluing_arrows,
     hasse_nodes,
+    opposite,
     path_word,
     random_quiver,
+    random_type_a,
     relabelled,
     sign_slice_path_quiver,
     small_corpus,
@@ -32,9 +34,10 @@ from oracles import (
 from taudec import cli, glue, quiver as quiver_module, repa
 from taudec.brauer import brauer_cycle_quiver, brauer_line_quiver
 from taudec.glue import GLUING, INTERNAL, UnsupportedComponentError, component_views, glued_hasse
-from taudec.quiver import Arrow, ValuedQuiver, breadth_first, format_signs
+from taudec.quiver import Arrow, Valuation, ValuedQuiver, breadth_first, format_signs
 from taudec.quiver import neighbour_lists
 from taudec.signdec import INFINITE, SliceEngine, _sign_slice, count_support_tilting, enumerate_signs
+from taudec.signdec import finiteness_witness
 
 THREE_CYCLE = ValuedQuiver(3, (Arrow(1, 2), Arrow(2, 3), Arrow(3, 1)))
 ORIENTED_SQUARE = ValuedQuiver(4, (Arrow(1, 2), Arrow(2, 3), Arrow(3, 4), Arrow(4, 1)))
@@ -629,6 +632,27 @@ class TestUnsupported:
         assert "+++-" in str(err.value)
         assert "component [1, 2, 3, 4] is D4" in str(err.value)
 
+    def test_no_node_is_built_before_the_unsupported_slice(self, monkeypatch):
+        # the first slices of the D4 star beside a Brauer line are type A; the
+        # star's D4 slice comes later in mask order, and every slice is typed first
+        built = []
+
+        class Counted(glue.HasseNode):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(glue, "HasseNode", Counted)
+        quiver = disjoint_union(STAR_D4, brauer_line_quiver(3))
+        with pytest.raises(UnsupportedComponentError) as err:
+            glued_hasse(quiver)
+        assert format_signs(err.value.signs) == first_non_a_row(quiver) == "+++-+++"
+        assert built == []
+        glued_hasse(brauer_line_quiver(3))
+        assert built  # the count sees every node of a supported quiver
+
     def test_slice_quiver_is_opposite(self):
         p = sign_slice_path_quiver(THREE_CYCLE, (1, -1, 1))
         assert p.arrows == ((2, 1),)
@@ -700,3 +724,50 @@ class TestSliceReading:
 
         monkeypatch.setattr(quiver_module.ValuedQuiver, "__init__", refuse)
         assert glued_hasse(quiver) == want
+
+
+def hasse_or_none(quiver):
+    try:
+        return glued_hasse(quiver)
+    except UnsupportedComponentError:
+        return None
+
+
+DUALITY_QUIVERS = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: random_quiver(random.Random(seed), max_n=5)),
+    st.integers(0, 2**32 - 1).map(lambda seed: random_type_a(random.Random(seed), max_n=4)),
+)
+
+
+class TestDuality:
+    """Q and its opposite: A^op = kQ^op/rad^2, and g -> -g is an order-reversing
+    bijection from sτ-tilt A to sτ-tilt A^op (Adachi-Iyama-Reiten 2014, Theorem
+    2.14).  The slice of Q at e is that of Q^op at -e with every arrow reversed."""
+
+    def check(self, quiver):
+        dual = opposite(quiver)
+        assert count_support_tilting(quiver) == count_support_tilting(dual)
+        assert (finiteness_witness(quiver) is None) == (finiteness_witness(dual) is None)
+        # mask m of Q against the complement mask of Q^op: the rows run in reverse
+        rows = [(parts, two_term) for _, parts, two_term in SliceEngine(quiver).rows()]
+        dual_rows = [(parts, two_term) for _, parts, two_term in SliceEngine(dual).rows()]
+        assert rows == dual_rows[::-1]
+        hasse, dual_hasse = hasse_or_none(quiver), hasse_or_none(dual)
+        assert (hasse is None) == (dual_hasse is None)
+        if hasse is not None:
+            index = {node.g: j for j, node in enumerate(dual_hasse.nodes)}
+            image = [index[tuple([-x for x in node.g])] for node in hasse.nodes]
+            assert sorted(image) == list(range(len(dual_hasse.nodes)))
+            reversed_arrows = [(image[b], image[a], kind) for a, b, kind in hasse.arrows]
+            assert sorted(reversed_arrows) == sorted(dual_hasse.arrows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(DUALITY_QUIVERS)
+    @example(ValuedQuiver(2, (Arrow(1, 2, Valuation(1, 2)),)))  # Q^op: 2 -> 1 valued (2, 1)
+    @example(ValuedQuiver(4, (Arrow(1, 2), Arrow(2, 3), Arrow(3, 4))))  # a one-way path
+    def test_random_quivers(self, quiver):
+        self.check(quiver)
+
+    def test_small_corpus_share(self):
+        for quiver in small_corpus()[::13]:  # 224 of 2,909 members
+            self.check(quiver)

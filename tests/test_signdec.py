@@ -1072,6 +1072,23 @@ class TestMirroredHalving:
             assert signdec.transfer_count(quiver, witness=witness) == want
             assert len(calls) == joins
 
+    def test_lone_vertices_are_a_shift(self, monkeypatch):
+        # a lone vertex is A1 at either sign: the sweep never visits one
+        calls = []
+        original = signdec.breadth_first
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(signdec, "breadth_first", counted)
+        edgeless = ValuedQuiver(40, ())
+        looped = ValuedQuiver(40, tuple(Arrow(v, v) for v in edgeless.vertices))
+        for quiver in (edgeless, looped):
+            assert signdec.transfer_count(quiver) == 2**40
+            assert signdec.transfer_count(quiver, witness=True) == 0
+        assert calls == []
+
 
 class TestCorpus:
     """Every small quiver: `count` and `finite` by the sweep against the rows of
