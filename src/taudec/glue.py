@@ -23,18 +23,26 @@ side (Adachi-Iyama-Reiten 2014, Theorem 2.18).  Each open end is keyed by
 keys on each path of the slice without v, by minimal vertex.  The +1 side
 has the lesser mask, so its end arrives first, and the two ends of a key
 make one gluing arrow from the +1 side to the -1 side.
+
+A mirrored quiver, each link an arrow both ways with one unordered
+valuation, equals its opposite, so its slice at the complement of a mask
+is the slice at the mask with every arrow reversed (Theorem 2.14 again).
+Only the masks with +1 at vertex 1 are walked and built, which holds the
+first slice not of type A if there is one.  Each other slice copies its
+complement's: the same supports, negated g-vectors, reversed internal
+arrows and open ends re-keyed to its own upper masks.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from math import prod
 from operator import mul
 
 from .quiver import IntVector, Record, SignVector, ValuedGraph, ValuedQuiver, format_signs
 from .quiver import UnsupportedComponentError, breadth_first, neighbour_lists
 from .repa import RigidityTable
-from .signdec import Counted, SliceEngine
+from .signdec import Counted, SliceEngine, _links
 
 INTERNAL = "internal"
 GLUING = "gluing"
@@ -150,12 +158,16 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
     """
     n = quiver.n
     engine = SliceEngine(quiver)
+    top = (1 << n) - 1  # the all -1 mask; mask m has complement top - m
+    # every link an arrow both ways with one unordered valuation: Q = Q^op
+    mirrored = all(o == i for at in _links(quiver).values() for o, i in at.values())
     tables, views = {}, {}  # by path length; by labelled graph
     nodes: list[HasseNode] = []
     arrows: list[tuple[int, int, str]] = []
     ends: dict[tuple, list[int]] = {}
     sliced = [(signs, component_views(signs, counted, tables, views))
-              for signs, counted in engine.walk()]
+              for signs, counted in islice(engine.walk(), 1 << n - mirrored)]
+    built = []  # per slice to copy: its nodes' and internal arrows' spans, its open ends
     for mask, (signs, parts) in enumerate(sliced):
         if sorted(v for view in parts for v in view.path) != list(range(1, n + 1)):
             raise ArithmeticError(
@@ -164,7 +176,8 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
         turned = [signs[view.path[0] - 1] == 1 for view in parts]  # the table's word reversed
         sizes = [len(view.summands) for view in parts]
         strides = [prod(sizes[c + 1:]) for c in range(len(parts))]
-        for i, digits in enumerate(product(*map(range, sizes)), len(nodes)):
+        start, begin, opened = len(nodes), len(arrows), []
+        for i, digits in enumerate(product(*map(range, sizes)), start):
             dims = [0] * n
             for view, d in zip(parts, digits):
                 for v, x in view.dims[d]:
@@ -180,7 +193,19 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
                     arrows.append((i, j, INTERNAL) if ahead != turn else (j, i, INTERNAL))
                 for v, pieces in view.ends[d]:
                     rest = tuple(sorted(own[:c] + own[c + 1:] + pieces))
+                    opened.append((v, rest, i))
                     ends.setdefault((mask & ~engine.bit[v], v, rest), []).append(i)
+        if mirrored:
+            built.append((start, len(nodes), begin, len(arrows), opened))
+    for mask in range(len(sliced), top + 1):  # a mirrored quiver's other half, by complement
+        signs = tuple([-s for s in sliced[top - mask][0]])
+        start, stop, begin, end, opened = built[top - mask]
+        shift = len(nodes) - start
+        nodes += [HasseNode(signs, node.supports, tuple([-x for x in node.g]))
+                  for node in nodes[start:stop]]
+        arrows += [(b + shift, a + shift, kind) for a, b, kind in arrows[begin:end]]
+        for v, rest, i in opened:
+            ends.setdefault((mask & ~engine.bit[v], v, rest), []).append(i + shift)
 
     for (_, v, _), pair in sorted(ends.items()):
         # the +1 end lies in the lesser mask, so the walk meets it first

@@ -23,10 +23,14 @@ stores, per workload and metric, in how many pairs that side read lower
 (`"lower_in": {"setup_s": "10/10", ...}`); the first side's counts are
 printed.  Each side's file also stores `in_process`: uncalibrated seconds,
 best of 3, of `count_support_tilting` and `finiteness_witness` on Brauer
-line 200, cycle 51 and cycle 50, inputs larger than perfbench's, timed by
-`perf_counter` in a fresh interpreter that imports the checkout's `src/`,
-each with a sha256 of the result's text.  Pytest does not collect this
-file.  Stdlib only.
+line 200, cycle 51 and cycle 50, and of `glued_hasse` on Brauer line 8 and
+cycle 7, inputs larger than perfbench's, timed by `perf_counter` in a fresh
+interpreter that imports the checkout's `src/`, each with a sha256 of the
+result's text (for `glued_hasse`, of its `hasse_json`).  Every run starts
+as a fresh checkout does: each root's `src/taudec/__pycache__` is removed
+first and no run writes bytecode, since a cache that is stale in one
+checkout alone recompiles a module in each of its runs and moves its
+`wall_s` and `peak_rss_mb`.  Pytest does not collect this file.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -36,12 +40,14 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
+ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 RUNS = 10
 SECONDS = 30
@@ -50,18 +56,25 @@ COMMAND = f"python3 perfbench/run.py --workload W --seed 0 --seconds {SECONDS} -
 IN_PROCESS = """
 import hashlib, json, time
 from taudec.brauer import brauer_cycle_quiver, brauer_line_quiver
+from taudec.cli import hasse_json
+from taudec.glue import glued_hasse
 from taudec.signdec import count_support_tilting, finiteness_witness
+timed = [(f"{call.__name__} {name}", call, quiver, str)
+         for name, quiver in (("line 200", brauer_line_quiver(200)),
+                              ("cycle 51", brauer_cycle_quiver(51)),
+                              ("cycle 50", brauer_cycle_quiver(50)))
+         for call in (count_support_tilting, finiteness_witness)]
+timed += [(f"glued_hasse {name}", glued_hasse, quiver, hasse_json)
+          for name, quiver in (("line 8", brauer_line_quiver(8)), ("cycle 7", brauer_cycle_quiver(7)))]
 seconds, results = {}, {}
-for name, quiver in (("line 200", brauer_line_quiver(200)), ("cycle 51", brauer_cycle_quiver(51)),
-                     ("cycle 50", brauer_cycle_quiver(50))):
-    for call in (count_support_tilting, finiteness_witness):
-        key, times = f"{call.__name__} {name}", []
-        for _ in range(3):
-            start = time.perf_counter()
-            result = call(quiver)
-            times.append(time.perf_counter() - start)
-        seconds[key] = min(times)
-        results[key] = hashlib.sha256(str(result).encode()).hexdigest()
+for key, call, quiver, text in timed:
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        result = call(quiver)
+        times.append(time.perf_counter() - start)
+    seconds[key] = min(times)
+    results[key] = hashlib.sha256(text(result).encode()).hexdigest()
 print(json.dumps({"uncalibrated": True, "best_of": 3, "seconds": seconds, "results_sha256": results}))
 """
 
@@ -90,13 +103,13 @@ def one_run(root: Path, workload: str) -> dict:
     """The last stdout line of one perfbench run, parsed."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
             "--seconds", str(SECONDS), "--trace", "0"]
-    done = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
+    done = subprocess.run(argv, cwd=root, env=ENV, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def in_process(root: Path) -> dict:
     """The IN_PROCESS figures of the checkout, from a fresh interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": "0"}
+    env = {**ENV, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": "0"}
     done = subprocess.run([sys.executable, "-c", IN_PROCESS], cwd=root, env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
@@ -125,6 +138,8 @@ def main() -> int:
         label, _, root = side.partition("=")
         sides.append((label, Path(root).resolve() if root else HERE))
     workloads = [w["name"] for w in json.loads((HERE / "BENCHMARK.json").read_text())["workloads"]]
+    for _, root in sides:
+        shutil.rmtree(root / "src" / "taudec" / "__pycache__", ignore_errors=True)
 
     runs = {label: {w: [] for w in workloads} for label, _ in sides}
     for workload in workloads:

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import random
+import runpy
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, assume, example, given, settings
@@ -30,12 +32,13 @@ from oracles import (
     tilting_hasse_pairs,
     tilting_modules,
     total_dim_vector,
+    transposed,
 )
 from taudec import cli, glue, quiver as quiver_module, repa
 from taudec.brauer import brauer_cycle_quiver, brauer_line_quiver
 from taudec.glue import GLUING, INTERNAL, UnsupportedComponentError, component_views, glued_hasse
-from taudec.quiver import Arrow, Valuation, ValuedQuiver, breadth_first, format_signs
-from taudec.quiver import neighbour_lists
+from taudec.quiver import UNIT, Arrow, Valuation, ValuedQuiver, breadth_first, format_signs
+from taudec.quiver import neighbour_lists, parse_quiver, quiver_file_text
 from taudec.signdec import INFINITE, SliceEngine, _sign_slice, count_support_tilting, enumerate_signs
 from taudec.signdec import finiteness_witness
 
@@ -46,6 +49,7 @@ STAR_D4 = ValuedQuiver(4, (Arrow(1, 4), Arrow(2, 4), Arrow(3, 4)))
 # of a vertex-deleted slice's tilting modules is not one sort of all summands.
 INTERLEAVED = ValuedQuiver(7, (Arrow(3, 6), Arrow(4, 1), Arrow(4, 6), Arrow(7, 2)))
 ZIGZAG = ValuedQuiver(5, (Arrow(1, 2), Arrow(3, 2), Arrow(3, 4), Arrow(5, 4)))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 # A failing draw that rebuilds glued_hasse and its reference takes minutes
@@ -771,3 +775,114 @@ class TestDuality:
     def test_small_corpus_share(self):
         for quiver in small_corpus()[::13]:  # 224 of 2,909 members
             self.check(quiver)
+
+
+@st.composite
+def mirrored_quivers(draw, max_vertices=6):
+    """Two-way paths, with loops at their ends, and two-way cycles, valued or
+    not, side by side with up to two lone vertices.  Each arrow's reverse has
+    its valuation, transposed or not, so every link reads `out == into`: the
+    quiver is mirrored.  A valued edge or an even cycle exits 3."""
+    lone = draw(st.integers(0, 2))
+    quiver = None
+    while quiver is None or quiver.n + lone < max_vertices and draw(st.booleans()):
+        size = draw(st.integers(1, max_vertices - lone - (quiver.n if quiver else 0)))
+        cycle = size >= 3 and draw(st.booleans())
+        vals = st.sampled_from((UNIT, UNIT, UNIT, Valuation(1, 2), Valuation(2, 2)))
+        arrows = [Arrow(u, u % size + 1, draw(vals)) for u in range(1, size + cycle)]
+        arrows += [Arrow(a.tgt, a.src, draw(st.sampled_from((transposed(a.val), a.val))))
+                   for a in arrows]
+        arrows += [Arrow(v, v) for v in sorted({1, size}) if not cycle and draw(st.booleans())]
+        part = ValuedQuiver(size, arrows)
+        quiver = part if quiver is None else disjoint_union(quiver, part)
+    return disjoint_union(quiver, ValuedQuiver(lone)) if lone else quiver
+
+
+TWO_WAY_D4 = ValuedQuiver(4, STAR_D4.arrows + opposite(STAR_D4).arrows)
+# mirrored, with the slice BC2 at +- and at -+
+TWO_WAY_BC2 = ValuedQuiver(2, (Arrow(1, 2, Valuation(1, 2)), Arrow(2, 1, Valuation(2, 1))))
+
+
+class TestMirroredCopy:
+    """A mirrored quiver builds the slices with +1 at vertex 1 and copies
+    each other slice from its complement; against the scan, which builds
+    every slice."""
+
+    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+    @given(mirrored_quivers(), st.randoms(use_true_random=False))
+    @example(TWO_WAY_D4, random.Random(0))
+    @example(TWO_WAY_BC2, random.Random(0))
+    def test_against_the_scan(self, quiver, rng):
+        images = list(range(1, quiver.n + 1))
+        rng.shuffle(images)
+        for q in (quiver, relabelled(quiver, images)):
+            unsupported = first_non_a_row(q)
+            if unsupported is not None:
+                with pytest.raises(UnsupportedComponentError) as err:
+                    glued_hasse(q)
+                assert format_signs(err.value.signs) == unsupported
+                continue
+            hasse, want = glued_hasse(q), glued_hasse_scan(q)
+            assert hasse.nodes == want.nodes
+            assert hasse.arrows == want.arrows
+
+    def test_unsupported_slice_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "bc2.q"
+        path.write_text(quiver_file_text(TWO_WAY_BC2), encoding="utf-8")
+        assert cli.main(["hasse", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unsupported component type: sign vector +-: component [1, 2] is BC2, "
+            "not type A\n"
+        )
+
+    def test_copied_g_left_unnegated_is_an_internal_bug(self, tmp_path, capsys, monkeypatch):
+        # the slice -++ of Brauer line 3 is copied from +--; keeping the copied
+        # g's sign gives each of its nodes the g of the node it copies
+        class Unnegated(glue.HasseNode):
+            __slots__ = ()
+
+            def __init__(self, signs, supports, g):
+                if signs == (-1, 1, 1):
+                    g = tuple([-x for x in g])
+                super().__init__(signs, supports, g)
+
+        monkeypatch.setattr(glue, "HasseNode", Unnegated)
+        with pytest.raises(ArithmeticError, match="node g-vectors collide: internal bug"):
+            glued_hasse(brauer_line_quiver(3))
+        path = tmp_path / "line3.q"
+        path.write_text(quiver_file_text(brauer_line_quiver(3)), encoding="utf-8")
+        assert cli.main(["hasse", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal: node g-vectors collide: internal bug\n"
+
+
+def perfbench_random_path():
+    """The random path of perfbench's seed-0 `hasse` workload, relabelled as there."""
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"), run_name="workloads")
+    inputs = workloads["inputs_of"](workloads["build"]("hasse", 0))
+    return parse_quiver(inputs["random-path5"].text())
+
+
+class TestMirroredWork:
+    @pytest.mark.parametrize(
+        "quiver, built",
+        [(brauer_line_quiver(5), 16), (brauer_cycle_quiver(5), 16), (THREE_CYCLE, 8),
+         (perfbench_random_path(), 32)],
+        ids=["line5", "cycle5", "three-cycle", "random-path5"],
+    )
+    def test_views_are_read_for_built_slices_only(self, quiver, built, monkeypatch):
+        # a mirrored quiver reads the views of the masks with +1 at vertex 1
+        # alone; any other reads every mask
+        seen = []
+        original = glue.component_views
+
+        def counted(signs, *args):
+            seen.append(signs)
+            return original(signs, *args)
+
+        monkeypatch.setattr(glue, "component_views", counted)
+        glued_hasse(quiver)
+        assert seen == list(enumerate_signs(quiver.n))[:built]
