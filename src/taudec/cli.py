@@ -253,8 +253,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (QuiverError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:  # an ArithmeticError, but from the input's size
-        print(f"error: quiver too large: {exc}", file=sys.stderr)
+    except (OverflowError, MemoryError) as exc:  # from the input's size, not a bug
+        print(f"error: quiver too large: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except UnsupportedComponentError as exc:
         print(f"error: unsupported component type: {exc}", file=sys.stderr)

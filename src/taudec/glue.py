@@ -24,25 +24,25 @@ keys on each path of the slice without v, by minimal vertex.  The +1 side
 has the lesser mask, so its end arrives first, and the two ends of a key
 make one gluing arrow from the +1 side to the -1 side.
 
-A mirrored quiver, each link an arrow both ways with one unordered
-valuation, equals its opposite, so its slice at the complement of a mask
-is the slice at the mask with every arrow reversed (Theorem 2.14 again).
-Only the masks with +1 at vertex 1 are walked and built, which holds the
-first slice not of type A if there is one.  Each other slice copies its
-complement's: the same supports, negated g-vectors, reversed internal
-arrows and open ends re-keyed to its own upper masks.
+Masks that keep one edge set share one slice tuple from the engine.  When
+mask m shares it with its complement c < m, m copies c's slice: the same
+supports, negated g-vectors, c's internal arrows reversed and its open
+ends re-keyed to m's upper masks.  Building m would give just that, as it
+reads c's views with every sign negated, so with every `turned` flipped
+(Theorem 2.14 again).  The first slice not of type A is never a copy,
+since its complement has the same components and is typed first.
 """
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import product
 from math import prod
 from operator import mul
 
 from .quiver import IntVector, Record, SignVector, ValuedGraph, ValuedQuiver, format_signs
 from .quiver import UnsupportedComponentError, breadth_first, neighbour_lists
 from .repa import RigidityTable
-from .signdec import Counted, SliceEngine, _links
+from .signdec import Counted, SliceEngine
 
 INTERNAL = "internal"
 GLUING = "gluing"
@@ -159,16 +159,25 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
     n = quiver.n
     engine = SliceEngine(quiver)
     top = (1 << n) - 1  # the all -1 mask; mask m has complement top - m
-    # every link an arrow both ways with one unordered valuation: Q = Q^op
-    mirrored = all(o == i for at in _links(quiver).values() for o, i in at.values())
+    walked = list(engine.walk())
     tables, views = {}, {}  # by path length; by labelled graph
     nodes: list[HasseNode] = []
     arrows: list[tuple[int, int, str]] = []
     ends: dict[tuple, list[int]] = {}
-    sliced = [(signs, component_views(signs, counted, tables, views))
-              for signs, counted in islice(engine.walk(), 1 << n - mirrored)]
-    built = []  # per slice to copy: its nodes' and internal arrows' spans, its open ends
-    for mask, (signs, parts) in enumerate(sliced):
+    sliced = [None if top - m < m and walked[top - m][1] is counted  # None: copied
+              else component_views(signs, counted, tables, views)
+              for m, (signs, counted) in enumerate(walked)]
+    built = {}  # by mask its complement copies: its nodes' and internal arrows' spans, open ends
+    for mask, ((signs, _), parts) in enumerate(zip(walked, sliced)):
+        if parts is None:  # the slice tuple of c = top - mask < mask: c's slice reversed
+            start, stop, begin, end, opened = built.pop(top - mask)
+            shift = len(nodes) - start
+            nodes += [HasseNode(signs, node.supports, tuple([-x for x in node.g]))
+                      for node in nodes[start:stop]]
+            arrows += [(b + shift, a + shift, kind) for a, b, kind in arrows[begin:end]]
+            for v, rest, i in opened:
+                ends.setdefault((mask & ~engine.bit[v], v, rest), []).append(i + shift)
+            continue
         if sorted(v for view in parts for v in view.path) != list(range(1, n + 1)):
             raise ArithmeticError(
                 f"slice {format_signs(signs)} misses or repeats a vertex: internal bug"
@@ -195,17 +204,8 @@ def glued_hasse(quiver: ValuedQuiver) -> GluedHasse:
                     rest = tuple(sorted(own[:c] + own[c + 1:] + pieces))
                     opened.append((v, rest, i))
                     ends.setdefault((mask & ~engine.bit[v], v, rest), []).append(i)
-        if mirrored:
-            built.append((start, len(nodes), begin, len(arrows), opened))
-    for mask in range(len(sliced), top + 1):  # a mirrored quiver's other half, by complement
-        signs = tuple([-s for s in sliced[top - mask][0]])
-        start, stop, begin, end, opened = built[top - mask]
-        shift = len(nodes) - start
-        nodes += [HasseNode(signs, node.supports, tuple([-x for x in node.g]))
-                  for node in nodes[start:stop]]
-        arrows += [(b + shift, a + shift, kind) for a, b, kind in arrows[begin:end]]
-        for v, rest, i in opened:
-            ends.setdefault((mask & ~engine.bit[v], v, rest), []).append(i + shift)
+        if sliced[top - mask] is None:  # the complement copies this slice
+            built[mask] = (start, len(nodes), begin, len(arrows), opened)
 
     for (_, v, _), pair in sorted(ends.items()):
         # the +1 end lies in the lesser mask, so the walk meets it first

@@ -143,3 +143,27 @@ def test_no_state_kept_between_calls():
         f"state kept between calls in src/: {kept}; a memo belongs to an object "
         "that one call builds and drops, such as `SliceEngine`"
     )
+
+
+def _private_imports(tree: ast.Module):
+    """The underscore names, dunders aside, that a module imports from
+    another taudec module, at top level or inside a function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "taudec"
+        ):
+            source = "." * node.level + (node.module or "")
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.endswith("__"):
+                    yield node.lineno, f"from {source} import {alias.name}"
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a module that needs another's private name needs a public one, or the
+    # knowledge behind it belongs in the other module
+    found = sorted(
+        f"{path.stem}:{line}: {what}"
+        for path in SRC.glob("*.py")
+        for line, what in _private_imports(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert not found, f"private names imported across src/ modules: {found}"

@@ -731,8 +731,16 @@ def test_import_loads_no_typing_dataclasses_or_inspect_without_site():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
-@pytest.mark.parametrize("command", ["count", "finite"])
-def test_oversized_edgeless_quiver_under_a_memory_cap(quiver_file, command):
+@pytest.mark.parametrize(
+    "command, text, out",
+    [("count", OVERFLOW_FILE, ""), ("finite", OVERFLOW_FILE, "finite\n"),
+     # 2 ** (10**10) is 1.25 GB
+     ("count", "n 10000000000\n", ""), ("finite", "n 10000000000\n", "finite\n"),
+     # the engine's vertex bits 2 ** (n - v) take n * n / 16 bytes; rows start after the header
+     ("signdec", "n 3000000\n", "# signs  components  count  two_term_tilting\n")],
+    ids=["count", "finite", "count-shift", "finite-shift", "signdec-bits"],
+)
+def test_oversized_edgeless_quiver_under_a_memory_cap(quiver_file, command, text, out):
     # lone vertices are a shift in the sweep, so nothing is kept per vertex; the
     # address-space cap applies to the child alone
     resource = pytest.importorskip("resource")
@@ -740,15 +748,18 @@ def test_oversized_edgeless_quiver_under_a_memory_cap(quiver_file, command):
     cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-m", "taudec.cli", command, quiver_file(OVERFLOW_FILE)],
+        [sys.executable, "-m", "taudec.cli", command, quiver_file(text)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)))
+    assert done.stdout == out
     if command == "finite":
-        assert (done.returncode, done.stdout, done.stderr) == (0, "finite\n", "")
-    else:  # 2 ** (10**20) has too many digits for an int
-        assert (done.returncode, done.stdout) == (2, "")
+        assert (done.returncode, done.stderr) == (0, "")
+    elif text == OVERFLOW_FILE:  # 2 ** (10**20) has too many digits for an int
+        assert done.returncode == 2
         assert done.stderr.startswith("error: quiver too large: ")
         assert done.stderr.count("\n") == 1
+    else:  # a MemoryError, which has no text
+        assert (done.returncode, done.stderr) == (2, "error: quiver too large: out of memory\n")
 
 
 class TestIdentities:

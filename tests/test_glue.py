@@ -778,9 +778,9 @@ class TestDuality:
 
 
 @st.composite
-def mirrored_quivers(draw, max_vertices=6):
-    """Two-way paths, with loops at their ends, and two-way cycles, valued or
-    not, side by side with up to two lone vertices.  Each arrow's reverse has
+def mirrored_quivers(draw, max_vertices=6, valued=True):
+    """Two-way paths, with loops at their ends, and two-way cycles, valued
+    where `valued` allows, side by side with up to two lone vertices.  Each arrow's reverse has
     its valuation, transposed or not, so every link reads `out == into`: the
     quiver is mirrored.  A valued edge or an even cycle exits 3."""
     lone = draw(st.integers(0, 2))
@@ -788,7 +788,8 @@ def mirrored_quivers(draw, max_vertices=6):
     while quiver is None or quiver.n + lone < max_vertices and draw(st.booleans()):
         size = draw(st.integers(1, max_vertices - lone - (quiver.n if quiver else 0)))
         cycle = size >= 3 and draw(st.booleans())
-        vals = st.sampled_from((UNIT, UNIT, UNIT, Valuation(1, 2), Valuation(2, 2)))
+        vals = st.sampled_from((UNIT, UNIT, UNIT, Valuation(1, 2), Valuation(2, 2)) if valued
+                               else (UNIT,))
         arrows = [Arrow(u, u % size + 1, draw(vals)) for u in range(1, size + cycle)]
         arrows += [Arrow(a.tgt, a.src, draw(st.sampled_from((transposed(a.val), a.val))))
                    for a in arrows]
@@ -798,21 +799,47 @@ def mirrored_quivers(draw, max_vertices=6):
     return disjoint_union(quiver, ValuedQuiver(lone)) if lone else quiver
 
 
+def perfbench_random_path():
+    """The random path of perfbench's seed-0 `hasse` workload, relabelled as there."""
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"), run_name="workloads")
+    inputs = workloads["inputs_of"](workloads["build"]("hasse", 0))
+    return parse_quiver(inputs["random-path5"].text())
+
+
 TWO_WAY_D4 = ValuedQuiver(4, STAR_D4.arrows + opposite(STAR_D4).arrows)
 # mirrored, with the slice BC2 at +- and at -+
 TWO_WAY_BC2 = ValuedQuiver(2, (Arrow(1, 2, Valuation(1, 2)), Arrow(2, 1, Valuation(2, 1))))
 
 
-class TestMirroredCopy:
-    """A mirrored quiver builds the slices with +1 at vertex 1 and copies
-    each other slice from its complement; against the scan, which builds
-    every slice."""
+@st.composite
+def partly_mirrored_quivers(draw):
+    """A `mirrored_quivers` draw with one two-way link made one-way, or with
+    its reverse given another unordered valuation, beside a `random_type_a`
+    piece or not: some complement masks keep one slice tuple, others do not."""
+    quiver = draw(mirrored_quivers(max_vertices=5, valued=draw(st.booleans())).filter(
+        lambda q: any(a.src < a.tgt for a in q.arrows)))
+    arrows = list(quiver.arrows)
+    there = draw(st.sampled_from([a for a in arrows if a.src < a.tgt]))
+    back = next(a for a in arrows if (a.src, a.tgt) == (there.tgt, there.src))
+    others = [val for val in (UNIT, Valuation(1, 2), Valuation(2, 2))
+              if val.unordered() != there.val.unordered()]
+    val = draw(st.sampled_from([None, *others]))
+    if val is None:
+        arrows.remove(draw(st.sampled_from((there, back))))
+    else:
+        arrows[arrows.index(back)] = Arrow(back.src, back.tgt, val)
+    quiver = ValuedQuiver(quiver.n, arrows)
+    if draw(st.booleans()):
+        quiver = disjoint_union(quiver, random_type_a(draw(st.randoms()), max_n=2))
+    return quiver
 
-    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
-    @given(mirrored_quivers(), st.randoms(use_true_random=False))
-    @example(TWO_WAY_D4, random.Random(0))
-    @example(TWO_WAY_BC2, random.Random(0))
-    def test_against_the_scan(self, quiver, rng):
+
+class TestMirroredCopy:
+    """A mask copies its complement's slice when the complement comes first
+    and the engine gave both one slice tuple; against the scan, which builds
+    every slice.  A mirrored quiver copies every mask with -1 at vertex 1."""
+
+    def check(self, quiver, rng):
         images = list(range(1, quiver.n + 1))
         rng.shuffle(images)
         for q in (quiver, relabelled(quiver, images)):
@@ -825,6 +852,20 @@ class TestMirroredCopy:
             hasse, want = glued_hasse(q), glued_hasse_scan(q)
             assert hasse.nodes == want.nodes
             assert hasse.arrows == want.arrows
+
+    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+    @given(mirrored_quivers(), st.randoms(use_true_random=False))
+    @example(TWO_WAY_D4, random.Random(0))
+    @example(TWO_WAY_BC2, random.Random(0))
+    def test_against_the_scan(self, quiver, rng):
+        self.check(quiver, rng)
+
+    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+    @given(partly_mirrored_quivers(), st.randoms(use_true_random=False))
+    @example(perfbench_random_path(), random.Random(0))
+    @example(THREE_CYCLE, random.Random(0))
+    def test_partly_mirrored_against_the_scan(self, quiver, rng):
+        self.check(quiver, rng)
 
     def test_unsupported_slice_exits_three(self, tmp_path, capsys):
         path = tmp_path / "bc2.q"
@@ -858,24 +899,43 @@ class TestMirroredCopy:
         assert captured.out == ""
         assert captured.err == "error: internal: node g-vectors collide: internal bug\n"
 
+    def test_copied_g_of_the_three_cycle_left_unnegated_is_an_internal_bug(
+            self, tmp_path, capsys, monkeypatch):
+        # the three-cycle is not mirrored, but its slice --- keeps no edge, as
+        # +++ does, so --- is copied from +++; keeping the copied g's sign
+        # gives its node the g of the node it copies
+        class Unnegated(glue.HasseNode):
+            __slots__ = ()
 
-def perfbench_random_path():
-    """The random path of perfbench's seed-0 `hasse` workload, relabelled as there."""
-    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"), run_name="workloads")
-    inputs = workloads["inputs_of"](workloads["build"]("hasse", 0))
-    return parse_quiver(inputs["random-path5"].text())
+            def __init__(self, signs, supports, g):
+                if signs == (-1, -1, -1):
+                    g = tuple([-x for x in g])
+                super().__init__(signs, supports, g)
+
+        monkeypatch.setattr(glue, "HasseNode", Unnegated)
+        with pytest.raises(ArithmeticError, match="node g-vectors collide: internal bug"):
+            glued_hasse(THREE_CYCLE)
+        path = tmp_path / "three-cycle.q"
+        path.write_text(quiver_file_text(THREE_CYCLE), encoding="utf-8")
+        assert cli.main(["hasse", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal: node g-vectors collide: internal bug\n"
 
 
 class TestMirroredWork:
     @pytest.mark.parametrize(
-        "quiver, built",
-        [(brauer_line_quiver(5), 16), (brauer_cycle_quiver(5), 16), (THREE_CYCLE, 8),
-         (perfbench_random_path(), 32)],
-        ids=["line5", "cycle5", "three-cycle", "random-path5"],
+        "quiver, copied",
+        [(brauer_line_quiver(5), range(16, 32)), (brauer_cycle_quiver(5), range(16, 32)),
+         (ZIGZAG, [31]), (THREE_CYCLE, [7]), (perfbench_random_path(), range(24, 32))],
+        ids=["line5", "cycle5", "zigzag5", "three-cycle", "random-path5"],
     )
-    def test_views_are_read_for_built_slices_only(self, quiver, built, monkeypatch):
-        # a mirrored quiver reads the views of the masks with +1 at vertex 1
-        # alone; any other reads every mask
+    def test_views_are_read_for_built_slices_only(self, quiver, copied, monkeypatch):
+        # a mask after its complement with one slice tuple reads no view: a
+        # mirrored quiver's masks with -1 at vertex 1, the zigzag's ----- and
+        # the three-cycle's --- (no edge kept, as at the all +1 mask), and the
+        # random path's --***, where its one one-way arrow 2 -> 1 is kept at
+        # neither mask and every other link runs both ways
         seen = []
         original = glue.component_views
 
@@ -885,4 +945,5 @@ class TestMirroredWork:
 
         monkeypatch.setattr(glue, "component_views", counted)
         glued_hasse(quiver)
-        assert seen == list(enumerate_signs(quiver.n))[:built]
+        masks = list(enumerate_signs(quiver.n))
+        assert seen == [signs for mask, signs in enumerate(masks) if mask not in copied]

@@ -116,3 +116,11 @@ def test_copy_and_pickle_round_trip(value):
     for other in copies:
         assert type(other) is type(value)
         assert other == value and hash(other) == hash(value)
+
+
+@pytest.mark.parametrize("compare", COMPARISONS, ids=lambda compare: compare.__name__)
+def test_order_between_valuation_and_arrow_is_a_type_error(compare):
+    # each record's `__lt__` declines the other class, as each twin's does
+    for a, b in ((Valuation(1, 2), Arrow(1, 2)), (Arrow(1, 2), Valuation(1, 2))):
+        assert outcome(compare, a, b) is TypeError
+        assert outcome(compare, twin_of(a), twin_of(b)) is TypeError
