@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Callable, Sequence
+from itertools import chain
 
 from .quiver import (
     QuiverError,
@@ -68,12 +69,13 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_signdec(args: argparse.Namespace) -> int:
-    quiver = _load_quiver(args.path)
+    rows = SliceEngine(_load_quiver(args.path)).rows()
+    first = next(rows)  # the engine and its tables: a quiver too large fails before any output
     write = sys.stdout.write
     write("# signs  components  count  two_term_tilting\n")
     # component cells and row tails, by the id of the tuples the engine keeps alive
     texts: dict[int, str] = {}
-    for text, parts, two_term in SliceEngine(quiver).rows():
+    for text, parts, two_term in chain([first], rows):
         tail = texts.get(id(parts))
         if tail is None:
             for part in parts:

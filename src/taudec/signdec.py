@@ -14,13 +14,14 @@ valuations, the slice at -e keeps the reverses of the arrows kept at e,
 the same valued graph, so count(e) = count(-e): its least vertex takes +1
 alone and the sum is doubled.  A lone vertex, A1 at either sign, is not
 swept: it only doubles the sum, a shift.  A slice edge is decided when its
-later end gets its sign.  The frontier is the set of swept vertices with a
-neighbour still to come.  A state holds the frontier's signs and the open
-slice pieces, those that still hold a frontier vertex.  A path is kept as
-its two ends (a frontier vertex, or none once the end has left the
-frontier), its length, and its frontier vertices inside and its non-unit
-edges, both by position.  A star, a unit tree with one vertex of degree 3,
-is kept as its three arms, each an end and a length.  Its centre and the
+later end gets its sign.  The frontier, the swept vertices with a
+neighbour still to come, is a mask of `SliceEngine` bits.  A state holds
+the frontier's -1 vertices as mask bits and the open slice pieces, those
+that still hold a frontier vertex.  A piece names a vertex by its label,
+and an end that has left the frontier by 0.  A path is kept as its two
+ends, its length, and its frontier vertices inside and its non-unit edges,
+both by position.  A star, a unit tree with one vertex of degree 3, is
+kept as its three arms, each an end and a length.  Its centre and the
 vertices inside its arms are kept nowhere: an edge into one of them makes
 a vertex of degree 4 or a second branch.  An edge into a vertex inside a
 path splits the path into two arms of a star, a third edge makes the new
@@ -41,18 +42,18 @@ swept, is the first witness.  It is +1 outside one component, and on a
 mirrored one its negation there is a witness too, so it has +1 at the
 least vertex, which owns the highest mask bit there.
 
-A `SliceEngine` walks the 2^n sign vectors and owns the sign-mask
-layout, which the sweep's witness masks follow too.  Each non-loop arrow
-owns a bit, and the ORs of the arrows into and out of a mask's -1
+A `SliceEngine` walks the 2^n sign vectors and owns the sign-mask layout,
+which the sweep's states and witness masks follow too.  Each non-loop
+arrow owns a bit, and the ORs of the arrows into and out of a mask's -1
 vertices give its slice and its `signdec` two-term column; a walk reads
-those ORs off two tables, over the high and the low half of the mask
-bits.  Each distinct slice is split by one union pass over its edge bits,
-merging vertex groups by size, and each distinct component, keyed by its
-vertex and edge bits, is classified once.  A component that fails to
-classify is an internal bug named by its sign vector and vertices.  The
-engine names the non-Dynkin component of the sweep's witness from its one
-slice, and gives the `signdec` rows, the `hasse` walk and
-`sign_slice_components`.  Sign text is always `quiver.format_signs`.
+those ORs off two tables, over the high and the low half of the mask bits.
+Each distinct slice is split by one union pass over its edge bits, merging
+vertex groups by size, and each distinct component, keyed by its vertex
+and edge bits, is classified once.  A component that fails to classify is
+an internal bug named by its sign vector and vertices.  The engine names
+the non-Dynkin component of the sweep's witness from its one slice, and
+gives the `signdec` rows, the `hasse` walk and `sign_slice_components`.
+Sign text is always `quiver.format_signs`.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ class SliceEngine:
 # links[v][u] = [valuation of v -> u, valuation of u -> v], None where absent
 Links = dict[int, dict[int, list]]
 Path = tuple  # (end, end, length, inner frontier vertices and non-unit edges by position)
-Star = tuple  # its three arms, each (end, length), sorted
+Star = tuple  # its three arms, each (end, length), sorted; an end is a label, 0 off the frontier
 _UNIT = (1, 1)
 
 
@@ -280,9 +281,9 @@ def _piece_count(shape: tuple, memo: dict) -> int | Infinite:
 def _join(
     paths: tuple[Path, ...], stars: tuple[Star, ...], touched: list, fresh: int, memo: dict
 ) -> tuple[list[Path], tuple[Star, ...]] | Infinite:
-    """The open paths and stars once the new vertex `fresh` takes its slice edges.
+    """The open paths and stars once the new vertex `fresh`, a label, takes its slice edges.
 
-    `touched` lists (frontier index, valuation) of the new vertex's edges.
+    `touched` lists (neighbour label, valuation) of the new vertex's edges.
     Edges into path ends join those paths through `fresh`; one more edge, to
     a third path end, inside a path or to a star's arm end, makes a star.
     Returns INFINITE when the edges close a cycle or make a non-Dynkin piece.
@@ -359,44 +360,38 @@ def transfer_count(quiver: ValuedQuiver, witness: bool = False) -> int | Infinit
     mirrored component takes +1 alone: there count(e) = count(-e), so each
     such component doubles the count, and the least witness has +1 there.
     """
-    links = _links(quiver)
+    n, links = quiver.n, _links(quiver)
     memo: dict = {}  # piece counts by shape
     best = 0  # mask 0, all +1, has an edgeless slice and is never a witness
     waiting = {v: len(links[v]) for v in links}
-    frontier: list[int] = []
-    states: dict[tuple, int] = {((), (), ()): 0 if witness else 1}
+    frontier = 0  # mask bits of the swept vertices with a neighbour still to come
+    states: dict[tuple, int] = {(0, (), ()): 0 if witness else 1}
     swept: set[int] = set()  # components by least vertex, each in breadth-first order
-    halved = quiver.n - len(links)  # mirrored components; lone vertices are not swept
+    halved = n - len(links)  # mirrored components; lone vertices are not swept
     for v, fixed in ((u, u == w and all(o == i for x in group for o, i in links[x].values()))
                      for w in links if w not in swept
                      for group in [breadth_first(links, (w,))]
                      for u in breadth_first(links, group)):
         swept.add(v)
         halved += fixed
-        bit = 1 << quiver.n - v
-        at = {u: i for i, u in enumerate(frontier)}
-        # (frontier index, valuation) of the slice edges v can take as +1 and as -1
-        plus = [(at[u], out) for u, (out, _) in links[v].items() if u in at and out]
-        minus = [(at[u], into) for u, (_, into) in links[v].items() if u in at and into]
+        bit = 1 << n - v
+        # (frontier vertex, valuation) of the slice edges v can take as +1 and as -1
+        plus = [(u, out) for u, (out, _) in links[v].items() if frontier >> n - u & 1 and out]
+        minus = [(u, into) for u, (_, into) in links[v].items() if frontier >> n - u & 1 and into]
         for u in links[v]:
             waiting[u] -= 1
-        fresh = len(frontier)  # v's index until the frontier moves on
-        frontier.append(v)
-        stay = [i for i, u in enumerate(frontier) if waiting[u]]
-        remap = [-1] * (fresh + 2)  # remap[-1] == -1 keeps a closed end closed
-        for new, old in enumerate(stay):
-            remap[old] = new
-        frontier = [frontier[i] for i in stay]
-        v_stays = bool(stay) and stay[-1] == fresh
-        carried = stay[:-1] if v_stays else stay
+            if not waiting[u]:
+                frontier &= ~(1 << n - u)
+        if waiting[v]:
+            frontier |= bit
         merged: dict[tuple, int] = {}
         for (signs, paths, stars), weight in states.items():
-            carried_signs = tuple(signs[i] for i in carried)
             for s, edges in ((1, plus),) if fixed else ((1, plus), (-1, minus)):
-                touched = [(i, val) for i, val in edges if signs[i] != s]
+                # an edge is kept from +1 to -1: u's bit is set when v is +1
+                touched = [(u, val) for u, val in edges if signs >> n - u & 1 == (s > 0)]
                 out = weight | bit if witness and s < 0 else weight
-                joined = _join(paths, stars, touched, fresh, memo) if touched else (
-                    paths + ((fresh, fresh, 1, (), ()),), stars
+                joined = _join(paths, stars, touched, v, memo) if touched else (
+                    paths + ((v, v, 1, (), ()),), stars
                 )
                 if joined is INFINITE:
                     if not witness:
@@ -406,10 +401,11 @@ def transfer_count(quiver: ValuedQuiver, witness: bool = False) -> int | Infinit
                 joined, open_stars = joined
                 kept = []
                 for a, b, length, inner, special in joined:
-                    a, b = remap[a], remap[b]
-                    if inner:  # in position order, which remap keeps
-                        inner = tuple([(p, remap[i]) for p, i in inner if remap[i] >= 0])
-                    if a < 0 and b < 0 and not inner:
+                    a *= frontier >> n - a & 1  # an end off the frontier reads 0
+                    b *= frontier >> n - b & 1
+                    if inner:
+                        inner = tuple([(p, i) for p, i in inner if frontier >> n - i & 1])
+                    if not (a or b or inner):
                         if not witness:
                             out *= _piece_count((length, special), memo)  # closed
                         continue
@@ -419,13 +415,13 @@ def transfer_count(quiver: ValuedQuiver, witness: bool = False) -> int | Infinit
                     kept.append(path)
                 kept_stars = ()
                 for star in open_stars:
-                    star = tuple(sorted([(remap[end], m) for end, m in star]))
-                    if star[-1][0] >= 0:
+                    star = tuple(sorted([(end * (frontier >> n - end & 1), m) for end, m in star]))
+                    if star[-1][0]:
                         kept_stars += (star,)
                     elif not witness:  # no arm end is left on the frontier: closed
                         out *= _piece_count(tuple(sorted(m for _, m in star)), memo)
-                signs_kept = carried_signs + (s,) if v_stays else carried_signs
-                key = (signs_kept, tuple(sorted(kept)), kept_stars and tuple(sorted(kept_stars)))
+                key = ((signs | bit if s < 0 else signs) & frontier, tuple(sorted(kept)),
+                       kept_stars and tuple(sorted(kept_stars)))
                 merged[key] = min(merged.get(key, out), out) if witness else merged.get(key, 0) + out
         states = merged
     return best if witness else sum(states.values()) << halved

@@ -4,7 +4,9 @@ import contextlib
 import io
 import math
 import random
+import runpy
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -55,6 +57,7 @@ from taudec.signdec import (
     slice_count,
 )
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 THREE_CYCLE = ValuedQuiver(3, (Arrow(1, 2), Arrow(2, 3), Arrow(3, 1)))
 
 
@@ -1049,7 +1052,11 @@ class TestMirroredHalving:
     def test_work_on_brauer_cycles(self, monkeypatch):
         # _join calls per sweep, with the answer: a mirrored cycle sweeps its least
         # vertex at +1 alone; without the arrow 4 -> 5 it is not mirrored, and its
-        # sweep does the same work as one that never halves
+        # sweep does the same work as one that never halves.  The relabelled inputs
+        # of perfbench's seed-0 `count` workload and the plain Brauer line 10 too
+        workloads = runpy.run_path(str(PERFBENCH / "workloads.py"), run_name="workloads")
+        bench = {name: parse_quiver(inp.text()) for name, inp
+                 in workloads["inputs_of"](workloads["build"]("count", 0)).items()}
         calls = []
         original = signdec._join
 
@@ -1067,6 +1074,16 @@ class TestMirroredHalving:
             (brauer_cycle_quiver(12), True, 0b010101010101, 513),
             (one_way, False, 89846, 221),
             (one_way, True, 0, 221),
+            (bench["line10"], False, math.comb(20, 10), 58),
+            (bench["line10"], True, 0, 58),
+            (bench["line4+line6"], False, math.comb(8, 4) * math.comb(12, 6), 24),
+            (bench["line4+line6"], True, 0, 24),
+            (bench["zigzag10"], False, catalan(11), 45),
+            (bench["zigzag10"], True, 0, 45),
+            (bench["edgeless10"], False, 2**10, 0),
+            (bench["edgeless10"], True, 0, 0),
+            (brauer_line_quiver(10), False, math.comb(20, 10), 73),
+            (brauer_line_quiver(10), True, 0, 73),
         ]:
             calls.clear()
             assert signdec.transfer_count(quiver, witness=witness) == want
