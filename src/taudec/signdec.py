@@ -11,8 +11,9 @@ ordered by `quiver.breadth_first` (from a vertex of least degree, ties and
 neighbours by label), and branches on both signs of a vertex.  On a
 mirrored component, each link an arrow both ways with equal unordered
 valuations, the slice at -e keeps the reverses of the arrows kept at e,
-the same valued graph, so count(e) = count(-e): its least vertex takes +1
-alone and the sum is doubled.  A lone vertex, A1 at either sign, is not
+the same valued graph, so count(e) = count(-e): while one is swept, a
+state is kept under its class, its frontier signs negated when the least
+frontier vertex reads -1.  A lone vertex, A1 at either sign, is not
 swept: it only doubles the sum, a shift.  A slice edge is decided when its
 later end gets its sign.  The frontier, the swept vertices with a
 neighbour still to come, is a mask of `SliceEngine` bits.  A state holds
@@ -36,11 +37,11 @@ with a weight comes from some sign vector, so a cycle, a second branch, a
 non-unit edge on a star or an open piece that is not Dynkin returns
 `INFINITE` at once.  `count`, `finite` and `brauer --verify` take their
 counts from the sweep alone.  For `finite` a state holds, in place of its
-weight, the least sign mask reaching it: merged states share their
-futures, so the least mask over all detections, +1 on every vertex not yet
-swept, is the first witness.  It is +1 outside one component, and on a
-mirrored one its negation there is a witness too, so it has +1 at the
-least vertex, which owns the highest mask bit there.
+weight, the least sign masks reaching its signs and, on a mirrored
+component, their negation there: a flip swaps the two and a merge keeps
+the least of each, since merged states share their futures.  The least
+mask over all detections, +1 on every vertex not yet swept, is the first
+witness.
 
 A `SliceEngine` walks the 2^n sign vectors and owns the sign-mask layout,
 which the sweep's states and witness masks follow too.  Each non-loop
@@ -354,26 +355,23 @@ def transfer_count(quiver: ValuedQuiver, witness: bool = False) -> int | Infinit
 
     Returns INFINITE as soon as an open slice piece closes a cycle or is not
     Dynkin (see the module docstring).  With `witness`, a state holds the
-    least `SliceEngine` mask that reaches it in place of its weight, and the
-    sweep runs on past each detection: it returns the least witness mask,
-    the quiver's first witness, or 0 if there is none.  The least vertex of a
-    mirrored component takes +1 alone: there count(e) = count(-e), so each
-    such component doubles the count, and the least witness has +1 there.
+    least `SliceEngine` masks that reach its signs and, on a mirrored
+    component, their negation there, in place of its weight, and the sweep
+    runs on past each detection: it returns the least witness mask, the
+    quiver's first witness, or 0 if there is none.  The pair needs no reset:
+    the all +1 mask keeps its first slot 0 between components.
     """
     n, links = quiver.n, _links(quiver)
     memo: dict = {}  # piece counts by shape
     best = 0  # mask 0, all +1, has an edgeless slice and is never a witness
     waiting = {v: len(links[v]) for v in links}
     frontier = 0  # mask bits of the swept vertices with a neighbour still to come
-    states: dict[tuple, int] = {(0, (), ()): 0 if witness else 1}
-    swept: set[int] = set()  # components by least vertex, each in breadth-first order
-    halved = n - len(links)  # mirrored components; lone vertices are not swept
-    for v, fixed in ((u, u == w and all(o == i for x in group for o, i in links[x].values()))
-                     for w in links if w not in swept
-                     for group in [breadth_first(links, (w,))]
-                     for u in breadth_first(links, group)):
-        swept.add(v)
-        halved += fixed
+    states = {(0, (), ()): (0, 0) if witness else 1}
+    # components by least vertex, each in breadth-first order; a swept one waits on nothing
+    for v, mirrored in ((u, mirrored) for w in links if waiting[w]
+                        for group in [breadth_first(links, (w,))]
+                        for mirrored in [all(o == i for x in group for o, i in links[x].values())]
+                        for u in breadth_first(links, group)):
         bit = 1 << n - v
         # (frontier vertex, valuation) of the slice edges v can take as +1 and as -1
         plus = [(u, out) for u, (out, _) in links[v].items() if frontier >> n - u & 1 and out]
@@ -384,19 +382,21 @@ def transfer_count(quiver: ValuedQuiver, witness: bool = False) -> int | Infinit
                 frontier &= ~(1 << n - u)
         if waiting[v]:
             frontier |= bit
-        merged: dict[tuple, int] = {}
+        merged = {}
         for (signs, paths, stars), weight in states.items():
-            for s, edges in ((1, plus),) if fixed else ((1, plus), (-1, minus)):
-                # an edge is kept from +1 to -1: u's bit is set when v is +1
-                touched = [(u, val) for u, val in edges if signs >> n - u & 1 == (s > 0)]
-                out = weight | bit if witness and s < 0 else weight
+            for edges, own in ((plus, 0), (minus, bit)):  # own: v's bit, set when v is -1
+                # an edge is kept from +1 to -1: u's bit is set when v's is not
+                touched = [(u, val) for u, val in edges if signs >> n - u & 1 == (not own)]
+                # the negation's mask, off a mirrored component the mask again
+                out = ((weight[0] | own, weight[1] | own ^ bit) if mirrored else
+                       (weight[0] | own,) * 2) if witness else weight
                 joined = _join(paths, stars, touched, v, memo) if touched else (
                     paths + ((v, v, 1, (), ()),), stars
                 )
                 if joined is INFINITE:
                     if not witness:
                         return INFINITE
-                    best = min(best or out, out)  # least completion: +1 on the rest
+                    best = min(best or out[0], *out)  # least completion: +1 on the rest
                     continue
                 joined, open_stars = joined
                 kept = []
@@ -420,11 +420,16 @@ def transfer_count(quiver: ValuedQuiver, witness: bool = False) -> int | Infinit
                         kept_stars += (star,)
                     elif not witness:  # no arm end is left on the frontier: closed
                         out *= _piece_count(tuple(sorted(m for _, m in star)), memo)
-                key = ((signs | bit if s < 0 else signs) & frontier, tuple(sorted(kept)),
-                       kept_stars and tuple(sorted(kept_stars)))
-                merged[key] = min(merged.get(key, out), out) if witness else merged.get(key, 0) + out
+                mask = (signs | own) & frontier
+                if mirrored and mask ^ frontier < mask:  # the class: least frontier vertex +1
+                    mask ^= frontier
+                    out = out[::-1] if witness else out
+                key = (mask, tuple(sorted(kept)), kept_stars and tuple(sorted(kept_stars)))
+                old = merged.get(key)
+                merged[key] = out if old is None else (
+                    (min(old[0], out[0]), min(old[1], out[1])) if witness else old + out)
         states = merged
-    return best if witness else sum(states.values()) << halved
+    return best if witness else sum(states.values()) << n - len(links)
 
 
 def _sign_slice(quiver: ValuedQuiver, signs: Sequence[int]) -> tuple[Counted, ...]:

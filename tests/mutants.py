@@ -30,7 +30,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
 SIGNDEC = "src/taudec/signdec.py"
-WORK_PIN = "tests/test_signdec.py::TestMirroredHalving::test_work_on_brauer_cycles"
+MIRRORED = "tests/test_signdec.py::TestMirroredHalving"
+WORK_PIN = f"{MIRRORED}::test_work_on_brauer_cycles"
+CORPUS = "tests/test_signdec.py::TestCorpus::test_count_and_finite_against_the_rows"
 SWEEP = "tests/test_signdec.py::TestSweepWithoutWalk"
 SECONDS = 600  # per mutant
 MEMORY = 2 << 30  # bytes of address space per mutant's pytest
@@ -38,8 +40,8 @@ MEMORY = 2 << 30  # bytes of address space per mutant's pytest
 # (name, file, old text, new text, ids of the tests that must fail)
 MUTANTS = (
     ("sweep-key-without-frontier", SIGNDEC,
-     "key = ((signs | bit if s < 0 else signs) & frontier,",
-     "key = ((signs | bit if s < 0 else signs),",
+     "mask = (signs | own) & frontier",
+     "mask = signs | own",
      (WORK_PIN,)),
     ("sweep-departed-end-kept", SIGNDEC,
      "a *= frontier >> n - a & 1",
@@ -47,8 +49,8 @@ MUTANTS = (
      (WORK_PIN, f"{SWEEP}::test_brauer_lines", f"{SWEEP}::test_zigzag_is_catalan",
       f"{SWEEP}::test_random_trees_against_the_scan")),
     ("sweep-touched-sign-inverted", SIGNDEC,
-     "signs >> n - u & 1 == (s > 0)",
-     "signs >> n - u & 1 != (s > 0)",
+     "signs >> n - u & 1 == (not own)",
+     "signs >> n - u & 1 != (not own)",
      (WORK_PIN, f"{SWEEP}::test_odd_brauer_cycles", f"{SWEEP}::test_random_trees_against_the_scan",
       "tests/test_cli.py::TestBenchDigests::test_seed_zero_stdout_matches_the_pins")),
     ("sweep-star-open-after-last-arm", SIGNDEC,
@@ -57,6 +59,17 @@ MUTANTS = (
      (f"{SWEEP}::test_d4_star_is_counted_by_the_sweep", f"{SWEEP}::test_two_way_e",
       f"{SWEEP}::test_random_trees_against_the_scan",
       "tests/test_cli.py::test_stdout_is_pinned[star-d4]")),
+    ("class-key-on-every-component", SIGNDEC,
+     "if mirrored and mask ^ frontier < mask:",
+     "if mask ^ frontier < mask:",
+     (f"{CORPUS}[valued-on-at-most-3]", f"{CORPUS}[digraphs-on-4]",
+      f"{SWEEP}::test_zigzag_is_catalan", f"{SWEEP}::test_witness_without_the_walk",
+      f"{MIRRORED}::test_against_the_scans")),
+    ("witness-slots-not-swapped", SIGNDEC,
+     "out = out[::-1] if witness else out",
+     "out = out",
+     ("tests/test_signdec.py::TestPastAMachineWord::test_witness_slice_of_808_vertices",
+      f"{MIRRORED}::test_against_the_scans")),
 )
 
 

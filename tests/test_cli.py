@@ -738,18 +738,23 @@ def test_import_loads_no_typing_dataclasses_or_inspect_without_site():
      ("count", "n 10000000000\n", ""), ("finite", "n 10000000000\n", "finite\n"),
      # the engine's vertex bits 2 ** (n - v) take n * n / 16 bytes; the engine and its
      # first row come before the header, so nothing is written
-     ("signdec", "n 3000000\n", ""), ("signdec", OVERFLOW_FILE, "")],
-    ids=["count", "finite", "count-shift", "finite-shift", "signdec-bits", "signdec"],
+     ("signdec", "n 3000000\n", ""), ("signdec", OVERFLOW_FILE, ""),
+     # 2 * 10**8 arrows, built before any check or output; no quiver file
+     ("brauer cycle 100000000 --verify", None, ""),
+     ("brauer line 100000000 --emit-quiver", None, "")],
+    ids=["count", "finite", "count-shift", "finite-shift", "signdec-bits", "signdec",
+         "brauer-cycle-verify", "brauer-line-emit"],
 )
 def test_oversized_edgeless_quiver_under_a_memory_cap(quiver_file, command, text, out):
     # lone vertices are a shift in the sweep, so nothing is kept per vertex; the
-    # address-space cap applies to the child alone
+    # 512 MB address-space cap applies to the child alone
     resource = pytest.importorskip("resource")
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
-    cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)
+    cap = 1 << 29 if hard == resource.RLIM_INFINITY else min(hard, 1 << 29)
     src = str(Path(cli.__file__).resolve().parents[1])
+    argv = command.split() + ([quiver_file(text)] if text else [])
     done = subprocess.run(
-        [sys.executable, "-m", "taudec.cli", command, quiver_file(text)],
+        [sys.executable, "-m", "taudec.cli", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)))
     assert done.stdout == out
