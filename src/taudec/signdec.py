@@ -5,10 +5,10 @@ The support tilting modules of a radical-square-zero algebra split into
 modules of a hereditary slice, which is finite exactly when every
 connected component of the slice's underlying graph is Dynkin.
 
-`transfer_count` sums the sign classes as a transfer matrix.  It sweeps
-the quiver's weakly connected components by minimal vertex, each found and
-ordered by `quiver.breadth_first` (from a vertex of least degree, ties and
-neighbours by label), and branches on both signs of a vertex.  On a
+`transfer_count` sums the sign classes as a transfer matrix.  Its plan,
+made before any state, walks each weakly connected component once with
+`quiver.breadth_first`, from its vertex of least (degree, label), and takes
+the components by those starts; it branches on both signs of a vertex.  On a
 mirrored component, each link an arrow both ways with equal unordered
 valuations, the slice at -e keeps the reverses of the arrows kept at e,
 the same valued graph, so count(e) = count(-e): while one is swept, a
@@ -252,14 +252,14 @@ _UNIT = (1, 1)
 
 
 def _links(quiver: ValuedQuiver) -> Links:
-    """The unordered valuations of the non-loop arrows, at both ends, by end in vertex order."""
+    """The unordered valuations of the non-loop arrows, at both ends, by end in arrow order."""
     links: Links = {}
     for a in quiver.arrows:
         if a.src != a.tgt:
             val = a.val.unordered()
             links.setdefault(a.src, {}).setdefault(a.tgt, [None, None])[0] = val
             links.setdefault(a.tgt, {}).setdefault(a.src, [None, None])[1] = val
-    return dict(sorted(links.items()))
+    return links
 
 
 def _turned(path: Path) -> Path:
@@ -350,8 +350,8 @@ def _join(
 
 
 def transfer_count(quiver: ValuedQuiver, witness: bool = False) -> int | Infinite:
-    """Sum of the quiver's sign-class counts by one vertex sweep over all its
-    components, which makes it the product of the components' sums.
+    """Sum of the quiver's sign-class counts, the product of its components'
+    sums, by one vertex sweep whose schedule is fixed before the first state.
 
     Returns INFINITE as soon as an open slice piece closes a cycle or is not
     Dynkin (see the module docstring).  With `witness`, a state holds the
@@ -364,72 +364,73 @@ def transfer_count(quiver: ValuedQuiver, witness: bool = False) -> int | Infinit
     n, links = quiver.n, _links(quiver)
     memo: dict = {}  # piece counts by shape
     best = 0  # mask 0, all +1, has an edgeless slice and is never a witness
-    waiting = {v: len(links[v]) for v in links}
+    plan: dict[int, bool] = {}  # each linked vertex in sweep order -> is its component mirrored
+    for w in sorted(links, key=lambda v: (len(links[v]), v)):
+        if w not in plan:  # its component's start: one walk gives the group and its order
+            group = breadth_first(links, (w,))
+            plan |= dict.fromkeys(group, all(o == i for x in group for o, i in links[x].values()))
+    at, leave = {v: k for k, v in enumerate(plan)}, dict.fromkeys(plan, 0)
+    for u in plan:  # u leaves the frontier at its own step or its last neighbour's
+        leave[max([u, *links[u]], key=at.__getitem__)] |= 1 << n - u
     frontier = 0  # mask bits of the swept vertices with a neighbour still to come
     states = {(0, (), ()): (0, 0) if witness else 1}
-    # components by least vertex, each in breadth-first order; a swept one waits on nothing
-    for v, mirrored in ((u, mirrored) for w in links if waiting[w]
-                        for group in [breadth_first(links, (w,))]
-                        for mirrored in [all(o == i for x in group for o, i in links[x].values())]
-                        for u in breadth_first(links, group)):
-        bit = 1 << n - v
-        # (frontier vertex, valuation) of the slice edges v can take as +1 and as -1
-        plus = [(u, out) for u, (out, _) in links[v].items() if frontier >> n - u & 1 and out]
-        minus = [(u, into) for u, (_, into) in links[v].items() if frontier >> n - u & 1 and into]
-        for u in links[v]:
-            waiting[u] -= 1
-            if not waiting[u]:
-                frontier &= ~(1 << n - u)
-        if waiting[v]:
-            frontier |= bit
-        merged = {}
-        for (signs, paths, stars), weight in states.items():
-            for edges, own in ((plus, 0), (minus, bit)):  # own: v's bit, set when v is -1
-                # an edge is kept from +1 to -1: u's bit is set when v's is not
-                touched = [(u, val) for u, val in edges if signs >> n - u & 1 == (not own)]
-                # the negation's mask, off a mirrored component the mask again
-                out = ((weight[0] | own, weight[1] | own ^ bit) if mirrored else
-                       (weight[0] | own,) * 2) if witness else weight
-                joined = _join(paths, stars, touched, v, memo) if touched else (
-                    paths + ((v, v, 1, (), ()),), stars
-                )
-                if joined is INFINITE:
-                    if not witness:
-                        return INFINITE
-                    best = min(best or out[0], *out)  # least completion: +1 on the rest
-                    continue
-                joined, open_stars = joined
-                kept = []
-                for a, b, length, inner, special in joined:
-                    a *= frontier >> n - a & 1  # an end off the frontier reads 0
-                    b *= frontier >> n - b & 1
-                    if inner:
-                        inner = tuple([(p, i) for p, i in inner if frontier >> n - i & 1])
-                    if not (a or b or inner):
+    try:
+        for v, mirrored in plan.items():
+            bit = 1 << n - v
+            # (frontier vertex, valuation) of the slice edges v can take as +1 and as -1
+            plus = [(u, val) for u, (val, _) in links[v].items() if frontier >> n - u & 1 and val]
+            minus = [(u, val) for u, (_, val) in links[v].items() if frontier >> n - u & 1 and val]
+            frontier = (frontier | bit) & ~leave[v]
+            merged = {}
+            for (signs, paths, stars), weight in states.items():
+                for edges, own in ((plus, 0), (minus, bit)):  # own: v's bit, set when v is -1
+                    # an edge is kept from +1 to -1: u's bit is set when v's is not
+                    touched = [(u, val) for u, val in edges if signs >> n - u & 1 == (not own)]
+                    # the negation's mask, off a mirrored component the mask again
+                    out = ((weight[0] | own, weight[1] | own ^ bit) if mirrored else
+                           (weight[0] | own,) * 2) if witness else weight
+                    joined = _join(paths, stars, touched, v, memo) if touched else (
+                        paths + ((v, v, 1, (), ()),), stars
+                    )
+                    if joined is INFINITE:
                         if not witness:
-                            out *= _piece_count((length, special), memo)  # closed
+                            return INFINITE
+                        best = min(best or out[0], *out)  # least completion: +1 on the rest
                         continue
-                    path = (a, b, length, inner, special)
-                    if a < b or a == b and inner:  # greater end first, as `_join` grows a path
-                        path = max(path, _turned(path))
-                    kept.append(path)
-                kept_stars = ()
-                for star in open_stars:
-                    star = tuple(sorted([(end * (frontier >> n - end & 1), m) for end, m in star]))
-                    if star[-1][0]:
-                        kept_stars += (star,)
-                    elif not witness:  # no arm end is left on the frontier: closed
-                        out *= _piece_count(tuple(sorted(m for _, m in star)), memo)
-                mask = (signs | own) & frontier
-                if mirrored and mask ^ frontier < mask:  # the class: least frontier vertex +1
-                    mask ^= frontier
-                    out = out[::-1] if witness else out
-                key = (mask, tuple(sorted(kept)), kept_stars and tuple(sorted(kept_stars)))
-                old = merged.get(key)
-                merged[key] = out if old is None else (
-                    (min(old[0], out[0]), min(old[1], out[1])) if witness else old + out)
-        states = merged
-    return best if witness else sum(states.values()) << n - len(links)
+                    joined, open_stars = joined
+                    kept = []
+                    for a, b, length, inner, special in joined:
+                        a *= frontier >> n - a & 1  # an end off the frontier reads 0
+                        b *= frontier >> n - b & 1
+                        if inner:
+                            inner = tuple([(p, i) for p, i in inner if frontier >> n - i & 1])
+                        if not (a or b or inner):
+                            if not witness:
+                                out *= _piece_count((length, special), memo)  # closed
+                            continue
+                        path = (a, b, length, inner, special)
+                        if a < b or a == b and inner:  # greater end first, as `_join` grows a path
+                            path = max(path, _turned(path))
+                        kept.append(path)
+                    kept_stars = ()
+                    for star in open_stars:
+                        star = tuple(sorted([(e * (frontier >> n - e & 1), m) for e, m in star]))
+                        if star[-1][0]:
+                            kept_stars += (star,)
+                        elif not witness:  # no arm end is left on the frontier: closed
+                            out *= _piece_count(tuple(sorted(m for _, m in star)), memo)
+                    mask = (signs | own) & frontier
+                    if mirrored and mask ^ frontier < mask:  # the class: least frontier vertex +1
+                        mask ^= frontier
+                        out = out[::-1] if witness else out
+                    key = (mask, tuple(sorted(kept)), kept_stars and tuple(sorted(kept_stars)))
+                    old = merged.get(key)
+                    merged[key] = out if old is None else (
+                        (min(old[0], out[0]), min(old[1], out[1])) if witness else old + out)
+            states = merged
+        return best if witness else sum(states.values()) << n - len(links)
+    finally:  # a MemoryError unwinds with the states freed
+        states = merged = None
 
 
 def _sign_slice(quiver: ValuedQuiver, signs: Sequence[int]) -> tuple[Counted, ...]:

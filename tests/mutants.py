@@ -70,6 +70,14 @@ MUTANTS = (
      "out = out",
      ("tests/test_signdec.py::TestPastAMachineWord::test_witness_slice_of_808_vertices",
       f"{MIRRORED}::test_against_the_scans")),
+    ("sweep-leave-without-own-step", SIGNDEC,
+     "[u, *links[u]]",
+     "links[u]",
+     ("tests/test_signdec.py::TestCountSupportTilting::test_three_cycle", WORK_PIN)),
+    ("sweep-start-by-label", SIGNDEC,
+     "sorted(links, key=lambda v: (len(links[v]), v))",
+     "links",
+     (WORK_PIN, "tests/test_signdec.py::TestSweep::test_vertex_order_against_the_component_split")),
 )
 
 

@@ -15,7 +15,9 @@ The interval layer over labelled type-A quivers lives here: `PathQuiver`
 `IntervalModule`, `TiltingModule`, `intervals`, `indicator` and
 `euler_form`.  `components`, a depth-first split of neighbour lists into
 sorted components, is the reference for the walks the package makes with
-`quiver.breadth_first` alone.  `sign_slice_path_quiver` is the old slice pipeline
+`quiver.breadth_first` alone.  `breadth_first_plan` orders the vertices of
+that split as the sweep of `taudec.signdec` takes them, by its own walk.
+`sign_slice_path_quiver` is the old slice pipeline
 (`sign_subquiver`, `opposite`, `path_quiver`), the reference for the
 paths and orientation words that `taudec.glue` reads off the slice
 engine.  The tilting enumerator, the mutation quiver and Fac membership
@@ -74,7 +76,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 from operator import attrgetter, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from taudec.brauer import IdentityCheck
 from taudec.dynkin import _EXCEPTIONAL as EXCEPTIONAL
@@ -129,6 +131,27 @@ def components(neighbours: Mapping[int, Iterable[int]]) -> tuple[tuple[int, ...]
         comp.sort()
         out.append(tuple(comp))
     return tuple(out)
+
+
+def breadth_first_plan(neighbours: Mapping[int, Collection[int]]) -> list[int]:
+    """Every vertex in sweep order, each component of `components` in one run.
+
+    A component is walked breadth first, neighbours by label, from its vertex
+    of least (degree, label), and the components come in the order of those
+    starts, by (degree, label) again.
+    """
+    def rank(v: int) -> tuple[int, int]:
+        return len(neighbours[v]), v
+
+    order = []
+    for start in sorted((min(comp, key=rank) for comp in components(neighbours)), key=rank):
+        walk, seen = [start], {start}
+        for v in walk:  # the walk grows while it is read
+            fresh = sorted(set(neighbours[v]) - seen)
+            seen.update(fresh)
+            walk += fresh
+        order += walk
+    return order
 
 
 def _paths_of(

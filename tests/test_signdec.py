@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    breadth_first_plan,
     component_quivers,
     components,
     count_by_components,
@@ -637,8 +638,8 @@ class TestSweep:
         assert infinite_parts.count(0) >= 30 and sum(k > 1 for k in infinite_parts) >= 30
 
     def test_vertex_order_against_the_component_split(self, monkeypatch):
-        # the sweep finds each component from its least vertex with one walk
-        # and orders it with a second: the order of the sorted component split
+        # the sweep walks each component once, from its vertex of least
+        # (degree, label), and takes the components in the order of those starts
         calls = []
 
         def recorded(neighbours, group):
@@ -650,12 +651,36 @@ class TestSweep:
             quiver = interleaved_union(seed)
             links = signdec._links(quiver)
             calls.clear()
-            signdec.transfer_count(quiver, witness=True)  # sweeps every vertex
-            found, ordered = calls[0::2], calls[1::2]
-            assert [group for group, _ in found] == [comp[:1] for comp in components(links)]
-            assert [group for group, _ in ordered] == [tuple(order) for _, order in found]
-            assert [v for _, order in ordered for v in order] == [
-                v for comp in components(links) for v in breadth_first(links, comp)]
+            signdec.transfer_count(quiver)  # the plan is made before any state
+
+            def rank(v):
+                return len(links[v]), v
+
+            starts = sorted((min(comp, key=rank) for comp in components(links)), key=rank)
+            assert [group for group, _ in calls] == [(start,) for start in starts]
+            assert [v for _, order in calls for v in order] == breadth_first_plan(links)
+
+    def test_states_are_freed_before_a_memory_error_unwinds(self, monkeypatch):
+        # unwinding allocates a traceback entry per frame, so the sweep drops
+        # its states first: under a memory cap the exit 2 stays one line
+        original, calls = signdec._join, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 20:
+                raise MemoryError
+            return original(*args)
+
+        monkeypatch.setattr(signdec, "_join", failing)
+        with pytest.raises(MemoryError) as caught:
+            signdec.transfer_count(brauer_cycle_quiver(9), witness=True)
+        frames, tb = [], caught.value.__traceback__
+        while tb:
+            if tb.tb_frame.f_code is signdec.transfer_count.__code__:
+                frames.append(tb.tb_frame)
+            tb = tb.tb_next
+        assert len(calls) == 20 and len(frames) == 1
+        assert frames[0].f_locals["states"] is None
 
     @settings(max_examples=80, deadline=None)
     @given(SWEEP_FAMILIES, VALUATIONS, SEEDS)
