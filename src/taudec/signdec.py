@@ -50,11 +50,12 @@ vertices give its slice and its `signdec` two-term column; a walk reads
 those ORs off two tables, over the high and the low half of the mask bits.
 Each distinct slice is split by one union pass over its edge bits, merging
 vertex groups by size, and each distinct component, keyed by its vertex
-and edge bits, is classified once.  A component that fails to classify is
-an internal bug named by its sign vector and vertices.  The engine names
-the non-Dynkin component of the sweep's witness from its one slice, and
-gives the `signdec` rows, the `hasse` walk and `sign_slice_components`.
-Sign text is always `quiver.format_signs`.
+and edge bits, is typed once: a lone vertex or a unit path from its bits,
+any other by `classify`.  A component that fails to type is an internal
+bug named by its sign vector and vertices.  The engine names the
+non-Dynkin component of the sweep's witness from its one slice, and gives
+the `signdec` rows, the `hasse` walk and `sign_slice_components`.  Sign
+text is always `quiver.format_signs`.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ INFINITE = Infinite()
 
 # a slice component with its type and its tilting count
 Counted = tuple[ValuedGraph, DynkinType, int | Infinite]
+_UNIT = (1, 1)
 
 
 def enumerate_signs(n: int) -> Iterator[SignVector]:
@@ -120,8 +122,8 @@ class SliceEngine:
     names its two vertex bits, and a group [vertex mask, edge mask, member
     bits] absorbs the smaller group it meets (union by size).  Components
     come out by minimal vertex, from the highest vertex bit down.  A
-    component is decoded from its bits and classified once per (vertex
-    mask, edge mask); a lone vertex is A1 without `classify`.
+    component is decoded from its bits and typed once per (vertex mask,
+    edge mask); a lone vertex or a unit path is A_k without `classify`.
     """
 
     def __init__(self, quiver: ValuedQuiver):
@@ -141,6 +143,7 @@ class SliceEngine:
             self._ends[bit[src]][1] |= 1 << 2 * index[edge] + (src > tgt)
         # each edge's key bit -> its two vertex bits; each vertex bit -> its label
         self._pair = {1 << 2 * e: (bit[lo], bit[hi]) for e, (lo, hi, _) in enumerate(self._edges)}
+        self._unit = sum(1 << 2 * e for e, (_, _, val) in enumerate(self._edges) if val == _UNIT)
         self._label = {b: v for v, b in bit.items()}
         self._slices: dict[int, tuple[Counted, ...]] = {}
         self._classified: dict[tuple[int, int], Counted] = {}
@@ -226,14 +229,27 @@ class SliceEngine:
             parts.append(classified.get(bits) or self._component(bits, text))
         return tuple(parts)
 
+    def _unit_path(self, vertices: int, edges: int) -> bool:
+        """Whether a component is a unit path: connected by the union pass, with
+        unit edges, one fewer than its vertices, that meet no vertex thrice."""
+        if edges & ~self._unit or edges.bit_count() != vertices.bit_count() - 1:
+            return False
+        once = twice = 0  # vertex bits met at least once, at least twice
+        for e in _set_bits(edges):
+            for b in self._pair[e]:
+                if twice & b:
+                    return False
+                once, twice = once | b, twice | once & b
+        return True
+
     def _component(self, bits: tuple[int, int], text: str) -> Counted:
-        """Build, classify and keep the component on these vertex and key bits,
-        decoded from their set bits alone."""
+        """Build, type and keep the component on these vertex and key bits,
+        decoded from their set bits alone; a unit path of k vertices is A_k."""
         comp = tuple(sorted(self._label[b] for b in _set_bits(bits[0])))
         es = tuple(self._edges[e.bit_length() >> 1] for e in _set_bits(bits[1]))
         try:
             graph = ValuedGraph(comp, es)
-            dynkin = classify(graph) if es else shape_type((1, ()))  # a lone vertex is A1
+            dynkin = shape_type((len(comp), ())) if self._unit_path(*bits) else classify(graph)
         except ValueError as exc:  # QuiverError too: a slice of a valid quiver is valid
             raise ArithmeticError(
                 f"slice of signs {text} on vertices {self.vertices}, "
@@ -248,7 +264,6 @@ class SliceEngine:
 Links = dict[int, dict[int, list]]
 Path = tuple  # (end, end, length, inner frontier vertices and non-unit edges by position)
 Star = tuple  # its three arms, each (end, length), sorted; an end is a label, 0 off the frontier
-_UNIT = (1, 1)
 
 
 def _links(quiver: ValuedQuiver) -> Links:

@@ -23,10 +23,12 @@ stores, per workload and metric, in how many pairs that side read lower
 (`"lower_in": {"setup_s": "10/10", ...}`); the first side's counts are
 printed.  Each side's file also stores `in_process`: uncalibrated seconds,
 best of 3, of `count_support_tilting` and `finiteness_witness` on Brauer
-line 200, cycle 51 and cycle 50, and of `glued_hasse` on Brauer line 8 and
-cycle 7, inputs larger than perfbench's, timed by `perf_counter` in a fresh
+line 200, cycle 51 and cycle 50, of `glued_hasse` on Brauer line 8 and
+cycle 7, and of a full `SliceEngine(...).rows()` walk of Brauer line 14 and
+cycle 13, inputs larger than perfbench's, timed by `perf_counter` in a fresh
 interpreter that imports the checkout's `src/`, each with a sha256 of the
-result's text (for `glued_hasse`, of its `hasse_json`).  Every run starts
+result's text (for `glued_hasse`, of its `hasse_json`; for a walk, of each
+row's sign text, count and two-term flag).  Every run starts
 as a fresh checkout does: each root's `src/taudec/__pycache__` is removed
 first and no run writes bytecode, since a cache that is stale in one
 checkout alone recompiles a module in each of its runs and moves its
@@ -58,7 +60,9 @@ import hashlib, json, time
 from taudec.brauer import brauer_cycle_quiver, brauer_line_quiver
 from taudec.cli import hasse_json
 from taudec.glue import glued_hasse
-from taudec.signdec import count_support_tilting, finiteness_witness
+from taudec.signdec import SliceEngine, count_support_tilting, finiteness_witness, slice_count
+def engine_rows(quiver):
+    return [(text, slice_count(parts), flag) for text, parts, flag in SliceEngine(quiver).rows()]
 timed = [(f"{call.__name__} {name}", call, quiver, str)
          for name, quiver in (("line 200", brauer_line_quiver(200)),
                               ("cycle 51", brauer_cycle_quiver(51)),
@@ -66,6 +70,8 @@ timed = [(f"{call.__name__} {name}", call, quiver, str)
          for call in (count_support_tilting, finiteness_witness)]
 timed += [(f"glued_hasse {name}", glued_hasse, quiver, hasse_json)
           for name, quiver in (("line 8", brauer_line_quiver(8)), ("cycle 7", brauer_cycle_quiver(7)))]
+timed += [(f"SliceEngine.rows {name}", engine_rows, quiver, str)
+          for name, quiver in (("line 14", brauer_line_quiver(14)), ("cycle 13", brauer_cycle_quiver(13)))]
 seconds, results = {}, {}
 for key, call, quiver, text in timed:
     times = []

@@ -34,6 +34,7 @@ MIRRORED = "tests/test_signdec.py::TestMirroredHalving"
 WORK_PIN = f"{MIRRORED}::test_work_on_brauer_cycles"
 CORPUS = "tests/test_signdec.py::TestCorpus::test_count_and_finite_against_the_rows"
 SWEEP = "tests/test_signdec.py::TestSweepWithoutWalk"
+SPLIT = "tests/test_signdec.py::TestCountsHeldByTheEngine::test_one_split_per_distinct_slice"
 SECONDS = 600  # per mutant
 MEMORY = 2 << 30  # bytes of address space per mutant's pytest
 
@@ -78,6 +79,15 @@ MUTANTS = (
      "sorted(links, key=lambda v: (len(links[v]), v))",
      "links",
      (WORK_PIN, "tests/test_signdec.py::TestSweep::test_vertex_order_against_the_component_split")),
+    ("engine-path-valued", SIGNDEC,
+     "if edges & ~self._unit or edges.bit_count()",
+     "if edges.bit_count()",
+     (f"{SPLIT}[beyond-f4]", f"{SPLIT}[bc4-terminal]", f"{SPLIT}[f4]", f"{SPLIT}[bc2-g2]")),
+    ("engine-path-branch", SIGNDEC,
+     "if twice & b:",
+     "if False:",
+     (f"{SPLIT}[star-d4]", f"{CORPUS}[digraphs-on-4]",
+      "tests/test_cli.py::test_stdout_is_pinned[star-d4]")),
 )
 
 

@@ -396,21 +396,42 @@ class TestSigndec:
     def test_slice_classification_fault_exits_four(
         self, quiver_file, capsys, monkeypatch, error
     ):
-        # the three-cycle's first slice component with an edge is {2, 3}, at signs ++-
-        original = signdec.classify
+        # the three-cycle's first slice component with an edge is the unit path {2, 3},
+        # at signs ++-, typed by `shape_type` without `classify`
+        original = signdec.shape_type
 
-        def faulty(graph):
-            if graph.edges:
+        def faulty(shape):
+            if shape != (1, ()):  # two or more vertices
                 raise error
-            return original(graph)
+            return original(shape)
 
-        monkeypatch.setattr(signdec, "classify", faulty)
+        monkeypatch.setattr(signdec, "shape_type", faulty)
         code, out, err = run(capsys, "signdec", quiver_file(THREE_CYCLE_FILE))
         assert code == 4
         assert out.splitlines()[1:] == ["+++  A1{1},A1{2},A1{3}  1  true"]
         assert err == (
             "error: internal: slice of signs ++- on vertices (1, 2, 3), "
             f"component (2, 3): {error}: internal bug\n"
+        )
+
+    @pytest.mark.parametrize(
+        "error", [ValueError("graph is disconnected"), QuiverError("bad edge (1, 2)")],
+        ids=["value-error", "quiver-error"],
+    )
+    def test_valued_slice_classification_fault_exits_four(
+        self, quiver_file, capsys, monkeypatch, error
+    ):
+        # the first slice component with an edge is BC2 {1, 2}, at signs +-, typed by `classify`
+        def faulty(graph):
+            raise error
+
+        monkeypatch.setattr(signdec, "classify", faulty)
+        code, out, err = run(capsys, "signdec", quiver_file("n 2\na 1 2 1 2\na 2 1 1 3\n"))
+        assert code == 4
+        assert out.splitlines()[1:] == ["++  A1{1},A1{2}  1  true"]
+        assert err == (
+            "error: internal: slice of signs +- on vertices (1, 2), "
+            f"component (1, 2): {error}: internal bug\n"
         )
 
 

@@ -287,12 +287,30 @@ class TestAgainstScan:
             assert slice_count(parts) == count_for_signs(quiver, signs) == slice_count_scan(want)
 
 
+def valued_path(vals) -> ValuedQuiver:
+    """Arrows both ways between neighbours; the pair i, i + 1 valued vals[i - 1]."""
+    arrows = []
+    for i, val in enumerate(vals, 1):
+        arrows += [Arrow(i, i + 1, val), Arrow(i + 1, i, transposed(val))]
+    return ValuedQuiver(len(vals) + 1, tuple(arrows))
+
+
+def valued_line(n: int, k: int, lo: int, hi: int) -> ValuedQuiver:
+    """Arrows both ways between neighbours; the pair k, k + 1 valued (lo, hi)."""
+    return valued_path([Valuation(lo, hi) if i == k else Valuation(1, 1) for i in range(1, n)])
+
+
+# unit paths are typed from their bits, every other component by `classify`:
+# the valued members sit on each side of that rule
 ENGINE_QUIVERS = pytest.mark.parametrize(
     "quiver",
     [brauer_line_quiver(6), brauer_cycle_quiver(5), brauer_cycle_quiver(4), THREE_CYCLE,
      parse_quiver("n 4\na 1 2\na 1 3\na 1 4\n"),
-     parse_quiver("n 6\na 1 2\na 3 2\na 3 4\na 5 4\na 5 6\n")],
-    ids=["line6", "cycle5", "cycle4", "three-cycle", "star-d4", "zigzag6"],
+     parse_quiver("n 6\na 1 2\na 3 2\na 3 4\na 5 4\na 5 6\n"),
+     valued_line(5, 2, 1, 2), valued_line(4, 3, 1, 2), valued_line(4, 2, 1, 2),
+     parse_quiver("n 2\na 1 2 1 2\na 2 1 1 3\n")],
+    ids=["line6", "cycle5", "cycle4", "three-cycle", "star-d4", "zigzag6",
+         "beyond-f4", "bc4-terminal", "f4", "bc2-g2"],
 )
 
 
@@ -586,19 +604,6 @@ def walk_total(quiver: ValuedQuiver) -> int | Infinite:
 def sweep_counts(quiver: ValuedQuiver) -> list:
     """The sweep's count of each quiver component's sub-quiver, by minimal vertex."""
     return [count_support_tilting(sub) for _, sub in component_quivers(quiver)]
-
-
-def valued_path(vals) -> ValuedQuiver:
-    """Arrows both ways between neighbours; the pair i, i + 1 valued vals[i - 1]."""
-    arrows = []
-    for i, val in enumerate(vals, 1):
-        arrows += [Arrow(i, i + 1, val), Arrow(i + 1, i, transposed(val))]
-    return ValuedQuiver(len(vals) + 1, tuple(arrows))
-
-
-def valued_line(n: int, k: int, lo: int, hi: int) -> ValuedQuiver:
-    """Arrows both ways between neighbours; the pair k, k + 1 valued (lo, hi)."""
-    return valued_path([Valuation(lo, hi) if i == k else Valuation(1, 1) for i in range(1, n)])
 
 
 def infinite_quiver(rng: random.Random, max_val: int) -> ValuedQuiver:
